@@ -16,10 +16,12 @@ import pytest
 from scipy.stats import chi2
 
 from helpers import (
+    CRITERION_8_CONFIG,
     connected_graphs_up_to_iso,
     exact_first_walk_distribution,
     harmonic,
     star_graph,
+    wos_scale_degree_sequence,
 )
 from netbrain import (
     DegreeRankedStride,
@@ -304,16 +306,8 @@ def test_criterion_7_exhaustive_small_graph_oracle():
 
 
 def test_criterion_8_deterministic_csv_output(tmp_path):
-    cfg = {
-        "generator": {"model": "ws", "n": 300, "k_avg": 4.0, "seed": 12, "p_rewire": 0.03},
-        "policies": ["standard", "extended", "look_ahead"],
-        "start": {"kind": "degree_stride", "stride": 60},
-        "repetitions_per_start": 2,
-        "thresholds": [0.25, 0.5, 0.75, 1.0],
-        "master_seed": 88,
-    }
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
+    cfg_path.write_text(json.dumps(CRITERION_8_CONFIG))
     outs = []
     for name in ("r1", "r2"):
         out = tmp_path / name
@@ -325,30 +319,6 @@ def test_criterion_8_deterministic_csv_output(tmp_path):
 
 
 # --- 9. real-network pipeline at WOS scale -------------------------------------------
-
-
-def wos_scale_degree_sequence(n: int, seed: int) -> list[int]:
-    """Citation-like degree mix: leaf minority, exponential bulk, hub tail.
-
-    Tuned so the erased configuration model realizes a mean degree near 17
-    at n = 11000, with hubs in the many-hundreds and a median well clear of
-    the leaves.
-    """
-    rng = random.Random(seed)
-    seq = []
-    for _ in range(n):
-        r = rng.random()
-        if r < 0.12:
-            seq.append(1)
-        elif r < 0.20:
-            seq.append(2)
-        elif r < 0.90:
-            seq.append(3 + int(rng.expovariate(1 / 11.5)))
-        else:
-            seq.append(min(1500, int(30 * rng.paretovariate(1.6))))
-    if sum(seq) % 2:
-        seq[0] += 1
-    return seq
 
 
 def test_criterion_9_real_network_pipeline(tmp_path):
