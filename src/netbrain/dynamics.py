@@ -26,11 +26,11 @@ from enum import Enum, IntEnum
 from typing import Iterable, Sequence
 
 from .errors import ConfigError, DiscoveryStallError
-from .graph import Graph
+from .graph import Graph, is_connected
 
 
 class NodeState(IntEnum):
-    """Per-walk agent view of one node."""
+    """Per-walk agent view of one node (the walk loop uses the raw values)."""
 
     UNVISITED = 0
     PRIMED = 1
@@ -104,130 +104,178 @@ def validate_thresholds(thresholds: Sequence[float]) -> tuple[float, ...]:
     return ts
 
 
-def eligible_moves(
-    g: Graph, states: Sequence[int], policy: WalkPolicy, current: int
-) -> list[int]:
-    """Neighbors of `current` the agent may move to under `policy`.
-
-    Standard and extended walks may enter anything not blocked (primed nodes
-    are still visitable); look-ahead walks may only enter unvisited nodes.
-    An empty result is a dead end.
-    """
-    nbrs = g.adj[current]
-    if policy is WalkPolicy.LOOK_AHEAD:
-        return [w for w in nbrs if states[w] == NodeState.UNVISITED]
-    return [w for w in nbrs if states[w] < NodeState.BLOCKED]
-
-
-def policy_step_metric(policy: WalkPolicy, path: Sequence[int], g: Graph) -> int:
-    """Cost of a walk along `path`: moves for standard, degree sum otherwise."""
-    if not path:
-        raise ValueError("path must contain at least the starting node")
-    if policy is WalkPolicy.STANDARD:
-        return len(path) - 1
-    return sum(len(g.adj[v]) for v in path)
-
-
 class _CrossingTracker:
     """Records cumulative steps the moment each knowledge threshold is reached.
 
     Thresholds are precomputed as integer knowledge counts, so the per-move
-    check is a pair of integer comparisons. Checks happen at move boundaries:
-    a move's cost is charged before its discoveries are inspected.
+    check is one integer comparison against the next target. Checks happen
+    at move boundaries: a move's cost is charged before its discoveries are
+    inspected.
     """
 
-    __slots__ = ("grid", "targets", "next_idx", "base_steps", "crossings")
+    __slots__ = ("grid", "targets", "never", "crossings")
 
     def __init__(self, grid: tuple[float, ...], n: int):
         self.grid = grid
         self.targets = [math.ceil(t * n - 1e-9) for t in grid]
-        self.next_idx = 0
-        self.base_steps = 0
+        self.never = n + 1  # a target no knowledge count reaches
         self.crossings: list[tuple[float, int]] = []
 
-    def record(self, known_count: int, steps_in_walk: int) -> None:
-        while self.next_idx < len(self.targets) and known_count >= self.targets[self.next_idx]:
-            self.crossings.append((self.grid[self.next_idx], self.base_steps + steps_in_walk))
-            self.next_idx += 1
+    def next_target(self) -> int:
+        i = len(self.crossings)
+        return self.targets[i] if i < len(self.targets) else self.never
+
+    def record(self, known_count: int, steps: int) -> int:
+        """Record every threshold `known_count` reaches; return the next target."""
+        targets = self.targets
+        i = len(self.crossings)
+        while i < len(targets) and known_count >= targets[i]:
+            self.crossings.append((self.grid[i], steps))
+            i += 1
+        return targets[i] if i < len(targets) else self.never
 
 
-def _walk(
-    g: Graph,
-    brain: int,
-    policy: WalkPolicy,
-    step_cap: int | None,
-    rng: random.Random,
-    known_mask: bytearray,
-    known_count: int,
-    collect_path: bool,
-    stop_count: int | None = None,
-    tracker: _CrossingTracker | None = None,
-) -> tuple[list[int] | None, int, list[int], int, Termination]:
-    """One walk against a shared knowledge mask; returns the fresh reports.
+_NO_CAP = 1 << 62  # a step count no walk reaches
 
-    The mask is updated in place; `known_count` tracks its popcount so the
-    coverage check is O(1) per move. `stop_count` (default: the full node
-    count) ends the walk as soon as the brain knows that many nodes.
+
+class _Walker:
+    """The walks of one discovery, against the brain's shared knowledge.
+
+    The walker owns the brain's knowledge mask `known` and its popcount
+    `count` (so the coverage check is O(1) per move), the cumulative step
+    count, and the optional crossing tracker. `reported` marks the nodes
+    whose neighbourhood an extended walk has reported: knowledge only grows
+    within a discovery, so a later departure from such a node would report
+    nothing new and skips the scan. Extended walks never write PRIMED, as it
+    does not change their eligibility (`state < BLOCKED`). Look-ahead walks
+    prime and report on every departure, since primed nodes are off-limits
+    to them for the rest of the walk.
+
+    `stop_count` (default: the node count) ends a walk as soon as the brain
+    knows that many nodes.
     """
-    n = g.n
-    adj = g.adj
-    if stop_count is None:
-        stop_count = n
-    state = bytearray(n)
-    state[brain] = NodeState.CURRENT
-    new_nodes: list[int] = []
-    if not known_mask[brain]:
-        known_mask[brain] = 1
-        known_count += 1
-        new_nodes.append(brain)
-    standard = policy is WalkPolicy.STANDARD
-    look_ahead = policy is WalkPolicy.LOOK_AHEAD
-    steps = 0 if standard else len(adj[brain])
-    path = [brain] if collect_path else None
-    if tracker is not None:
-        tracker.record(known_count, steps)
-    if known_count >= stop_count:
-        return path, steps, new_nodes, known_count, Termination.FULL_COVERAGE
-    cur = brain
-    rnd = rng.random
-    blocked = int(NodeState.BLOCKED)
-    primed = int(NodeState.PRIMED)
-    while True:
-        nbrs = adj[cur]
-        if look_ahead:
-            elig = [w for w in nbrs if state[w] == 0]
+
+    __slots__ = (
+        "adj", "n", "brain", "policy", "rng", "cap", "stop_count",
+        "known", "count", "reported", "steps", "tracker", "target",
+    )
+
+    def __init__(
+        self,
+        g: Graph,
+        brain: int,
+        policy: WalkPolicy,
+        rng: random.Random,
+        step_cap: int | None = None,
+        known: Iterable[int] | None = None,
+        stop_count: int | None = None,
+        tracker: _CrossingTracker | None = None,
+    ):
+        if not 0 <= brain < g.n:
+            raise ValueError(f"brain {brain} outside [0, {g.n})")
+        self.adj = g.adj
+        self.n = g.n
+        self.brain = brain
+        self.policy = policy
+        self.rng = rng
+        self.cap = _NO_CAP if step_cap is None else step_cap
+        self.stop_count = g.n if stop_count is None else stop_count
+        self.known = bytearray(g.n)
+        self.count = 0
+        for v in known or ():
+            if not self.known[v]:
+                self.known[v] = 1
+                self.count += 1
+        self.reported = bytearray(g.n)
+        self.steps = 0
+        self.tracker = tracker
+        self.target = tracker.next_target() if tracker is not None else g.n + 1
+
+    def walk(self, collect_path: bool = False) -> tuple[list[int] | None, int, list[int], Termination]:
+        """One walk from the brain with a fresh agent view.
+
+        Returns the path (if collected), the walk's steps, the nodes it made
+        known, in report order, and why it ended.
+        """
+        adj = self.adj
+        known = self.known
+        reported = self.reported
+        count = self.count
+        stop = self.stop_count
+        cap = self.cap
+        base = self.steps
+        target = self.target
+        record = self.tracker.record if self.tracker is not None else None
+        policy = self.policy
+        standard = policy is WalkPolicy.STANDARD
+        look_ahead = policy is WalkPolicy.LOOK_AHEAD
+        extended = policy is WalkPolicy.EXTENDED
+        brain = cur = self.brain
+        state = bytearray(self.n)
+        state[brain] = 3  # CURRENT
+        new_nodes: list[int] = []
+        if not known[brain]:
+            known[brain] = 1
+            count += 1
+            new_nodes.append(brain)
+        steps = 0 if standard else len(adj[brain])
+        path = [brain] if collect_path else None
+        if count >= target:
+            target = record(count, base + steps)
+        if count >= stop:
+            reason = Termination.FULL_COVERAGE
         else:
-            elig = [w for w in nbrs if state[w] < blocked]
-        if not elig:
-            return path, steps, new_nodes, known_count, Termination.DEAD_END
-        # Exactly one rng draw per move keeps runs reproducible.
-        i = int(rnd() * len(elig))
-        nxt = elig[i if i < len(elig) else -1]
-        state[cur] = blocked
-        if not standard:
-            # Departure primes the neighborhood and reports it to the brain.
-            for w in nbrs:
-                if not known_mask[w]:
-                    known_mask[w] = 1
-                    known_count += 1
-                    new_nodes.append(w)
-                if state[w] == 0:
-                    state[w] = primed
-        state[nxt] = NodeState.CURRENT
-        if not known_mask[nxt]:
-            known_mask[nxt] = 1
-            known_count += 1
-            new_nodes.append(nxt)
-        steps += 1 if standard else len(adj[nxt])
-        if collect_path:
-            path.append(nxt)
-        cur = nxt
-        if tracker is not None:
-            tracker.record(known_count, steps)
-        if known_count >= stop_count:
-            return path, steps, new_nodes, known_count, Termination.FULL_COVERAGE
-        if step_cap is not None and steps >= step_cap:
-            return path, steps, new_nodes, known_count, Termination.STEP_CAP
+            rnd = self.rng.random
+            while True:
+                nbrs = adj[cur]
+                if look_ahead:
+                    elig = [w for w in nbrs if not state[w]]
+                else:
+                    elig = [w for w in nbrs if state[w] < 2]  # not BLOCKED
+                if not elig:
+                    reason = Termination.DEAD_END
+                    break
+                # Exactly one rng draw per move keeps runs reproducible.
+                i = int(rnd() * len(elig))
+                nxt = elig[i if i < len(elig) else -1]
+                state[cur] = 2  # BLOCKED
+                if look_ahead:
+                    # Departure primes the neighbourhood and reports it.
+                    for w in nbrs:
+                        if not known[w]:
+                            known[w] = 1
+                            count += 1
+                            new_nodes.append(w)
+                        if not state[w]:
+                            state[w] = 1  # PRIMED
+                elif extended and not reported[cur]:
+                    reported[cur] = 1
+                    for w in nbrs:
+                        if not known[w]:
+                            known[w] = 1
+                            count += 1
+                            new_nodes.append(w)
+                state[nxt] = 3  # CURRENT
+                if not known[nxt]:
+                    known[nxt] = 1
+                    count += 1
+                    new_nodes.append(nxt)
+                steps += 1 if standard else len(adj[nxt])
+                if collect_path:
+                    path.append(nxt)
+                cur = nxt
+                if count >= target:
+                    target = record(count, base + steps)
+                if count >= stop:
+                    reason = Termination.FULL_COVERAGE
+                    break
+                if steps >= cap:
+                    reason = Termination.STEP_CAP
+                    break
+        self.count = count
+        self.steps = base + steps
+        self.target = target
+        return path, steps, new_nodes, reason
 
 
 def run_walk(
@@ -242,21 +290,13 @@ def run_walk(
 
     `known` is the brain's accumulated knowledge before this walk; it only
     affects the full-coverage early exit and which reports count as new.
+    Every departure reports its neighbourhood afresh.
     """
-    if not 0 <= brain < g.n:
-        raise ValueError(f"brain {brain} outside [0, {g.n})")
-    mask = bytearray(g.n)
-    count = 0
-    if known is not None:
-        for v in known:
-            if not mask[v]:
-                mask[v] = 1
-                count += 1
-    path, steps, new_nodes, _, reason = _walk(
-        g, brain, policy, step_cap, rng, mask, count, collect_path=True
+    path, steps, new_nodes, reason = _Walker(g, brain, policy, rng, step_cap, known).walk(
+        collect_path=True
     )
     return WalkOutcome(
-        visited_path=tuple(path or ()),
+        visited_path=tuple(path),
         newly_known=frozenset(new_nodes),
         steps=steps,
         terminated_by=reason,
@@ -276,42 +316,28 @@ def run_discovery(
 
     Records the cumulative step count (summed over walks, at move
     granularity) at the moment each discovery threshold is first reached.
-    The graph must be connected (run on the LCC); a misuse guard aborts if
-    10 * n consecutive walks add nothing.
+    The graph must be connected (run on the LCC). A misuse guard aborts
+    after 10 * n consecutive walks that add nothing, if a step cap is set or
+    the graph is disconnected; without a cap, every node of a connected
+    graph is reachable along a shortest path, so progress is certain and
+    the count starts over.
 
     `target_fraction` stops the run once that fraction is known; the default
     of 1.0 runs to full coverage. Thresholds above the target are then never
     crossed.
     """
-    if not 0 <= brain < g.n:
-        raise ValueError(f"brain {brain} outside [0, {g.n})")
     grid = validate_thresholds(thresholds if thresholds is not None else default_thresholds())
     if not 0.0 < target_fraction <= 1.0:
         raise ConfigError(f"target_fraction must be in (0, 1], got {target_fraction}")
     n = g.n
-    mask = bytearray(n)
-    count = 0
-    cumulative = 0
+    stop_count = math.ceil(target_fraction * n - 1e-9)
+    tracker = _CrossingTracker(grid, n)
+    walker = _Walker(g, brain, policy, rng, step_cap, stop_count=stop_count, tracker=tracker)
     walks = 0
     cap_hits = 0
     stalled = 0
-    tracker = _CrossingTracker(grid, n)
-    stop_count = math.ceil(target_fraction * n - 1e-9)
-    while count < stop_count:
-        tracker.base_steps = cumulative
-        _, steps, new_nodes, count, reason = _walk(
-            g,
-            brain,
-            policy,
-            step_cap,
-            rng,
-            mask,
-            count,
-            collect_path=False,
-            stop_count=stop_count,
-            tracker=tracker,
-        )
-        cumulative += steps
+    while walker.count < stop_count:
+        _, _, new_nodes, reason = walker.walk()
         walks += 1
         if reason is Termination.STEP_CAP:
             cap_hits += 1
@@ -320,16 +346,19 @@ def run_discovery(
         else:
             stalled += 1
             if stalled >= 10 * n:
+                if step_cap is None and is_connected(g):
+                    stalled = 0
+                    continue
                 raise DiscoveryStallError(
                     f"no progress in {stalled} consecutive walks "
-                    f"(policy={policy.value}, brain={brain}, known={count}/{n}); "
+                    f"(policy={policy.value}, brain={brain}, known={walker.count}/{n}); "
                     "is the graph connected?"
                 )
     curve = LearningCurve(thresholds=grid, crossings=tuple(tracker.crossings))
     brain_state = BrainState(
         brain=brain,
-        known={v for v in range(n) if mask[v]},
-        cumulative_steps=cumulative,
+        known={v for v in range(n) if walker.known[v]},
+        cumulative_steps=walker.steps,
         walk_count=walks,
         cap_hits=cap_hits,
     )

@@ -172,27 +172,29 @@ def resolve_graph(cfg: ExperimentConfig) -> tuple[Graph, RealizedStats | None]:
 
 
 # Worker-process context for parallel cell execution; populated once per
-# worker so the graph is not re-pickled per cell.
+# worker so the graph is not re-pickled per cell. The serial path passes its
+# context to `_run_cell` directly, so concurrent experiments in threads of
+# one process never share it.
 _CTX: dict = {}
 
 
-def _init_worker(g, policies, starts, degrees, cfg_fields) -> None:
-    _CTX["g"] = g
-    _CTX["policies"] = policies
-    _CTX["starts"] = starts
-    _CTX["degrees"] = degrees
-    _CTX["cfg"] = cfg_fields
+def _init_worker(ctx: dict) -> None:
+    global _CTX
+    _CTX = ctx
 
 
-def _run_cell(cell: tuple[int, int, int]) -> TaggedCurve:
+def _run_pooled_cell(cell: tuple[int, int, int]) -> TaggedCurve:
+    return _run_cell(_CTX, cell)
+
+
+def _run_cell(ctx: dict, cell: tuple[int, int, int]) -> TaggedCurve:
     pi, si, ri = cell
-    g = _CTX["g"]
-    policy = _CTX["policies"][pi]
-    start = _CTX["starts"][si]
-    cfg = _CTX["cfg"]
+    policy = ctx["policies"][pi]
+    start = ctx["starts"][si]
+    cfg = ctx["cfg"]
     seed = derive_seed(cfg["master_seed"], pi, si, ri)
     curve, brain = run_discovery(
-        g,
+        ctx["g"],
         start,
         policy,
         random.Random(seed),
@@ -204,7 +206,7 @@ def _run_cell(cell: tuple[int, int, int]) -> TaggedCurve:
         group=cfg["group"],
         policy=policy,
         start=start,
-        start_degree=_CTX["degrees"][si],
+        start_degree=ctx["degrees"][si],
         repetition=ri,
         curve=curve,
         walk_count=brain.walk_count,
@@ -249,24 +251,27 @@ def run_experiment(
         for si in range(len(starts))
         for ri in range(cfg.repetitions_per_start)
     ]
-    cfg_fields = {
-        "master_seed": cfg.master_seed,
-        "step_cap": cfg.step_cap,
-        "thresholds": cfg.thresholds,
-        "target_fraction": cfg.target_fraction,
-        "group": group,
+    ctx = {
+        "g": graph,
+        "policies": cfg.policies,
+        "starts": starts,
+        "degrees": degrees,
+        "cfg": {
+            "master_seed": cfg.master_seed,
+            "step_cap": cfg.step_cap,
+            "thresholds": cfg.thresholds,
+            "target_fraction": cfg.target_fraction,
+            "group": group,
+        },
     }
     nworkers = _worker_count(workers)
     if nworkers <= 1 or len(cells) <= 1:
-        _init_worker(graph, cfg.policies, starts, degrees, cfg_fields)
-        return [_run_cell(c) for c in cells]
+        return [_run_cell(ctx, c) for c in cells]
     with ProcessPoolExecutor(
-        max_workers=nworkers,
-        initializer=_init_worker,
-        initargs=(graph, cfg.policies, starts, degrees, cfg_fields),
+        max_workers=nworkers, initializer=_init_worker, initargs=(ctx,)
     ) as pool:
-        results = list(pool.map(_run_cell, cells, chunksize=max(1, len(cells) // (4 * nworkers))))
-    return results
+        chunksize = max(1, len(cells) // (4 * nworkers))
+        return list(pool.map(_run_pooled_cell, cells, chunksize=chunksize))
 
 
 def aggregate(

@@ -14,70 +14,93 @@ from helpers import (
 from netbrain import (
     DiscoveryStallError,
     GeneratorSpec,
-    NodeState,
     Termination,
     WalkPolicy,
     build_graph,
     default_thresholds,
-    eligible_moves,
     generate,
-    policy_step_metric,
     run_discovery,
     run_walk,
 )
 
 POLICIES = [WalkPolicy.STANDARD, WalkPolicy.EXTENDED, WalkPolicy.LOOK_AHEAD]
 
-U, P, B, C = NodeState.UNVISITED, NodeState.PRIMED, NodeState.BLOCKED, NodeState.CURRENT
 
 
-# --- eligible_moves ---------------------------------------------------------
+class ScriptedRandom(random.Random):
+    """Returns the scripted draws in order, then falls back to the base stream."""
+
+    def __init__(self, draws, seed=0):
+        super().__init__(seed)
+        self.draws = list(draws)
+
+    def random(self):
+        return self.draws.pop(0) if self.draws else super().random()
+
+
+# --- movement rules ----------------------------------------------------------
 
 
 @pytest.mark.parametrize("policy", POLICIES)
 def test_first_move_from_p3_middle(policy):
+    # Both ends are eligible, in adjacency order: a draw of 0 picks node 0,
+    # a draw just below 1 picks node 2.
     g = path_graph(3)
-    states = [U, C, U]
-    assert eligible_moves(g, states, policy, 1) == [0, 2]
+    assert run_walk(g, 1, policy, ScriptedRandom([0.0])).visited_path[:2] == (1, 0)
+    assert run_walk(g, 1, policy, ScriptedRandom([0.99])).visited_path[:2] == (1, 2)
 
 
 def test_star_leaf_is_forced_dead_end():
+    # leaf 1 -> center -> another leaf, whose only neighbor is blocked.
     g = star_graph(5)
-    states = [B, C, U, U, U]  # walked center -> leaf 1
-    assert eligible_moves(g, states, WalkPolicy.STANDARD, 1) == []
+    for seed in range(10):
+        out = run_walk(g, 1, WalkPolicy.STANDARD, random.Random(seed))
+        assert len(out.visited_path) == 3
+        assert out.visited_path[:2] == (1, 0)
+        assert out.terminated_by is Termination.DEAD_END
 
 
 def test_extended_may_enter_primed_but_look_ahead_may_not():
-    g = path_graph(3)
-    states = [B, C, P]
-    assert eligible_moves(g, states, WalkPolicy.EXTENDED, 1) == [2]
-    assert eligible_moves(g, states, WalkPolicy.LOOK_AHEAD, 1) == []
+    # Triangle 0-1-2 with a pendant 3 on node 2. Departing 0 primes 1 and 2;
+    # at 1 the only unblocked neighbor is the primed node 2.
+    g = build_graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+    out = run_walk(g, 0, WalkPolicy.EXTENDED, ScriptedRandom([0.0, 0.0, 0.0]))
+    assert out.visited_path == (0, 1, 2, 3)
+    out = run_walk(g, 0, WalkPolicy.LOOK_AHEAD, ScriptedRandom([0.0]))
+    assert out.visited_path == (0, 1)
+    assert out.terminated_by is Termination.DEAD_END
 
 
 def test_look_ahead_dead_end_on_c6():
     # After walking five consecutive cycle nodes, the last one sits between a
-    # blocked neighbor and a primed one: no eligible move.
-    g = cycle_graph(6)
-    states = [B, B, B, B, C, P]
-    assert eligible_moves(g, states, WalkPolicy.LOOK_AHEAD, 4) == []
+    # blocked neighbor and a primed one: no eligible move. The pendant 6 on
+    # node 5 keeps the brain's knowledge short of full coverage.
+    g = build_graph(7, [(i, (i + 1) % 6) for i in range(6)] + [(5, 6)])
+    out = run_walk(g, 0, WalkPolicy.LOOK_AHEAD, ScriptedRandom([0.0] * 4))
+    assert out.visited_path == (0, 1, 2, 3, 4)
+    assert out.terminated_by is Termination.DEAD_END
+    assert out.newly_known == set(range(6))
 
 
-# --- policy_step_metric -------------------------------------------------------
+# --- step cost ----------------------------------------------------------------
 
 
 def test_step_metric_standard_counts_moves():
-    g = path_graph(4)
-    assert policy_step_metric(WalkPolicy.STANDARD, [0, 1, 2, 3], g) == 3
+    out = run_walk(path_graph(4), 0, WalkPolicy.STANDARD, random.Random(0))
+    assert out.visited_path == (0, 1, 2, 3)
+    assert out.steps == 3
 
 
 def test_step_metric_degree_sum_on_star():
-    g = star_graph(5)
-    assert policy_step_metric(WalkPolicy.EXTENDED, [0, 2], g) == 5
+    out = run_walk(star_graph(5), 0, WalkPolicy.EXTENDED, ScriptedRandom([0.25]))
+    assert out.visited_path == (0, 2)
+    assert out.steps == 5
 
 
 def test_step_metric_look_ahead_on_cycle():
-    g = cycle_graph(6)
-    assert policy_step_metric(WalkPolicy.LOOK_AHEAD, [0, 1, 2, 3, 4], g) == 10
+    out = run_walk(cycle_graph(6), 0, WalkPolicy.LOOK_AHEAD, ScriptedRandom([0.0] * 4))
+    assert out.visited_path == (0, 1, 2, 3, 4)
+    assert out.steps == 10
 
 
 # --- run_walk ------------------------------------------------------------------
@@ -152,7 +175,10 @@ def test_walk_path_is_self_avoiding_and_adjacent():
             assert len(set(path)) == len(path)
             for a, b in zip(path, path[1:]):
                 assert b in g.adj[a]
-            assert out.steps == policy_step_metric(policy, path, g)
+            if policy is WalkPolicy.STANDARD:
+                assert out.steps == len(path) - 1
+            else:
+                assert out.steps == sum(len(g.adj[v]) for v in path)
 
 
 def test_walk_consumes_one_draw_per_move():
@@ -295,3 +321,76 @@ def test_extended_vs_look_ahead_close_on_er_smoke():
         means[policy] = statistics.fmean(vals)
     gap = abs(means[WalkPolicy.EXTENDED] - means[WalkPolicy.LOOK_AHEAD])
     assert gap / means[WalkPolicy.LOOK_AHEAD] < 0.25
+
+
+# --- run_discovery against a loop of run_walk -----------------------------------
+
+
+def reach_cap(g, brain, policy):
+    """The largest cost of a BFS-tree path from the brain. A cap of twice this
+    binds often, yet lets capped discoveries on the graphs below finish."""
+    cost = {brain: 0 if policy is WalkPolicy.STANDARD else g.degree(brain)}
+    frontier = [brain]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w in g.adj[u]:
+                if w not in cost:
+                    cost[w] = cost[u] + (1 if policy is WalkPolicy.STANDARD else g.degree(w))
+                    nxt.append(w)
+        frontier = nxt
+    return max(cost.values())
+
+
+ORACLE_GRAPHS = [
+    GeneratorSpec(model="er", n=40, k_avg=4, seed=1),
+    GeneratorSpec(model="ba", n=40, k_avg=4, seed=2),
+    GeneratorSpec(model="ws", n=40, k_avg=4, seed=3, p_rewire=0.1),
+]
+
+
+@pytest.mark.parametrize("capped", [False, True])
+@pytest.mark.parametrize("policy", POLICIES)
+def test_discovery_matches_loop_of_full_rescan_walks(policy, capped):
+    # run_walk starts from a fresh walker, so every departure reports its
+    # whole neighbourhood: the reference for the once-per-discovery reports.
+    total_cap_hits = 0
+    for spec in ORACLE_GRAPHS:
+        g = generate(spec).graph
+        for seed in range(8):
+            brain = seed % g.n
+            cap = 2 * reach_cap(g, brain, policy) if capped else None
+            rng_a = random.Random(seed)
+            _, state = run_discovery(g, brain, policy, rng_a, step_cap=cap, thresholds=[1.0])
+            rng_b = random.Random(seed)
+            known: set[int] = set()
+            walks = steps = cap_hits = 0
+            while len(known) < g.n:
+                out = run_walk(g, brain, policy, rng_b, step_cap=cap, known=known)
+                known |= out.newly_known
+                walks += 1
+                steps += out.steps
+                cap_hits += out.terminated_by is Termination.STEP_CAP
+            assert (state.walk_count, state.cumulative_steps, state.cap_hits) == (walks, steps, cap_hits)
+            assert state.known == known
+            assert rng_a.getstate() == rng_b.getstate()
+            total_cap_hits += cap_hits
+    assert (total_cap_hits > 0) == capped
+
+
+def test_discovery_idle_run_on_connected_graph_is_not_a_stall():
+    # Draws of 0 always take the first eligible neighbor: every look-ahead
+    # walk goes 0 -> 1 -> 5 and learns nothing after the first, so 10 * n
+    # idle walks pass by chance. Without a cap on a connected graph progress
+    # is certain, and the run must go on until the real draws reach 2-3-4.
+    class ZeroesFirst(random.Random):
+        calls = 0
+
+        def random(self):
+            self.calls += 1
+            return 0.0 if self.calls <= 10_000 else super().random()
+
+    g = build_graph(6, [(0, 1), (0, 2), (2, 3), (3, 4), (1, 5)])
+    _, brain = run_discovery(g, 0, WalkPolicy.LOOK_AHEAD, ZeroesFirst(1), thresholds=[1.0])
+    assert brain.known == set(range(6))
+    assert brain.walk_count > 10 * g.n

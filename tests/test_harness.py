@@ -1,5 +1,6 @@
 import random
 import statistics
+import threading
 
 import pytest
 
@@ -160,6 +161,30 @@ def test_netbrain_threads_env_bounds_workers(monkeypatch):
     monkeypatch.setenv("NETBRAIN_THREADS", "lots")
     with pytest.raises(ConfigError):
         run_experiment(cfg)
+
+
+def test_concurrent_serial_experiments_in_threads_do_not_mix():
+    # Two threads run serial experiments on different graphs at once; each
+    # must get exactly the cells it would get alone.
+    cfgs = [
+        small_config(generator=GeneratorSpec(model="er", n=150, k_avg=6, seed=s), repetitions_per_start=4)
+        for s in (5, 6)
+    ]
+    expected = [run_experiment(cfg, workers=1) for cfg in cfgs]
+    barrier = threading.Barrier(len(cfgs))
+    results = [None] * len(cfgs)
+
+    def run(i):
+        barrier.wait()
+        results[i] = [run_experiment(cfgs[i], workers=1) for _ in range(3)]
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(cfgs))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for got, want in zip(results, expected):
+        assert got == [want] * 3
 
 
 def test_start_degree_tag_is_correct():
