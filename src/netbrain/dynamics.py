@@ -121,10 +121,6 @@ class _CrossingTracker:
         self.never = n + 1  # a target no knowledge count reaches
         self.crossings: list[tuple[float, int]] = []
 
-    def next_target(self) -> int:
-        i = len(self.crossings)
-        return self.targets[i] if i < len(self.targets) else self.never
-
     def record(self, known_count: int, steps: int) -> int:
         """Record every threshold `known_count` reaches; return the next target."""
         targets = self.targets
@@ -189,7 +185,7 @@ class _Walker:
         self.reported = bytearray(g.n)
         self.steps = 0
         self.tracker = tracker
-        self.target = tracker.next_target() if tracker is not None else g.n + 1
+        self.target = tracker.targets[0] if tracker is not None else g.n + 1
 
     def walk(self, collect_path: bool = False) -> tuple[list[int] | None, int, list[int], Termination]:
         """One walk from the brain with a fresh agent view.
@@ -206,10 +202,8 @@ class _Walker:
         base = self.steps
         target = self.target
         record = self.tracker.record if self.tracker is not None else None
-        policy = self.policy
-        standard = policy is WalkPolicy.STANDARD
-        look_ahead = policy is WalkPolicy.LOOK_AHEAD
-        extended = policy is WalkPolicy.EXTENDED
+        standard = self.policy is WalkPolicy.STANDARD
+        look_ahead = self.policy is WalkPolicy.LOOK_AHEAD
         brain = cur = self.brain
         state = bytearray(self.n)
         state[brain] = 3  # CURRENT
@@ -248,7 +242,8 @@ class _Walker:
                             new_nodes.append(w)
                         if not state[w]:
                             state[w] = 1  # PRIMED
-                elif extended and not reported[cur]:
+                elif not standard and not reported[cur]:
+                    # Extended: report once per discovery, never prime.
                     reported[cur] = 1
                     for w in nbrs:
                         if not known[w]:

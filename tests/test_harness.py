@@ -1,5 +1,6 @@
 import random
 import statistics
+import sys
 import threading
 
 import pytest
@@ -179,10 +180,16 @@ def test_concurrent_serial_experiments_in_threads_do_not_mix():
         results[i] = [run_experiment(cfgs[i], workers=1) for _ in range(3)]
 
     threads = [threading.Thread(target=run, args=(i,)) for i in range(len(cfgs))]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     for got, want in zip(results, expected):
         assert got == [want] * 3
 
