@@ -6,12 +6,12 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
 from .dynamics import WalkPolicy, default_thresholds
-from .errors import NetbrainError
+from .errors import ConfigError, NetbrainError, ParseError
 from .fileio import (
     config_from_dict,
     config_to_dict,
@@ -22,7 +22,7 @@ from .fileio import (
     write_edge_list,
     write_manifest,
 )
-from .generators import GeneratorSpec, generate
+from .generators import _MODELS, MODELS, GeneratorSpec, generate
 from .harness import (
     BetweennessPercentile,
     DegreeRankedStride,
@@ -36,36 +36,44 @@ from .harness import (
 )
 
 
-def _add_generator_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("model", choices=["er", "ba", "cm", "ws", "waxman", "sbm"])
-    p.add_argument("--n", type=int, default=0, help="node count")
-    p.add_argument("--k", type=float, default=0.0, help="target average degree")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--p-rewire", type=float, default=0.03, help="ws rewiring probability")
-    p.add_argument("--mu", type=float, default=0.01, help="sbm inter-block probability")
-    p.add_argument("--blocks", type=int, default=10, help="sbm block count")
-    p.add_argument("--alpha", type=float, default=0.5, help="waxman decay length fraction")
-    p.add_argument("--degrees-file", help="cm degree sequence, one integer per line")
+# GeneratorSpec field -> (flag, help). Types and defaults come from the
+# spec's fields, and the models that read each field from the model table.
+_GENERATOR_FLAGS = {
+    "n": ("--n", "node count"),
+    "k_avg": ("--k", "target average degree"),
+    "seed": ("--seed", "generator seed"),
+    "p_rewire": ("--p-rewire", "rewiring probability"),
+    "mu": ("--mu", "inter-block link probability"),
+    "blocks": ("--blocks", "block count"),
+    "alpha": ("--alpha", "decay length fraction"),
+    "degree_sequence": ("--degrees-file", "degree sequence file, one integer per line"),
+}
+
+
+def _add_generator_args(p: argparse.ArgumentParser, positional: bool) -> None:
+    """The model (positional, or --model) and one flag per GeneratorSpec field."""
+    p.add_argument("model" if positional else "--model", choices=MODELS, help="network model")
+    for f in fields(GeneratorSpec)[1:]:
+        flag, help_text = _GENERATOR_FLAGS[f.name]
+        users = [m for m in MODELS if f.name in _MODELS[m].fields]
+        if users:
+            help_text += f" ({', '.join(users)})"
+        typed = {} if f.default is None else {"type": type(f.default), "default": f.default}
+        metavar = flag[2:].upper().replace("-", "_")
+        p.add_argument(flag, dest=f.name, metavar=metavar, help=help_text, **typed)
 
 
 def _spec_from_args(args: argparse.Namespace) -> GeneratorSpec:
-    degree_sequence = None
-    if args.model == "cm":
-        if not args.degrees_file:
-            raise NetbrainError("cm requires --degrees-file")
-        text = Path(args.degrees_file).read_text().split()
-        degree_sequence = tuple(int(x) for x in text)
-    return GeneratorSpec(
-        model=args.model,
-        n=args.n,
-        k_avg=args.k,
-        seed=args.seed,
-        p_rewire=args.p_rewire,
-        mu=args.mu,
-        blocks=args.blocks,
-        alpha=args.alpha,
-        degree_sequence=degree_sequence,
-    )
+    params = {f: getattr(args, f) for f in ("seed", *_MODELS[args.model].fields)}
+    if "degree_sequence" in params:
+        path = params["degree_sequence"]
+        if not path:
+            raise NetbrainError(f"{args.model} requires --degrees-file")
+        try:
+            params["degree_sequence"] = tuple(int(x) for x in Path(path).read_text(encoding="utf-8").split())
+        except (ValueError, UnicodeDecodeError) as exc:
+            raise ParseError(f"--degrees-file {path}: expected one integer per line ({exc})") from None
+    return GeneratorSpec(model=args.model, **params)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -110,17 +118,28 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 def _start_from_flag(text: str):
     kind, _, arg = text.partition(":")
-    if kind == "stride":
-        return DegreeRankedStride(stride=int(arg))
-    if kind == "hubs":
-        return TopHubs(count=int(arg))
-    if kind == "percentile":
-        return BetweennessPercentile(min_percentile=float(arg))
-    if kind == "explicit":
-        return ExplicitStarts(nodes=tuple(int(v) for v in arg.split(",")))
-    raise NetbrainError(
-        f"unknown start selection {text!r}; use stride:N, hubs:N, percentile:P or explicit:a,b,c"
+    try:
+        if kind == "stride":
+            return DegreeRankedStride(stride=int(arg))
+        if kind == "hubs":
+            return TopHubs(count=int(arg))
+        if kind == "percentile":
+            return BetweennessPercentile(min_percentile=float(arg))
+        if kind == "explicit":
+            return ExplicitStarts(nodes=tuple(int(v) for v in arg.split(",")))
+    except ValueError:
+        pass
+    raise ConfigError(
+        f"--start: bad value {text!r}; use stride:N, hubs:N, percentile:P or explicit:a,b,c"
     )
+
+
+def _split_flag(flag: str, text: str, parse):
+    """Parse each comma-separated item of a flag value, naming the flag on failure."""
+    try:
+        return tuple(parse(item.strip()) for item in text.split(","))
+    except ValueError:
+        raise ConfigError(f"{flag}: bad value {text!r}") from None
 
 
 def _config_from_flags(args: argparse.Namespace) -> ExperimentConfig:
@@ -130,54 +149,49 @@ def _config_from_flags(args: argparse.Namespace) -> ExperimentConfig:
         if not args.model:
             raise NetbrainError("provide --config, or --model/--edge-list flags")
         generator = _spec_from_args(args)
-    policies = tuple(WalkPolicy(p.strip()) for p in args.policies.split(","))
-    thresholds = (
-        tuple(float(t) for t in args.thresholds.split(","))
-        if args.thresholds
-        else default_thresholds()
-    )
     return ExperimentConfig(
         generator=generator,
-        policies=policies,
+        policies=_split_flag("--policies", args.policies, WalkPolicy),
         start=_start_from_flag(args.start),
         repetitions_per_start=args.reps,
         step_cap=args.step_cap,
-        thresholds=thresholds,
+        thresholds=_split_flag("--thresholds", args.thresholds, float)
+        if args.thresholds
+        else default_thresholds(),
         master_seed=args.master_seed,
     )
 
 
-def _load_or_build_config(args: argparse.Namespace) -> tuple[ExperimentConfig, dict | None]:
-    if args.config:
-        return load_config(args.config)
-    return _config_from_flags(args), None
-
-
-def _write_run_outputs(out_dir: Path, cfg: ExperimentConfig, curves, stats, elapsed: float) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_curves_csv(curves, out_dir / "curves.csv")
-    write_aggregate_csv(aggregate(curves), out_dir / "aggregate.csv")
-    manifest = {
-        "netbrain_version": __version__,
-        "config": config_to_dict(cfg),
-        "graph_stats": None if stats is None else stats.__dict__,
-        "cells": len(curves),
-        "total_walks": sum(c.walk_count for c in curves),
-        "cap_hits": sum(c.cap_hits for c in curves),
-        "wall_time_s": round(elapsed, 3),
-        "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-    }
-    write_manifest(out_dir / "manifest.json", manifest)
+def _write_manifest(out_dir: Path, elapsed: float, **payload) -> None:
+    payload.update(
+        netbrain_version=__version__,
+        wall_time_s=round(elapsed, 3),
+        created=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+    )
+    write_manifest(out_dir / "manifest.json", payload)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    cfg, sweep_block = _load_or_build_config(args)
+    cfg, sweep_block = load_config(args.config) if args.config else (_config_from_flags(args), None)
     if sweep_block is not None:
         raise NetbrainError("config contains a sweep block; use 'netbrain sweep'")
     started = time.monotonic()
     graph, stats = resolve_graph(cfg)
     curves = run_experiment(cfg, graph=graph, workers=args.workers)
-    _write_run_outputs(Path(args.out), cfg, curves, stats, time.monotonic() - started)
+    elapsed = time.monotonic() - started
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_curves_csv(curves, out_dir / "curves.csv")
+    write_aggregate_csv(aggregate(curves), out_dir / "aggregate.csv")
+    _write_manifest(
+        out_dir,
+        elapsed,
+        config=config_to_dict(cfg),
+        graph_stats=None if stats is None else stats.__dict__,
+        cells=len(curves),
+        total_walks=sum(c.walk_count for c in curves),
+        cap_hits=sum(c.cap_hits for c in curves),
+    )
     print(f"{len(curves)} curves -> {args.out}")
     return 0
 
@@ -197,15 +211,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         write_aggregate_csv(aggs, out_dir / f"aggregate_{axis}_{value}.csv")
         combined.extend(aggs)
     write_aggregate_csv(combined, out_dir / "aggregate_combined.csv")
-    manifest = {
-        "netbrain_version": __version__,
-        "config": config_to_dict(cfg, sweep_block),
-        "axis": axis,
-        "values": [str(v) for v in keyed],
-        "wall_time_s": round(time.monotonic() - started, 3),
-        "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-    }
-    write_manifest(out_dir / "manifest.json", manifest)
+    _write_manifest(
+        out_dir,
+        time.monotonic() - started,
+        config=config_to_dict(cfg, sweep_block),
+        axis=axis,
+        values=[str(v) for v in keyed],
+    )
     print(f"{len(keyed)} axis values -> {args.out}")
     return 0
 
@@ -220,12 +232,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("generate", help="generate a network and write its edge list")
-    _add_generator_args(p_gen)
+    _add_generator_args(p_gen, positional=True)
     p_gen.add_argument("--out", required=True, help="output edge-list path")
     p_gen.set_defaults(func=_cmd_generate)
 
     p_ing = sub.add_parser("ingest", help="parse an edge list and report its LCC")
-    p_ing.add_argument("edge_list")
+    p_ing.add_argument("edge_list", help="edge-list file: two integer node labels per line")
     p_ing.add_argument("--out", help="directory for the dense LCC edge list and label map")
     p_ing.set_defaults(func=_cmd_ingest)
 
@@ -236,21 +248,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=int, default=None, help="parallel worker processes")
         if name == "run":
             p.add_argument("--edge-list", help="run on an ingested edge list")
-            p.add_argument("--model", choices=["er", "ba", "cm", "ws", "waxman", "sbm"])
-            p.add_argument("--n", type=int, default=0)
-            p.add_argument("--k", type=float, default=0.0)
-            p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--p-rewire", type=float, default=0.03)
-            p.add_argument("--mu", type=float, default=0.01)
-            p.add_argument("--blocks", type=int, default=10)
-            p.add_argument("--alpha", type=float, default=0.5)
-            p.add_argument("--degrees-file")
+            _add_generator_args(p, positional=False)
             p.add_argument("--policies", default="standard", help="comma-separated policies")
             p.add_argument("--start", default="stride:50", help="stride:N | hubs:N | percentile:P | explicit:a,b,c")
-            p.add_argument("--reps", type=int, default=10)
-            p.add_argument("--step-cap", type=int, default=None)
+            p.add_argument("--reps", type=int, default=10, help="repetitions per start node")
+            p.add_argument("--step-cap", type=int, default=None, help="maximum steps per walk")
             p.add_argument("--thresholds", help="comma-separated fractions")
-            p.add_argument("--master-seed", type=int, default=0)
+            p.add_argument("--master-seed", type=int, default=0, help="seed of all cell seeds")
             p.set_defaults(func=_cmd_run)
         else:
             p.set_defaults(func=_cmd_sweep)
@@ -262,10 +266,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NetbrainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (NetbrainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

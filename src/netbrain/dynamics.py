@@ -22,20 +22,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import Enum
 from typing import Iterable, Sequence
 
 from .errors import ConfigError, DiscoveryStallError
 from .graph import Graph, is_connected
-
-
-class NodeState(IntEnum):
-    """Per-walk agent view of one node (the walk loop uses the raw values)."""
-
-    UNVISITED = 0
-    PRIMED = 1
-    BLOCKED = 2
-    CURRENT = 3
 
 
 class WalkPolicy(str, Enum):
@@ -69,9 +60,6 @@ class BrainState:
     cumulative_steps: int = 0
     walk_count: int = 0
     cap_hits: int = 0
-
-    def fraction_known(self, n: int) -> float:
-        return len(self.known) / n if n else 1.0
 
 
 @dataclass(frozen=True)
@@ -149,6 +137,9 @@ class _Walker:
 
     `stop_count` (default: the node count) ends a walk as soon as the brain
     knows that many nodes.
+
+    A walk's view of each node is one byte: 0 unvisited, 1 PRIMED,
+    2 BLOCKED (left), 3 CURRENT.
     """
 
     __slots__ = (

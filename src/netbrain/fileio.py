@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
 from .dynamics import WalkPolicy, default_thresholds
 from .errors import ConfigError, ParseError
-from .generators import MODELS, GeneratorSpec
+from .generators import _MODELS, MODELS, GeneratorSpec, _params
 from .graph import Graph, build_graph_reported, largest_connected_component
 from .harness import (
     AggregateCurve,
@@ -45,23 +45,26 @@ def ingest_edge_list(path: str | Path) -> tuple[Graph, dict[int, int], IngestRep
     path = Path(path)
     raw_edges: list[tuple[int, int]] = []
     labels: set[int] = set()
-    with path.open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.split()
-            if len(parts) != 2:
-                raise ParseError(f"{path}:{lineno}: expected two node labels, got {text!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: node labels must be integers, got {text!r}")
-            if u < 0 or v < 0:
-                raise ParseError(f"{path}:{lineno}: node labels must be non-negative")
-            raw_edges.append((u, v))
-            labels.add(u)
-            labels.add(v)
+    with path.open(encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                text = line.strip()
+                if not text or text.startswith("#"):
+                    continue
+                parts = text.split()
+                if len(parts) != 2:
+                    raise ParseError(f"{path}:{lineno}: expected two node labels, got {text!r}")
+                try:
+                    u, v = int(parts[0]), int(parts[1])
+                except ValueError:
+                    raise ParseError(f"{path}:{lineno}: node labels must be integers, got {text!r}")
+                if u < 0 or v < 0:
+                    raise ParseError(f"{path}:{lineno}: node labels must be non-negative")
+                raw_edges.append((u, v))
+                labels.add(u)
+                labels.add(v)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not raw_edges:
         raise ParseError(f"{path}: no edges found")
     dense = {label: i for i, label in enumerate(sorted(labels))}
@@ -93,34 +96,41 @@ def write_edge_list(g: Graph, path: str | Path, header: Sequence[str] = ()) -> N
 
 # --- experiment config files (JSON) -----------------------------------------
 
-_GENERATOR_KEYS = {
-    "er": {"model", "n", "k_avg", "seed"},
-    "ba": {"model", "n", "k_avg", "seed"},
-    "cm": {"model", "degree_sequence", "seed"},
-    "ws": {"model", "n", "k_avg", "seed", "p_rewire"},
-    "waxman": {"model", "n", "k_avg", "seed", "alpha"},
-    "sbm": {"model", "n", "k_avg", "seed", "mu", "blocks"},
-}
-
+# kind -> (selection class, its one field, the field's config type)
 _START_KINDS = {
-    "degree_stride": ("stride",),
-    "betweenness_percentile": ("min_percentile",),
-    "top_hubs": ("count",),
-    "explicit": ("nodes",),
+    "degree_stride": (DegreeRankedStride, "stride", int),
+    "betweenness_percentile": (BetweennessPercentile, "min_percentile", float),
+    "top_hubs": (TopHubs, "count", int),
+    "explicit": (ExplicitStarts, "nodes", [int]),
 }
 
-_TOP_KEYS = {
-    "generator",
-    "edge_list",
-    "policies",
-    "start",
-    "repetitions_per_start",
-    "step_cap",
-    "thresholds",
-    "master_seed",
-    "target_fraction",
-    "sweep",
+# The config keys: ExperimentConfig's fields, where `edge_list` may replace `generator`.
+_TOP_KEYS = {f.name for f in fields(ExperimentConfig)} | {"edge_list", "sweep"}
+
+# Config types of the GeneratorSpec fields: a number takes its default's type.
+_SPEC_TYPES = {
+    f.name: [int] if f.default is None else type(f.default) for f in fields(GeneratorSpec)[1:]
 }
+
+
+def _typed(value, kind, key: str):
+    """`value` if it has the config type `kind`, else ConfigError naming `key`.
+
+    `kind` is int, float (an int passes too) or a list of one of them, such
+    as [int], read as a tuple. Bools and strings are not numbers; numbers
+    are not converted.
+    """
+    if isinstance(kind, list):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{key} must be a list, got {value!r}")
+        return tuple(_typed(x, kind[0], key) for x in value)
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        raise ConfigError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+    return value
+
+
+def _jsonable(value):
+    return list(value) if isinstance(value, tuple) else value
 
 
 def _generator_from_dict(d: dict) -> GeneratorSpec:
@@ -129,33 +139,18 @@ def _generator_from_dict(d: dict) -> GeneratorSpec:
     model = d.get("model")
     if model not in MODELS:
         raise ConfigError(f"generator.model must be one of {MODELS}, got {model!r}")
-    allowed = _GENERATOR_KEYS[model]
-    unknown = set(d) - allowed
+    unknown = set(d) - {"model", "seed", *_MODELS[model].fields}
     if unknown:
         raise ConfigError(f"unknown generator keys for {model}: {sorted(unknown)}")
-    kwargs = dict(d)
-    if "degree_sequence" in kwargs:
-        kwargs["degree_sequence"] = tuple(int(x) for x in kwargs["degree_sequence"])
-    spec = GeneratorSpec(**kwargs)
+    kwargs = {k: _typed(v, _SPEC_TYPES[k], f"generator.{k}") for k, v in d.items() if k != "model"}
+    spec = GeneratorSpec(model=model, **kwargs)
     spec.validate()
     return spec
 
 
 def _generator_to_dict(spec: GeneratorSpec) -> dict:
-    d: dict = {"model": spec.model, "seed": spec.seed}
-    if spec.model == "cm":
-        d["degree_sequence"] = list(spec.degree_sequence or ())
-        return d
-    d["n"] = spec.n
-    d["k_avg"] = spec.k_avg
-    if spec.model == "ws":
-        d["p_rewire"] = spec.p_rewire
-    elif spec.model == "waxman":
-        d["alpha"] = spec.alpha
-    elif spec.model == "sbm":
-        d["mu"] = spec.mu
-        d["blocks"] = spec.blocks
-    return d
+    params = {k: _jsonable(v) for k, v in _params(spec).items()}
+    return {"model": spec.model, "seed": spec.seed, **params}
 
 
 def _start_from_dict(d: dict) -> StartSelection:
@@ -164,29 +159,21 @@ def _start_from_dict(d: dict) -> StartSelection:
     kind = d["kind"]
     if kind not in _START_KINDS:
         raise ConfigError(f"start.kind must be one of {sorted(_START_KINDS)}, got {kind!r}")
-    unknown = set(d) - {"kind", *_START_KINDS[kind]}
+    cls, key, key_type = _START_KINDS[kind]
+    unknown = set(d) - {"kind", key}
     if unknown:
         raise ConfigError(f"unknown start keys for {kind}: {sorted(unknown)}")
-    try:
-        if kind == "degree_stride":
-            return DegreeRankedStride(stride=int(d["stride"]))
-        if kind == "betweenness_percentile":
-            return BetweennessPercentile(min_percentile=float(d["min_percentile"]))
-        if kind == "top_hubs":
-            return TopHubs(count=int(d["count"]))
-        return ExplicitStarts(nodes=tuple(int(v) for v in d["nodes"]))
-    except KeyError as exc:
-        raise ConfigError(f"start.{exc.args[0]} is required for kind {kind}")
+    if key not in d:
+        raise ConfigError(f"start.{key} is required for kind {kind}")
+    value = _typed(d[key], key_type, f"start.{key}")
+    return cls(float(value) if key_type is float else value)
 
 
 def _start_to_dict(sel: StartSelection) -> dict:
-    if isinstance(sel, DegreeRankedStride):
-        return {"kind": "degree_stride", "stride": sel.stride}
-    if isinstance(sel, BetweennessPercentile):
-        return {"kind": "betweenness_percentile", "min_percentile": sel.min_percentile}
-    if isinstance(sel, TopHubs):
-        return {"kind": "top_hubs", "count": sel.count}
-    return {"kind": "explicit", "nodes": list(sel.nodes)}
+    for kind, (cls, key, _) in _START_KINDS.items():
+        if isinstance(sel, cls):
+            return {"kind": kind, key: _jsonable(getattr(sel, key))}
+    raise ConfigError(f"unknown start selection {sel!r}")
 
 
 def config_from_dict(d: dict) -> tuple[ExperimentConfig, dict | None]:
@@ -215,17 +202,18 @@ def config_from_dict(d: dict) -> tuple[ExperimentConfig, dict | None]:
         raise ConfigError("config requires a 'start' block")
     start = _start_from_dict(d["start"])
     thresholds = d.get("thresholds")
+    step_cap = d.get("step_cap")
     cfg = ExperimentConfig(
         generator=generator,
         policies=policies,
         start=start,
-        repetitions_per_start=int(d.get("repetitions_per_start", 10)),
-        step_cap=None if d.get("step_cap") is None else int(d["step_cap"]),
+        repetitions_per_start=_typed(d.get("repetitions_per_start", 10), int, "repetitions_per_start"),
+        step_cap=None if step_cap is None else _typed(step_cap, int, "step_cap"),
         thresholds=default_thresholds()
         if thresholds is None
-        else tuple(float(t) for t in thresholds),
-        master_seed=int(d.get("master_seed", 0)),
-        target_fraction=float(d.get("target_fraction", 1.0)),
+        else tuple(float(t) for t in _typed(thresholds, [float], "thresholds")),
+        master_seed=_typed(d.get("master_seed", 0), int, "master_seed"),
+        target_fraction=float(_typed(d.get("target_fraction", 1.0), float, "target_fraction")),
     )
     cfg.validate()
     sweep_block = d.get("sweep")
@@ -263,8 +251,8 @@ def config_to_dict(cfg: ExperimentConfig, sweep_block: dict | None = None) -> di
 def load_config(path: str | Path) -> tuple[ExperimentConfig, dict | None]:
     path = Path(path)
     try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}")
     return config_from_dict(data)
 

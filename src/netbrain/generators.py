@@ -11,8 +11,8 @@ from __future__ import annotations
 import logging
 import math
 import random
-from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -21,16 +21,15 @@ from .graph import Graph, build_graph, build_graph_reported, largest_connected_c
 
 logger = logging.getLogger(__name__)
 
-MODELS = ("er", "ba", "cm", "ws", "waxman", "sbm")
-
 
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Declarative description of one network realization.
 
-    ``k_avg`` is the target mean degree. Model-specific fields are ignored by
-    models that do not use them: ``p_rewire`` (ws), ``mu`` and ``blocks``
-    (sbm), ``alpha`` (waxman), ``degree_sequence`` (cm, replaces n/k_avg).
+    ``k_avg`` is the target mean degree. Each model reads only its own fields
+    (see ``_MODELS``) and ignores the rest: ``p_rewire`` (ws), ``mu`` and
+    ``blocks`` (sbm), ``alpha`` (waxman), ``degree_sequence`` (cm, replaces
+    n/k_avg).
     """
 
     model: str
@@ -44,31 +43,9 @@ class GeneratorSpec:
     degree_sequence: tuple[int, ...] | None = None
 
     def validate(self) -> None:
-        if self.model not in MODELS:
+        if self.model not in _MODELS:
             raise ParameterError(f"unknown model {self.model!r}, expected one of {MODELS}")
-        if self.model == "cm":
-            if not self.degree_sequence:
-                raise ParameterError("cm requires a degree_sequence")
-            if sum(self.degree_sequence) % 2 != 0:
-                raise ParameterError("cm degree sequence must have an even sum")
-            return
-        if self.n < 2:
-            raise ParameterError(f"need n >= 2, got {self.n}")
-        if not 0 < self.k_avg < self.n:
-            raise ParameterError(f"need 0 < k_avg < n, got k_avg={self.k_avg}, n={self.n}")
-        if self.model == "ws":
-            k = int(self.k_avg)
-            if k != self.k_avg or k % 2 != 0:
-                raise ParameterError("ws requires an even integer k_avg")
-            if not 0.0 <= self.p_rewire <= 1.0:
-                raise ParameterError(f"p_rewire must be in [0, 1], got {self.p_rewire}")
-        if self.model == "sbm":
-            if self.blocks < 1 or self.blocks > self.n:
-                raise ParameterError(f"need 1 <= blocks <= n, got blocks={self.blocks}")
-            if not 0.0 <= self.mu <= 1.0:
-                raise ParameterError(f"mu must be in [0, 1], got {self.mu}")
-        if self.model == "waxman" and not 0.0 < self.alpha <= 1.0:
-            raise ParameterError(f"alpha must be in (0, 1], got {self.alpha}")
+        _MODELS[self.model].check(**_params(self))
 
 
 @dataclass(frozen=True)
@@ -128,10 +105,55 @@ def _bernoulli_indices(total: int, p: float, rng: random.Random) -> Iterator[int
         yield i
 
 
+# --- range rules, shared by GeneratorSpec.validate and the gen_* functions ---
+
+
+def _check_n_k(n: int, k_avg: float) -> None:
+    if n < 2:
+        raise ParameterError(f"need n >= 2, got {n}")
+    if not 0 < k_avg < n:
+        raise ParameterError(f"need 0 < k_avg < n, got k_avg={k_avg}, n={n}")
+
+
+def _check_unit(name: str, value: float, open_below: bool = False) -> None:
+    """`value` must lie in [0, 1], or in (0, 1] when `open_below`."""
+    if not (0.0 < value if open_below else 0.0 <= value) or value > 1.0:
+        raise ParameterError(f"{name} must be in {'(' if open_below else '['}0, 1], got {value}")
+
+
+def _check_cm(degree_sequence: Sequence[int]) -> None:
+    if not degree_sequence:
+        raise ParameterError("cm requires a non-empty degree_sequence")
+    if sum(degree_sequence) % 2 != 0:
+        raise ParameterError("degree sequence must have an even sum")
+    if min(degree_sequence) < 0:
+        raise ParameterError("degrees must be non-negative")
+    if max(degree_sequence) >= len(degree_sequence):
+        raise ParameterError("max degree must be smaller than the sequence length")
+
+
+def _check_ws(n: int, k_avg: float, p_rewire: float) -> None:
+    _check_n_k(n, k_avg)
+    if k_avg != int(k_avg) or int(k_avg) % 2 != 0:
+        raise ParameterError(f"ws requires an even integer k, got k={k_avg}")
+    _check_unit("p_rewire", p_rewire)
+
+
+def _check_waxman(n: int, k_avg: float, alpha: float) -> None:
+    _check_n_k(n, k_avg)
+    _check_unit("alpha", alpha, open_below=True)
+
+
+def _check_sbm(n: int, blocks: int, mu: float, k_avg: float) -> None:
+    _check_n_k(n, k_avg)
+    if not 1 <= blocks <= n:
+        raise ParameterError(f"need 1 <= blocks <= n, got blocks={blocks}, n={n}")
+    _check_unit("mu", mu)
+
+
 def gen_er(n: int, k_avg: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p) with p = k_avg / (n - 1)."""
-    if n < 2 or not 0 < k_avg < n:
-        raise ParameterError(f"need 0 < k_avg < n and n >= 2, got k_avg={k_avg}, n={n}")
+    _check_n_k(n, k_avg)
     p = min(1.0, k_avg / (n - 1))
     rng = random.Random(seed)
     return build_graph(n, _gnp_edges(range(n), p, rng))
@@ -168,14 +190,8 @@ def gen_cm(degree_sequence: Sequence[int], seed: int) -> Graph:
     The realized degree of each node is at most the requested one; the number
     of erased pairings is logged.
     """
+    _check_cm(degree_sequence)
     n = len(degree_sequence)
-    total = sum(degree_sequence)
-    if total % 2 != 0:
-        raise ParameterError("degree sequence must have an even sum")
-    if any(d < 0 for d in degree_sequence):
-        raise ParameterError("degrees must be non-negative")
-    if n and max(degree_sequence) >= n:
-        raise ParameterError("max degree must be smaller than the sequence length")
     rng = random.Random(seed)
     stubs = [v for v, d in enumerate(degree_sequence) for _ in range(d)]
     rng.shuffle(stubs)
@@ -198,10 +214,7 @@ def gen_ws(n: int, k_even: int, p_rewire: float, seed: int) -> Graph:
     redrawn uniformly among non-self, non-duplicate targets. The edge count
     is preserved exactly.
     """
-    if k_even % 2 != 0 or not 2 <= k_even < n:
-        raise ParameterError(f"need even k with 2 <= k < n, got k={k_even}, n={n}")
-    if not 0.0 <= p_rewire <= 1.0:
-        raise ParameterError(f"p_rewire must be in [0, 1], got {p_rewire}")
+    _check_ws(n, k_even, p_rewire)
     rng = random.Random(seed)
     neighbor_sets: list[set[int]] = [set() for _ in range(n)]
     for j in range(1, k_even // 2 + 1):
@@ -251,10 +264,7 @@ def gen_waxman(n: int, k_avg: float, alpha: float, seed: int) -> Graph:
     where beta is calibrated against the realized point set so the expected
     mean degree equals k_avg.
     """
-    if n < 2 or not 0 < k_avg < n:
-        raise ParameterError(f"need 0 < k_avg < n and n >= 2, got k_avg={k_avg}, n={n}")
-    if not 0.0 < alpha <= 1.0:
-        raise ParameterError(f"alpha must be in (0, 1], got {alpha}")
+    _check_waxman(n, k_avg, alpha)
     rng = np.random.default_rng(seed)
     points = rng.random((n, 2))
     beta = waxman_beta(points, k_avg, alpha)
@@ -291,10 +301,7 @@ def gen_sbm(n: int, blocks: int, mu: float, k_avg: float, seed: int) -> Graph:
     probability is solved from the expected-degree equation and clamped to
     [0, 1] with a warning when the target is unreachable from below.
     """
-    if blocks < 1:
-        raise ParameterError(f"need blocks >= 1, got {blocks}")
-    if not 0.0 <= mu <= 1.0:
-        raise ParameterError(f"mu must be in [0, 1], got {mu}")
+    _check_sbm(n, blocks, mu, k_avg)
     p_in = sbm_intra_probability(n, blocks, mu, k_avg)
     if p_in > 1.0:
         raise ParameterError(
@@ -326,30 +333,56 @@ def gen_sbm(n: int, blocks: int, mu: float, k_avg: float, seed: int) -> Graph:
     return build_graph(n, edges)
 
 
+@dataclass(frozen=True)
+class _Model:
+    """One network model; `check` and `build` take its `fields` as keywords.
+
+    `build` also takes the seed and returns the graph before LCC reduction.
+    """
+
+    fields: tuple[str, ...]  # the GeneratorSpec fields it reads, besides model and seed
+    check: Callable[..., None]
+    build: Callable[..., Graph]
+    requested: Callable[[GeneratorSpec], tuple[int, float]] = lambda s: (s.n, s.k_avg)
+
+
+_MODELS = {
+    "er": _Model(("n", "k_avg"), _check_n_k, gen_er),
+    "ba": _Model(
+        ("n", "k_avg"),
+        _check_n_k,
+        lambda n, k_avg, seed: gen_ba(n, max(1, round(k_avg / 2.0)), seed),
+    ),
+    "cm": _Model(
+        ("degree_sequence",),
+        _check_cm,
+        gen_cm,
+        lambda s: (len(s.degree_sequence), sum(s.degree_sequence) / len(s.degree_sequence)),
+    ),
+    "ws": _Model(
+        ("n", "k_avg", "p_rewire"),
+        _check_ws,
+        lambda n, k_avg, p_rewire, seed: gen_ws(n, int(k_avg), p_rewire, seed),
+    ),
+    "waxman": _Model(("n", "k_avg", "alpha"), _check_waxman, gen_waxman),
+    "sbm": _Model(("n", "k_avg", "mu", "blocks"), _check_sbm, gen_sbm),
+}
+
+MODELS = tuple(_MODELS)
+
+
+def _params(spec: GeneratorSpec) -> dict:
+    return {f: getattr(spec, f) for f in _MODELS[spec.model].fields}
+
+
 def generate(spec: GeneratorSpec) -> GenerationResult:
-    """Dispatch to the model constructor and reduce to the largest component."""
+    """Build the model's realization and reduce it to the largest component."""
     spec.validate()
-    if spec.model == "er":
-        g = gen_er(spec.n, spec.k_avg, spec.seed)
-    elif spec.model == "ba":
-        m_attach = max(1, round(spec.k_avg / 2.0))
-        g = gen_ba(spec.n, m_attach, spec.seed)
-    elif spec.model == "cm":
-        g = gen_cm(spec.degree_sequence, spec.seed)
-    elif spec.model == "ws":
-        g = gen_ws(spec.n, int(spec.k_avg), spec.p_rewire, spec.seed)
-    elif spec.model == "waxman":
-        g = gen_waxman(spec.n, spec.k_avg, spec.alpha, spec.seed)
-    else:
-        g = gen_sbm(spec.n, spec.blocks, spec.mu, spec.k_avg, spec.seed)
+    model = _MODELS[spec.model]
+    g = model.build(seed=spec.seed, **_params(spec))
     raw_n = g.n
     lcc, _ = largest_connected_component(g)
-    requested_n = spec.n if spec.model != "cm" else len(spec.degree_sequence or ())
-    requested_k = (
-        spec.k_avg
-        if spec.model != "cm"
-        else (sum(spec.degree_sequence) / len(spec.degree_sequence) if spec.degree_sequence else 0.0)
-    )
+    requested_n, requested_k = model.requested(spec)
     stats = RealizedStats(
         model=spec.model,
         requested_n=requested_n,
@@ -360,7 +393,3 @@ def generate(spec: GeneratorSpec) -> GenerationResult:
         nodes_outside_lcc=raw_n - lcc.n,
     )
     return GenerationResult(graph=lcc, stats=stats)
-
-
-def with_seed(spec: GeneratorSpec, seed: int) -> GeneratorSpec:
-    return replace(spec, seed=seed)

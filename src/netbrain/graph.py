@@ -84,12 +84,6 @@ def build_graph_reported(
     return Graph(n=n, adj=adj, m=m), DropCounts(self_loops, duplicates)
 
 
-def degree(g: Graph, v: int) -> int:
-    if not 0 <= v < g.n:
-        raise IndexError(f"node {v} outside [0, {g.n})")
-    return len(g.adj[v])
-
-
 def connected_components(g: Graph) -> list[list[int]]:
     """Connected components as sorted node lists, ordered by smallest member."""
     seen = bytearray(g.n)

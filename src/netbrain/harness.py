@@ -19,7 +19,7 @@ from .dynamics import (
     validate_thresholds,
 )
 from .errors import AggregationError, ConfigError, ParameterError
-from .generators import GeneratorSpec, RealizedStats, generate
+from .generators import _MODELS, GeneratorSpec, RealizedStats, generate
 from .graph import Graph, betweenness, degree_ranked_nodes
 
 PERCENTILE_START_CAP = 100  # starts drawn above a betweenness percentile
@@ -88,6 +88,8 @@ class ExperimentConfig:
             raise ConfigError("at least one walk policy is required")
         if self.repetitions_per_start < 1:
             raise ConfigError("repetitions_per_start must be >= 1")
+        if self.step_cap is not None and self.step_cap < 1:
+            raise ConfigError(f"step_cap must be >= 1, got {self.step_cap}")
         grid = validate_thresholds(self.thresholds)
         if not 0.0 < self.target_fraction <= 1.0:
             raise ConfigError(f"target_fraction must be in (0, 1], got {self.target_fraction}")
@@ -313,9 +315,6 @@ def aggregate(
     return out
 
 
-SWEEP_AXES = ("k_avg", "p_rewire", "mu", "model", "hub_degree")
-
-
 def sweep(
     base: ExperimentConfig,
     axis: str,
@@ -324,12 +323,11 @@ def sweep(
 ) -> dict[object, list[AggregateCurve]]:
     """Run the experiment across an axis, with independent seeds per value.
 
-    Generator axes (k_avg, p_rewire, mu, model) re-generate the network per
-    value; the hub_degree axis runs the base config once and buckets curves
-    by the exact degree of their start node.
+    The axis `model` or a number parameter of the base model (such as k_avg,
+    or p_rewire for ws) re-generates the network per value; the hub_degree
+    axis runs the base config once and buckets curves by the exact degree of
+    their start node.
     """
-    if axis not in SWEEP_AXES:
-        raise ConfigError(f"unknown sweep axis {axis!r}, expected one of {SWEEP_AXES}")
     if axis == "hub_degree":
         curves = run_experiment(base, workers=workers)
         buckets: dict[object, list[TaggedCurve]] = {}
@@ -341,16 +339,18 @@ def sweep(
             )
             for deg in sorted(buckets)
         }
-    if not values:
-        raise ConfigError("sweep needs at least one axis value")
     if not isinstance(base.generator, GeneratorSpec):
         raise ConfigError("generator sweeps require a model spec, not an edge list")
+    base.generator.validate()
+    model = base.generator.model
+    axes = ("model", "hub_degree", *(f for f in _MODELS[model].fields if f != "degree_sequence"))
+    if axis not in axes:
+        raise ConfigError(f"sweep axis {axis!r} is not a parameter of {model}; expected one of {axes}")
+    if not values:
+        raise ConfigError("sweep needs at least one axis value")
     out: dict[object, list[AggregateCurve]] = {}
     for i, value in enumerate(values):
-        if axis == "model":
-            spec = replace(base.generator, model=str(value))
-        else:
-            spec = replace(base.generator, **{axis: value})
+        spec = replace(base.generator, **{axis: str(value) if axis == "model" else value})
         try:
             spec.validate()
         except ParameterError as exc:

@@ -12,7 +12,17 @@ import random
 from collections import defaultdict
 from itertools import combinations, permutations
 
-from netbrain import Graph, WalkPolicy, build_graph, is_connected
+from netbrain import GeneratorSpec, Graph, WalkPolicy, build_graph, is_connected
+
+# One spec per network model, with non-default model parameters.
+ALL_SPECS = [
+    GeneratorSpec(model="er", n=200, k_avg=6, seed=1),
+    GeneratorSpec(model="ba", n=200, k_avg=4, seed=2),
+    GeneratorSpec(model="cm", degree_sequence=tuple([3] * 100 + [5] * 100), seed=3),
+    GeneratorSpec(model="ws", n=200, k_avg=4, seed=4, p_rewire=0.1),
+    GeneratorSpec(model="waxman", n=200, k_avg=6, seed=5, alpha=0.3),
+    GeneratorSpec(model="sbm", n=200, k_avg=6, seed=6, blocks=4, mu=0.02),
+]
 
 # The config file of acceptance criterion 8 (deterministic CSV output).
 CRITERION_8_CONFIG = {

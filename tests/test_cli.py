@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from netbrain import ingest_edge_list
+from helpers import ALL_SPECS
+from netbrain import generate, ingest_edge_list
 from netbrain.cli import main
 
 
@@ -57,6 +58,33 @@ def test_generate_cm_from_degrees_file(tmp_path):
 def test_generate_cm_requires_degrees_file(tmp_path, capsys):
     assert run_cli("generate", "cm", "--out", tmp_path / "g.txt") == 2
     assert "degrees-file" in capsys.readouterr().err
+
+
+# One flag per GeneratorSpec number field; the CLI takes all of them for any model.
+SPEC_FLAGS = {
+    "n": "--n",
+    "k_avg": "--k",
+    "seed": "--seed",
+    "p_rewire": "--p-rewire",
+    "mu": "--mu",
+    "blocks": "--blocks",
+    "alpha": "--alpha",
+}
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.model)
+def test_generate_writes_the_library_graph(tmp_path, spec):
+    out = tmp_path / "g.txt"
+    args = ["generate", spec.model, "--out", out]
+    for field, flag in SPEC_FLAGS.items():
+        args += [flag, getattr(spec, field)]
+    if spec.degree_sequence:
+        degrees = tmp_path / "degs.txt"
+        degrees.write_text("\n".join(map(str, spec.degree_sequence)))
+        args += ["--degrees-file", degrees]
+    assert run_cli(*args) == 0
+    lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    assert [tuple(map(int, line.split())) for line in lines] == generate(spec).graph.edges()
 
 
 # --- ingest ------------------------------------------------------------------
@@ -187,6 +215,39 @@ def test_sweep_writes_per_value_and_combined_files(tmp_path):
     combined = (out / "aggregate_combined.csv").read_text().splitlines()
     assert len(combined) == 1 + 2 * 2  # two axis values x two thresholds
     assert any(line.startswith("k_avg=4,") for line in combined[1:])
+
+
+# --- bad values -------------------------------------------------------------------
+
+ER_FLAGS = ["run", "--model", "er", "--n", 60, "--k", 5, "--reps", 1]
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (ER_FLAGS + ["--start", "stride:abc"], "--start"),
+        (ER_FLAGS + ["--policies", "bogus"], "--policies"),
+        (ER_FLAGS + ["--thresholds", "0.5,x"], "--thresholds"),
+        (ER_FLAGS + ["--step-cap", 0], "step_cap"),
+        (["generate", "cm", "--degrees-file", "{tmp}/degrees.txt"], "degrees.txt"),
+        (["ingest", "{tmp}/latin1.txt"], "latin1.txt"),
+        (["ingest", "{tmp}"], "{tmp}"),
+        (["run", "--config", "{tmp}/cfg.json"], "generator.n"),
+    ],
+    ids=[
+        "start", "policies", "thresholds", "step-cap", "degrees-file", "non-utf8", "directory",
+        "config-type",
+    ],
+)
+def test_bad_values_exit_2_with_one_error_line(tmp_path, capsys, args, named):
+    (tmp_path / "degrees.txt").write_text("3\n3\nx\n")
+    (tmp_path / "latin1.txt").write_bytes("0 1\n# caf\u00e9\n".encode("latin-1"))
+    write_config(tmp_path, generator={"model": "er", "n": "80", "k_avg": 5.0, "seed": 3})
+    args = [str(a).format(tmp=tmp_path) for a in args] + ["--out", tmp_path / "out"]
+    assert run_cli(*args) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert named.format(tmp=tmp_path) in err[0]
 
 
 def test_sweep_requires_sweep_block(tmp_path, capsys):

@@ -1,8 +1,9 @@
 import json
+from dataclasses import replace
 
 import pytest
 
-from helpers import path_graph
+from helpers import ALL_SPECS, path_graph
 from netbrain import (
     ConfigError,
     DegreeRankedStride,
@@ -24,6 +25,7 @@ from netbrain import (
     write_edge_list,
 )
 from netbrain.fileio import AGGREGATE_HEADER, CURVE_HEADER
+from netbrain.generators import MODELS
 
 
 # --- edge-list ingest -----------------------------------------------------
@@ -114,6 +116,67 @@ def test_config_roundtrip_identity(tmp_path):
     save_config(cfg2, f)
     cfg3, _ = load_config(f)
     assert cfg3 == cfg2
+
+
+def test_examples_cover_every_model():
+    assert sorted(s.model for s in ALL_SPECS) == sorted(MODELS)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.model)
+def test_config_roundtrip_every_model(spec):
+    cfg = replace(full_config(), generator=spec)
+    assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == (cfg, None)
+
+
+def base_config_dict():
+    return {
+        "generator": {"model": "er", "n": 80, "k_avg": 5.0, "seed": 3},
+        "policies": ["standard"],
+        "start": {"kind": "explicit", "nodes": [0, 1]},
+    }
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("repetitions_per_start", 2.9),
+        ("repetitions_per_start", "2"),
+        ("master_seed", True),
+        ("step_cap", 10.0),
+        ("target_fraction", "1"),
+        ("target_fraction", False),
+        ("thresholds", ["0.5", 1.0]),
+        ("generator.n", 80.7),
+        ("generator.n", "80"),
+        ("generator.seed", True),
+        ("generator.k_avg", "5"),
+        ("generator.k_avg", True),
+        ("start.nodes", [0, 1.5]),
+    ],
+)
+def test_config_types_are_strict(key, value):
+    d = base_config_dict()
+    *blocks, name = key.split(".")
+    block = d[blocks[0]] if blocks else d
+    block[name] = value
+    with pytest.raises(ConfigError, match=key):
+        config_from_dict(d)
+
+
+def test_config_float_fields_accept_integers():
+    d = base_config_dict()
+    d["generator"]["k_avg"] = 5
+    d["target_fraction"] = 1
+    d["thresholds"] = [1]
+    cfg, _ = config_from_dict(d)
+    assert cfg.generator.k_avg == 5 and cfg.target_fraction == 1.0 and cfg.thresholds == (1.0,)
+
+
+def test_cm_degree_sequence_must_be_integers():
+    d = base_config_dict()
+    d["generator"] = {"model": "cm", "degree_sequence": [2, 2, 2.0], "seed": 1}
+    with pytest.raises(ConfigError, match="degree_sequence"):
+        config_from_dict(d)
 
 
 def test_config_unknown_keys_rejected():

@@ -4,7 +4,7 @@ import statistics
 
 import pytest
 
-from helpers import average_clustering, cycle_graph
+from helpers import ALL_SPECS, average_clustering, cycle_graph
 from netbrain import (
     GeneratorSpec,
     ParameterError,
@@ -18,15 +18,6 @@ from netbrain import (
     is_connected,
     sbm_intra_probability,
 )
-
-ALL_SPECS = [
-    GeneratorSpec(model="er", n=200, k_avg=6, seed=1),
-    GeneratorSpec(model="ba", n=200, k_avg=4, seed=2),
-    GeneratorSpec(model="cm", degree_sequence=tuple([3] * 100 + [5] * 100), seed=3),
-    GeneratorSpec(model="ws", n=200, k_avg=4, seed=4, p_rewire=0.1),
-    GeneratorSpec(model="waxman", n=200, k_avg=6, seed=5, alpha=0.3),
-    GeneratorSpec(model="sbm", n=200, k_avg=6, seed=6, blocks=4, mu=0.01),
-]
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.model)

@@ -15,7 +15,6 @@ from netbrain import (
     betweenness,
     build_graph,
     build_graph_reported,
-    degree,
     degree_ranked_nodes,
     gen_er,
     is_connected,
@@ -56,12 +55,12 @@ def test_adjacency_is_sorted_and_symmetric():
 
 
 def test_degree_examples():
-    assert degree(complete_graph(4), 2) == 3
+    assert complete_graph(4).degree(2) == 3
     s5 = star_graph(5)
-    assert degree(s5, 0) == 4
-    assert degree(s5, 3) == 1
+    assert s5.degree(0) == 4
+    assert s5.degree(3) == 1
     with pytest.raises(IndexError):
-        degree(s5, 5)
+        s5.degree(5)
 
 
 def test_degree_sum_is_twice_edge_count():

@@ -121,6 +121,12 @@ def test_cell_count_is_policies_times_starts_times_reps():
     assert len(tags) == 30
 
 
+@pytest.mark.parametrize("step_cap", [0, -3])
+def test_step_cap_below_one_rejected(step_cap):
+    with pytest.raises(ConfigError, match="step_cap"):
+        small_config(step_cap=step_cap).validate()
+
+
 def test_run_experiment_is_deterministic():
     cfg = small_config()
     assert run_experiment(cfg) == run_experiment(cfg)
@@ -313,3 +319,18 @@ def test_sweep_rejects_invalid_values():
     base = small_config(generator=GeneratorSpec(model="ws", n=100, k_avg=4, seed=1))
     with pytest.raises(ConfigError):
         sweep(base, "p_rewire", [2.0])
+
+
+@pytest.mark.parametrize(
+    "generator, axis",
+    [
+        (GeneratorSpec(model="er", n=120, k_avg=6, seed=5), "p_rewire"),
+        (GeneratorSpec(model="er", n=120, k_avg=6, seed=5), "mu"),
+        (GeneratorSpec(model="cm", degree_sequence=(3,) * 40, seed=5), "k_avg"),
+    ],
+    ids=["er-p_rewire", "er-mu", "cm-k_avg"],
+)
+def test_sweep_rejects_axis_the_model_ignores(generator, axis):
+    # These sweeps would run identical graphs under different labels.
+    with pytest.raises(ConfigError, match=axis):
+        sweep(small_config(generator=generator), axis, [0.01, 0.5])
