@@ -10,9 +10,10 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
-from .dynamics import WalkPolicy, default_thresholds
+from .dynamics import WalkPolicy
 from .errors import ConfigError, NetbrainError, ParseError
 from .fileio import (
+    _generator_from_dict,
     config_from_dict,
     config_to_dict,
     ingest_edge_list,
@@ -23,17 +24,7 @@ from .fileio import (
     write_manifest,
 )
 from .generators import _MODELS, MODELS, GeneratorSpec, generate
-from .harness import (
-    BetweennessPercentile,
-    DegreeRankedStride,
-    ExperimentConfig,
-    ExplicitStarts,
-    TopHubs,
-    aggregate,
-    resolve_graph,
-    run_experiment,
-    sweep,
-)
+from .harness import _START_KINDS, aggregate, resolve_graph, run_experiment, sweep
 
 
 # GeneratorSpec field -> (flag, help). Types and defaults come from the
@@ -51,33 +42,38 @@ _GENERATOR_FLAGS = {
 
 
 def _add_generator_args(p: argparse.ArgumentParser, positional: bool) -> None:
-    """The model (positional, or --model) and one flag per GeneratorSpec field."""
+    """The model (positional, or --model) and one flag per GeneratorSpec field.
+
+    Flags left out take the spec's field defaults.
+    """
     p.add_argument("model" if positional else "--model", choices=MODELS, help="network model")
     for f in fields(GeneratorSpec)[1:]:
         flag, help_text = _GENERATOR_FLAGS[f.name]
         users = [m for m in MODELS if f.name in _MODELS[m].fields]
         if users:
             help_text += f" ({', '.join(users)})"
-        typed = {} if f.default is None else {"type": type(f.default), "default": f.default}
+        typed = {} if f.default is None else {"type": type(f.default)}
         metavar = flag[2:].upper().replace("-", "_")
         p.add_argument(flag, dest=f.name, metavar=metavar, help=help_text, **typed)
 
 
-def _spec_from_args(args: argparse.Namespace) -> GeneratorSpec:
-    params = {f: getattr(args, f) for f in ("seed", *_MODELS[args.model].fields)}
-    if "degree_sequence" in params:
-        path = params["degree_sequence"]
+def _generator_from_flags(args: argparse.Namespace) -> dict:
+    """The generator mapping of a config file, from the generator flags."""
+    d = {f: getattr(args, f) for f in ("seed", *_MODELS[args.model].fields) if getattr(args, f) is not None}
+    d["model"] = args.model
+    if "degree_sequence" in _MODELS[args.model].fields:
+        path = d.get("degree_sequence")
         if not path:
             raise NetbrainError(f"{args.model} requires --degrees-file")
         try:
-            params["degree_sequence"] = tuple(int(x) for x in Path(path).read_text(encoding="utf-8").split())
+            d["degree_sequence"] = [int(x) for x in Path(path).read_text(encoding="utf-8").split()]
         except (ValueError, UnicodeDecodeError) as exc:
             raise ParseError(f"--degrees-file {path}: expected one integer per line ({exc})") from None
-    return GeneratorSpec(model=args.model, **params)
+    return d
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    spec = _spec_from_args(args)
+    spec = _generator_from_dict(_generator_from_flags(args))
     result = generate(spec)
     stats = result.stats
     header = [
@@ -116,22 +112,23 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-def _start_from_flag(text: str):
-    kind, _, arg = text.partition(":")
-    try:
-        if kind == "stride":
-            return DegreeRankedStride(stride=int(arg))
-        if kind == "hubs":
-            return TopHubs(count=int(arg))
-        if kind == "percentile":
-            return BetweennessPercentile(min_percentile=float(arg))
-        if kind == "explicit":
-            return ExplicitStarts(nodes=tuple(int(v) for v in arg.split(",")))
-    except ValueError:
-        pass
-    raise ConfigError(
-        f"--start: bad value {text!r}; use stride:N, hubs:N, percentile:P or explicit:a,b,c"
-    )
+_START_FORMS = " | ".join(k.flag for k in _START_KINDS)
+
+
+def _start_from_flag(text: str) -> dict:
+    """The start mapping of a config file, from a --start value."""
+    prefix, _, arg = text.partition(":")
+    for kind in _START_KINDS:
+        if kind.flag.partition(":")[0] == prefix:
+            try:
+                if isinstance(kind.type, list):
+                    value = [kind.type[0](v) for v in arg.split(",")]
+                else:
+                    value = kind.type(arg)
+            except ValueError:
+                break
+            return {"kind": kind.kind, kind.field: value}
+    raise ConfigError(f"--start: bad value {text!r}; use {_START_FORMS}")
 
 
 def _split_flag(flag: str, text: str, parse):
@@ -142,24 +139,26 @@ def _split_flag(flag: str, text: str, parse):
         raise ConfigError(f"{flag}: bad value {text!r}") from None
 
 
-def _config_from_flags(args: argparse.Namespace) -> ExperimentConfig:
+# run flag -> the config key it sets; a flag left out takes the config default.
+_RUN_KEYS = {"reps": "repetitions_per_start", "step_cap": "step_cap", "master_seed": "master_seed"}
+
+
+def _config_from_flags(args: argparse.Namespace) -> dict:
+    """The mapping of a config file, from the flags of `run`."""
+    if bool(args.edge_list) == bool(args.model):
+        raise NetbrainError("provide --config, or exactly one of --model and --edge-list")
+    d = {
+        "policies": _split_flag("--policies", args.policies, WalkPolicy),
+        "start": _start_from_flag(args.start),
+        **{key: getattr(args, dest) for dest, key in _RUN_KEYS.items() if getattr(args, dest) is not None},
+    }
+    if args.thresholds:
+        d["thresholds"] = _split_flag("--thresholds", args.thresholds, float)
     if args.edge_list:
-        generator: GeneratorSpec | str = args.edge_list
+        d["edge_list"] = args.edge_list
     else:
-        if not args.model:
-            raise NetbrainError("provide --config, or --model/--edge-list flags")
-        generator = _spec_from_args(args)
-    return ExperimentConfig(
-        generator=generator,
-        policies=_split_flag("--policies", args.policies, WalkPolicy),
-        start=_start_from_flag(args.start),
-        repetitions_per_start=args.reps,
-        step_cap=args.step_cap,
-        thresholds=_split_flag("--thresholds", args.thresholds, float)
-        if args.thresholds
-        else default_thresholds(),
-        master_seed=args.master_seed,
-    )
+        d["generator"] = _generator_from_flags(args)
+    return d
 
 
 def _write_manifest(out_dir: Path, elapsed: float, **payload) -> None:
@@ -172,7 +171,7 @@ def _write_manifest(out_dir: Path, elapsed: float, **payload) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    cfg, sweep_block = load_config(args.config) if args.config else (_config_from_flags(args), None)
+    cfg, sweep_block = load_config(args.config) if args.config else config_from_dict(_config_from_flags(args))
     if sweep_block is not None:
         raise NetbrainError("config contains a sweep block; use 'netbrain sweep'")
     started = time.monotonic()
@@ -243,18 +242,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, help_text in (("run", "run one experiment"), ("sweep", "run a parameter sweep")):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="experiment config file (JSON)")
+        p.add_argument("--config", required=name == "sweep", help="experiment config file (JSON)")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--workers", type=int, default=None, help="parallel worker processes")
         if name == "run":
             p.add_argument("--edge-list", help="run on an ingested edge list")
             _add_generator_args(p, positional=False)
             p.add_argument("--policies", default="standard", help="comma-separated policies")
-            p.add_argument("--start", default="stride:50", help="stride:N | hubs:N | percentile:P | explicit:a,b,c")
-            p.add_argument("--reps", type=int, default=10, help="repetitions per start node")
-            p.add_argument("--step-cap", type=int, default=None, help="maximum steps per walk")
+            p.add_argument("--start", default="stride:50", help=_START_FORMS)
+            p.add_argument("--reps", type=int, help="repetitions per start node")
+            p.add_argument("--step-cap", type=int, help="maximum steps per walk")
             p.add_argument("--thresholds", help="comma-separated fractions")
-            p.add_argument("--master-seed", type=int, default=0, help="seed of all cell seeds")
+            p.add_argument("--master-seed", type=int, help="seed of all cell seeds")
             p.set_defaults(func=_cmd_run)
         else:
             p.set_defaults(func=_cmd_sweep)

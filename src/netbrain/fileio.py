@@ -7,19 +7,17 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
-from .dynamics import WalkPolicy, default_thresholds
+from .dynamics import WalkPolicy
 from .errors import ConfigError, ParseError
 from .generators import _MODELS, MODELS, GeneratorSpec, _params
 from .graph import Graph, build_graph_reported, largest_connected_component
 from .harness import (
+    _START_KINDS,
     AggregateCurve,
-    BetweennessPercentile,
-    DegreeRankedStride,
     ExperimentConfig,
-    ExplicitStarts,
     StartSelection,
     TaggedCurve,
-    TopHubs,
+    _checked_start,
 )
 
 
@@ -96,36 +94,37 @@ def write_edge_list(g: Graph, path: str | Path, header: Sequence[str] = ()) -> N
 
 # --- experiment config files (JSON) -----------------------------------------
 
-# kind -> (selection class, its one field, the field's config type)
-_START_KINDS = {
-    "degree_stride": (DegreeRankedStride, "stride", int),
-    "betweenness_percentile": (BetweennessPercentile, "min_percentile", float),
-    "top_hubs": (TopHubs, "count", int),
-    "explicit": (ExplicitStarts, "nodes", [int]),
-}
-
 # The config keys: ExperimentConfig's fields, where `edge_list` may replace `generator`.
 _TOP_KEYS = {f.name for f in fields(ExperimentConfig)} | {"edge_list", "sweep"}
+
+# Config types of ExperimentConfig's fields that have defaults; an absent or null key takes the default.
+_OPTIONAL_TYPES = dict(
+    repetitions_per_start=int, step_cap=int, thresholds=[float], master_seed=int, target_fraction=float
+)
 
 # Config types of the GeneratorSpec fields: a number takes its default's type.
 _SPEC_TYPES = {
     f.name: [int] if f.default is None else type(f.default) for f in fields(GeneratorSpec)[1:]
 }
 
+# config type -> (the Python types that pass, its name in messages)
+_KINDS = {int: (int, "an integer"), float: ((int, float), "a number"), str: (str, "a string")}
+
 
 def _typed(value, kind, key: str):
     """`value` if it has the config type `kind`, else ConfigError naming `key`.
 
-    `kind` is int, float (an int passes too) or a list of one of them, such
-    as [int], read as a tuple. Bools and strings are not numbers; numbers
-    are not converted.
+    `kind` is int, float (an int passes too), str, or a list of one of them,
+    such as [int], read as a non-empty tuple. Bools are not numbers; nothing
+    is converted.
     """
     if isinstance(kind, list):
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{key} must be a list, got {value!r}")
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ConfigError(f"{key} must be a non-empty list, got {value!r}")
         return tuple(_typed(x, kind[0], key) for x in value)
-    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
-        raise ConfigError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+    wanted, name = _KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, wanted):
+        raise ConfigError(f"{key} must be {name}, got {value!r}")
     return value
 
 
@@ -156,65 +155,48 @@ def _generator_to_dict(spec: GeneratorSpec) -> dict:
 def _start_from_dict(d: dict) -> StartSelection:
     if not isinstance(d, dict) or "kind" not in d:
         raise ConfigError("start must be a mapping with a 'kind' key")
-    kind = d["kind"]
-    if kind not in _START_KINDS:
-        raise ConfigError(f"start.kind must be one of {sorted(_START_KINDS)}, got {kind!r}")
-    cls, key, key_type = _START_KINDS[kind]
-    unknown = set(d) - {"kind", key}
+    kinds = {k.kind: k for k in _START_KINDS}
+    kind = kinds.get(_typed(d["kind"], str, "start.kind"))
+    if kind is None:
+        raise ConfigError(f"start.kind must be one of {sorted(kinds)}, got {d['kind']!r}")
+    unknown = set(d) - {"kind", kind.field}
     if unknown:
-        raise ConfigError(f"unknown start keys for {kind}: {sorted(unknown)}")
-    if key not in d:
-        raise ConfigError(f"start.{key} is required for kind {kind}")
-    value = _typed(d[key], key_type, f"start.{key}")
-    return cls(float(value) if key_type is float else value)
+        raise ConfigError(f"unknown start keys for {kind.kind}: {sorted(unknown)}")
+    if kind.field not in d:
+        raise ConfigError(f"start.{kind.field} is required for kind {kind.kind}")
+    value = _typed(d[kind.field], kind.type, f"start.{kind.field}")
+    return kind.cls(float(value) if kind.type is float else value)
 
 
 def _start_to_dict(sel: StartSelection) -> dict:
-    for kind, (cls, key, _) in _START_KINDS.items():
-        if isinstance(sel, cls):
-            return {"kind": kind, key: _jsonable(getattr(sel, key))}
-    raise ConfigError(f"unknown start selection {sel!r}")
+    kind, value = _checked_start(sel)
+    return {"kind": kind.kind, kind.field: _jsonable(value)}
 
 
 def config_from_dict(d: dict) -> tuple[ExperimentConfig, dict | None]:
-    """Build an ExperimentConfig (and optional sweep block) from a parsed mapping."""
+    """Build a validated ExperimentConfig (and optional sweep block) from a parsed mapping."""
     if not isinstance(d, dict):
         raise ConfigError("config root must be a mapping")
     unknown = set(d) - _TOP_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    has_gen = "generator" in d
-    has_edges = "edge_list" in d
-    if has_gen == has_edges:
+    if ("generator" in d) == ("edge_list" in d):
         raise ConfigError("config needs exactly one of 'generator' or 'edge_list'")
-    generator: GeneratorSpec | str
-    if has_gen:
-        generator = _generator_from_dict(d["generator"])
+    if "generator" in d:
+        generator: GeneratorSpec | str = _generator_from_dict(d["generator"])
     else:
-        generator = str(d["edge_list"])
-    if "policies" not in d or not d["policies"]:
-        raise ConfigError("config requires a non-empty 'policies' list")
+        generator = _typed(d["edge_list"], str, "edge_list")
     try:
-        policies = tuple(WalkPolicy(p) for p in d["policies"])
+        policies = tuple(WalkPolicy(p) for p in _typed(d.get("policies"), [str], "policies"))
     except ValueError as exc:
         raise ConfigError(f"unknown policy: {exc}")
-    if "start" not in d:
-        raise ConfigError("config requires a 'start' block")
-    start = _start_from_dict(d["start"])
-    thresholds = d.get("thresholds")
-    step_cap = d.get("step_cap")
-    cfg = ExperimentConfig(
-        generator=generator,
-        policies=policies,
-        start=start,
-        repetitions_per_start=_typed(d.get("repetitions_per_start", 10), int, "repetitions_per_start"),
-        step_cap=None if step_cap is None else _typed(step_cap, int, "step_cap"),
-        thresholds=default_thresholds()
-        if thresholds is None
-        else tuple(float(t) for t in _typed(thresholds, [float], "thresholds")),
-        master_seed=_typed(d.get("master_seed", 0), int, "master_seed"),
-        target_fraction=float(_typed(d.get("target_fraction", 1.0), float, "target_fraction")),
-    )
+    start = _start_from_dict(d.get("start"))
+    given = {k: _typed(d[k], t, k) for k, t in _OPTIONAL_TYPES.items() if d.get(k) is not None}
+    if "thresholds" in given:  # stored as floats; generator numbers stay as written
+        given["thresholds"] = tuple(float(t) for t in given["thresholds"])
+    if "target_fraction" in given:
+        given["target_fraction"] = float(given["target_fraction"])
+    cfg = ExperimentConfig(generator, policies, start, **given)
     cfg.validate()
     sweep_block = d.get("sweep")
     if sweep_block is not None:
@@ -223,8 +205,10 @@ def config_from_dict(d: dict) -> tuple[ExperimentConfig, dict | None]:
         unknown = set(sweep_block) - {"axis", "values"}
         if unknown:
             raise ConfigError(f"unknown sweep keys: {sorted(unknown)}")
-        if "axis" not in sweep_block:
-            raise ConfigError("sweep requires an 'axis' key")
+        axis = _typed(sweep_block.get("axis"), str, "sweep.axis")
+        if "values" in sweep_block:
+            item = {"model": str, **_SPEC_TYPES}.get(axis, float)
+            _typed(sweep_block["values"], [item], "sweep.values")
     return cfg, sweep_block
 
 
@@ -238,10 +222,10 @@ def config_to_dict(cfg: ExperimentConfig, sweep_block: dict | None = None) -> di
     d["start"] = _start_to_dict(cfg.start)
     d["repetitions_per_start"] = cfg.repetitions_per_start
     d["step_cap"] = cfg.step_cap
-    if cfg.thresholds != default_thresholds():
+    if cfg.thresholds != ExperimentConfig.thresholds:
         d["thresholds"] = list(cfg.thresholds)
     d["master_seed"] = cfg.master_seed
-    if cfg.target_fraction != 1.0:
+    if cfg.target_fraction != ExperimentConfig.target_fraction:
         d["target_fraction"] = cfg.target_fraction
     if sweep_block is not None:
         d["sweep"] = sweep_block

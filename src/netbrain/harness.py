@@ -70,6 +70,73 @@ class ExplicitStarts:
 StartSelection = Union[DegreeRankedStride, BetweennessPercentile, TopHubs, ExplicitStarts]
 
 
+def _top_hubs(g: Graph, count: int, rng: random.Random) -> list[int]:
+    if count > g.n:
+        raise ConfigError(f"hub count must be in [1, {g.n}], got {count}")
+    return degree_ranked_nodes(g)[:count]
+
+
+def _above_percentile(g: Graph, p: float, rng: random.Random) -> list[int]:
+    values = betweenness(g)
+    cutoff = sorted(values)[min(g.n - 1, int(p * g.n))]
+    eligible = [v for v in range(g.n) if values[v] >= cutoff]
+    if len(eligible) > PERCENTILE_START_CAP:
+        return sorted(rng.sample(eligible, PERCENTILE_START_CAP))
+    return eligible
+
+
+@dataclass(frozen=True)
+class _StartKind:
+    """One start-selection scheme. `ok` checks its field's value without a graph;
+    `pick` resolves a checked value on a graph and rejects what it cannot serve.
+    """
+
+    cls: type
+    kind: str  # the config file's start.kind
+    flag: str  # the --start form: prefix, colon, value
+    field: str
+    type: object  # the field's config type: int, float or [int]
+    ok: Callable[[object], bool]
+    rule: str  # what `ok` demands, for the error message
+    pick: Callable[[Graph, object, random.Random], list[int]]
+
+
+_START_KINDS = (
+    _StartKind(
+        DegreeRankedStride, "degree_stride", "stride:N", "stride", int,
+        lambda stride: stride >= 1, "stride must be >= 1",
+        lambda g, stride, rng: degree_ranked_nodes(g)[::stride],
+    ),
+    _StartKind(
+        TopHubs, "top_hubs", "hubs:N", "count", int,
+        lambda count: count >= 1, "hub count must be >= 1",
+        _top_hubs,
+    ),
+    _StartKind(
+        BetweennessPercentile, "betweenness_percentile", "percentile:P", "min_percentile", float,
+        lambda p: 0.0 <= p < 1.0, "min_percentile must be in [0, 1)",
+        _above_percentile,
+    ),
+    _StartKind(
+        ExplicitStarts, "explicit", "explicit:a,b,c", "nodes", [int],
+        lambda nodes: len(nodes) > 0 and min(nodes) >= 0 and len(set(nodes)) == len(nodes),
+        "explicit starts must be distinct non-negative nodes, at least one",
+        lambda g, nodes, rng: list(nodes),
+    ),
+)
+
+
+def _checked_start(selection: StartSelection) -> tuple[_StartKind, object]:
+    """The kind of `selection` and its field's value, which passed the graph-free check."""
+    for kind in _START_KINDS:
+        if type(selection) is kind.cls:
+            value = getattr(selection, kind.field)
+            if not kind.ok(value):
+                raise ConfigError(f"{kind.rule}, got {value}")
+            return kind, value
+    raise ConfigError(f"unknown start selection {selection!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full declarative description of one experiment."""
@@ -98,6 +165,7 @@ class ExperimentConfig:
                 "threshold grid extends beyond target_fraction; the top thresholds "
                 "would never be crossed"
             )
+        _checked_start(self.start)
         if isinstance(self.generator, GeneratorSpec):
             self.generator.validate()
 
@@ -130,36 +198,12 @@ class AggregateCurve:
 
 def select_starts(g: Graph, selection: StartSelection, rng: random.Random) -> list[int]:
     """Resolve a start-selection scheme to concrete node ids."""
-    if isinstance(selection, DegreeRankedStride):
-        if selection.stride < 1:
-            raise ConfigError(f"stride must be >= 1, got {selection.stride}")
-        starts = degree_ranked_nodes(g)[:: selection.stride]
-    elif isinstance(selection, TopHubs):
-        if not 1 <= selection.count <= g.n:
-            raise ConfigError(f"hub count must be in [1, {g.n}], got {selection.count}")
-        starts = degree_ranked_nodes(g)[: selection.count]
-    elif isinstance(selection, BetweennessPercentile):
-        p = selection.min_percentile
-        if not 0.0 <= p < 1.0:
-            raise ConfigError(f"min_percentile must be in [0, 1), got {p}")
-        values = betweenness(g)
-        cutoff = sorted(values)[min(g.n - 1, int(p * g.n))]
-        eligible = [v for v in range(g.n) if values[v] >= cutoff]
-        if len(eligible) > PERCENTILE_START_CAP:
-            starts = sorted(rng.sample(eligible, PERCENTILE_START_CAP))
-        else:
-            starts = eligible
-    elif isinstance(selection, ExplicitStarts):
-        starts = list(selection.nodes)
-        if len(set(starts)) != len(starts):
-            raise ConfigError("explicit start list contains duplicates")
-        for v in starts:
-            if not 0 <= v < g.n:
-                raise ConfigError(f"explicit start {v} outside [0, {g.n})")
-    else:
-        raise ConfigError(f"unknown start selection {selection!r}")
+    kind, value = _checked_start(selection)
+    starts = kind.pick(g, value, rng)
     if not starts:
         raise ConfigError(f"start selection {selection!r} chose no nodes")
+    if max(starts) >= g.n:
+        raise ConfigError(f"start node {max(starts)} outside [0, {g.n})")
     return starts
 
 
@@ -191,24 +235,23 @@ def _run_pooled_cell(cell: tuple[int, int, int]) -> TaggedCurve:
 
 def _run_cell(ctx: dict, cell: tuple[int, int, int]) -> TaggedCurve:
     pi, si, ri = cell
-    policy = ctx["policies"][pi]
+    cfg, g = ctx["cfg"], ctx["g"]
+    policy = cfg.policies[pi]
     start = ctx["starts"][si]
-    cfg = ctx["cfg"]
-    seed = derive_seed(cfg["master_seed"], pi, si, ri)
     curve, brain = run_discovery(
-        ctx["g"],
+        g,
         start,
         policy,
-        random.Random(seed),
-        step_cap=cfg["step_cap"],
-        thresholds=cfg["thresholds"],
-        target_fraction=cfg["target_fraction"],
+        random.Random(derive_seed(cfg.master_seed, pi, si, ri)),
+        step_cap=cfg.step_cap,
+        thresholds=cfg.thresholds,
+        target_fraction=cfg.target_fraction,
     )
     return TaggedCurve(
-        group=cfg["group"],
+        group=ctx["group"],
         policy=policy,
         start=start,
-        start_degree=ctx["degrees"][si],
+        start_degree=g.degree(start),
         repetition=ri,
         curve=curve,
         walk_count=brain.walk_count,
@@ -246,26 +289,13 @@ def run_experiment(
     starts = select_starts(
         graph, cfg.start, random.Random(derive_seed(cfg.master_seed, "starts"))
     )
-    degrees = [graph.degree(v) for v in starts]
     cells = [
         (pi, si, ri)
         for pi in range(len(cfg.policies))
         for si in range(len(starts))
         for ri in range(cfg.repetitions_per_start)
     ]
-    ctx = {
-        "g": graph,
-        "policies": cfg.policies,
-        "starts": starts,
-        "degrees": degrees,
-        "cfg": {
-            "master_seed": cfg.master_seed,
-            "step_cap": cfg.step_cap,
-            "thresholds": cfg.thresholds,
-            "target_fraction": cfg.target_fraction,
-            "group": group,
-        },
-    }
+    ctx = {"g": graph, "cfg": cfg, "starts": starts, "group": group}
     nworkers = _worker_count(workers)
     if nworkers <= 1 or len(cells) <= 1:
         return [_run_cell(ctx, c) for c in cells]
@@ -276,25 +306,20 @@ def run_experiment(
         return list(pool.map(_run_pooled_cell, cells, chunksize=chunksize))
 
 
-def aggregate(
-    curves: Sequence[TaggedCurve],
-    group_by: Callable[[TaggedCurve], tuple[str, WalkPolicy]] | None = None,
-) -> list[AggregateCurve]:
-    """Per-group, per-threshold mean and standard deviation of steps.
+def aggregate(curves: Sequence[TaggedCurve]) -> list[AggregateCurve]:
+    """Per-(group tag, policy), per-threshold mean and standard deviation of steps.
 
     All curves must share one threshold grid. Duplicated inputs count as
-    extra samples (the sd shrinks accordingly). The default grouping key is
-    (group tag, policy).
+    extra samples (the sd shrinks accordingly).
     """
     if not curves:
         return []
-    key_of = group_by or (lambda c: (c.group, c.policy))
     grid = curves[0].curve.thresholds
     groups: dict[tuple[str, WalkPolicy], list[TaggedCurve]] = {}
     for c in curves:
         if c.curve.thresholds != grid:
             raise AggregationError("curves mix different threshold grids")
-        groups.setdefault(key_of(c), []).append(c)
+        groups.setdefault((c.group, c.policy), []).append(c)
     out = []
     for (label, policy), members in sorted(groups.items(), key=lambda kv: (kv[0][0], kv[0][1].value)):
         columns = list(zip(*(tuple(s for _, s in c.curve.crossings) for c in members)))
@@ -328,39 +353,30 @@ def sweep(
     axis runs the base config once and buckets curves by the exact degree of
     their start node.
     """
+    base.validate()
     if axis == "hub_degree":
-        curves = run_experiment(base, workers=workers)
         buckets: dict[object, list[TaggedCurve]] = {}
-        for c in curves:
+        for c in run_experiment(base, workers=workers):
             buckets.setdefault(c.start_degree, []).append(c)
-        return {
-            deg: aggregate(
-                [replace(c, group=f"deg={deg}") for c in buckets[deg]]
-            )
-            for deg in sorted(buckets)
-        }
+        return {d: aggregate([replace(c, group=f"deg={d}") for c in buckets[d]]) for d in sorted(buckets)}
     if not isinstance(base.generator, GeneratorSpec):
         raise ConfigError("generator sweeps require a model spec, not an edge list")
-    base.generator.validate()
     model = base.generator.model
     axes = ("model", "hub_degree", *(f for f in _MODELS[model].fields if f != "degree_sequence"))
     if axis not in axes:
         raise ConfigError(f"sweep axis {axis!r} is not a parameter of {model}; expected one of {axes}")
-    if not values:
-        raise ConfigError("sweep needs at least one axis value")
-    out: dict[object, list[AggregateCurve]] = {}
+    if not values or len(set(values)) != len(values):  # each value keys one result
+        raise ConfigError(f"sweep needs distinct axis values, got {values!r}")
+    seed = base.master_seed
+    cfgs = []  # every value is checked before the first experiment runs
     for i, value in enumerate(values):
-        spec = replace(base.generator, **{axis: str(value) if axis == "model" else value})
+        spec = replace(base.generator, **{axis: value}, seed=derive_seed(seed, "sweep-gen", axis, i))
         try:
             spec.validate()
         except ParameterError as exc:
             raise ConfigError(f"sweep value {value!r} invalid for axis {axis}: {exc}") from exc
-        spec = replace(spec, seed=derive_seed(base.master_seed, "sweep-gen", axis, i))
-        cfg = replace(
-            base,
-            generator=spec,
-            master_seed=derive_seed(base.master_seed, "sweep-run", axis, i),
-        )
-        curves = run_experiment(cfg, group=f"{axis}={value}", workers=workers)
-        out[value] = aggregate(curves)
-    return out
+        cfgs.append(replace(base, generator=spec, master_seed=derive_seed(seed, "sweep-run", axis, i)))
+    return {
+        value: aggregate(run_experiment(cfg, group=f"{axis}={value}", workers=workers))
+        for value, cfg in zip(values, cfgs)
+    }

@@ -127,7 +127,9 @@ def exact_first_walk_distribution(
 
     Mirrors the walk semantics by direct recursion over trajectories: arrival
     makes a node known, departure reports (and primes) its neighborhood, the
-    walk stops at dead ends, the step cap, or full brain coverage.
+    walk stops at dead ends, the step cap, or full brain coverage. The cap is
+    checked only after a move, as the engine does, so a walk that can move
+    makes at least one move even when the brain's own degree reaches the cap.
     """
     n = g.n
     standard = policy is WalkPolicy.STANDARD
@@ -145,7 +147,7 @@ def exact_first_walk_distribution(
         if len(known) == n:
             dist[steps] += prob
             return
-        if step_cap is not None and steps >= step_cap:
+        if step_cap is not None and cur != brain and steps >= step_cap:
             dist[steps] += prob
             return
         if look_ahead:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import netbrain.harness
 from helpers import ALL_SPECS
 from netbrain import generate, ingest_edge_list
 from netbrain.cli import main
@@ -108,7 +109,7 @@ def test_ingest_reports_and_writes_outputs(tmp_path, capsys):
 # --- run ----------------------------------------------------------------------
 
 
-def write_config(tmp_path, **extra):
+def write_config(tmp_path, filename="cfg.json", **extra):
     cfg = {
         "generator": {"model": "er", "n": 80, "k_avg": 5.0, "seed": 3},
         "policies": ["standard"],
@@ -117,8 +118,10 @@ def write_config(tmp_path, **extra):
         "thresholds": [0.5, 1.0],
         "master_seed": 11,
     }
+    if "edge_list" in extra:
+        del cfg["generator"]
     cfg.update(extra)
-    path = tmp_path / "cfg.json"
+    path = tmp_path / filename
     path.write_text(json.dumps(cfg))
     return path
 
@@ -192,6 +195,43 @@ def test_run_from_flags_only(tmp_path):
     assert len(lines) == 1 + 2 * 2 * 2  # policies x starts x thresholds
 
 
+def read_run(out):
+    """The CSV bytes and the manifest of a run, without its timing fields."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest.pop("created"), manifest.pop("wall_time_s")
+    return (out / "curves.csv").read_bytes(), (out / "aggregate.csv").read_bytes(), manifest
+
+
+@pytest.mark.parametrize(
+    "flag, block",
+    [
+        ("stride:20", {"kind": "degree_stride", "stride": 20}),
+        ("hubs:3", {"kind": "top_hubs", "count": 3}),
+        ("percentile:0.9", {"kind": "betweenness_percentile", "min_percentile": 0.9}),
+        ("explicit:4,0", {"kind": "explicit", "nodes": [4, 0]}),
+    ],
+    ids=["stride", "hubs", "percentile", "explicit"],
+)
+def test_run_flags_and_config_file_give_identical_output(tmp_path, flag, block):
+    cfg = write_config(
+        tmp_path,
+        generator={"model": "ws", "n": 80, "k_avg": 4.0, "p_rewire": 0.1, "seed": 3},
+        policies=["standard", "look_ahead"],
+        start=block,
+        step_cap=40,
+    )
+    flags = [
+        "--model", "ws", "--n", 80, "--k", 4, "--p-rewire", 0.1, "--seed", 3,
+        "--policies", "standard,look_ahead", "--start", flag, "--reps", 2,
+        "--step-cap", 40, "--thresholds", "0.5,1.0", "--master-seed", 11,
+    ]
+    assert run_cli("run", "--config", cfg, "--out", tmp_path / "file") == 0
+    assert run_cli("run", *flags, "--out", tmp_path / "flags") == 0
+    from_file, from_flags = read_run(tmp_path / "file"), read_run(tmp_path / "flags")
+    assert from_flags == from_file
+    assert from_flags[2]["config"]["start"] == block
+
+
 def test_run_rejects_sweep_config(tmp_path, capsys):
     cfg = write_config(tmp_path, sweep={"axis": "k_avg", "values": [3, 5]})
     assert run_cli("run", "--config", cfg, "--out", tmp_path / "res") == 2
@@ -233,16 +273,35 @@ ER_FLAGS = ["run", "--model", "er", "--n", 60, "--k", 5, "--reps", 1]
         (["ingest", "{tmp}/latin1.txt"], "latin1.txt"),
         (["ingest", "{tmp}"], "{tmp}"),
         (["run", "--config", "{tmp}/cfg.json"], "generator.n"),
+        (["run", "--config", "{tmp}/policies-int.json"], "policies"),
+        (["run", "--config", "{tmp}/policies-str.json"], "policies"),
+        (["run", "--config", "{tmp}/start-kind-list.json"], "start.kind"),
+        (["run", "--config", "{tmp}/edge-list-int.json"], "edge_list"),
+        (ER_FLAGS + ["--edge-list", "{tmp}/p3.txt"], "--edge-list"),
+        (["run", "--config", "{tmp}/stride0.json"], "stride"),
+        (["run", "--model", "er", "--n", 60, "--k", 5, "--reps", 0], "repetitions_per_start"),
+        (ER_FLAGS + ["--start", "percentile:1.5"], "min_percentile"),
+        (["sweep", "--config", "{tmp}/sweep-values.json"], "sweep.values"),
     ],
     ids=[
         "start", "policies", "thresholds", "step-cap", "degrees-file", "non-utf8", "directory",
-        "config-type",
+        "config-type", "policies-int", "policies-str", "start-kind-list", "edge-list-int",
+        "edge-list-and-model", "stride-0", "reps-0", "percentile", "sweep-values",
     ],
 )
-def test_bad_values_exit_2_with_one_error_line(tmp_path, capsys, args, named):
+def test_bad_values_exit_2_with_one_error_line(tmp_path, capsys, monkeypatch, args, named):
+    # Every check that needs no graph runs before a graph is built.
+    monkeypatch.setattr(netbrain.harness, "generate", lambda spec: pytest.fail("a graph was built"))
     (tmp_path / "degrees.txt").write_text("3\n3\nx\n")
     (tmp_path / "latin1.txt").write_bytes("0 1\n# caf\u00e9\n".encode("latin-1"))
+    (tmp_path / "p3.txt").write_text("0 1\n1 2\n")
     write_config(tmp_path, generator={"model": "er", "n": "80", "k_avg": 5.0, "seed": 3})
+    write_config(tmp_path, "policies-int.json", policies=5)
+    write_config(tmp_path, "policies-str.json", policies="standard")
+    write_config(tmp_path, "start-kind-list.json", start={"kind": ["x"]})
+    write_config(tmp_path, "edge-list-int.json", edge_list=5)
+    write_config(tmp_path, "stride0.json", start={"kind": "degree_stride", "stride": 0})
+    write_config(tmp_path, "sweep-values.json", sweep={"axis": "k_avg", "values": 5})
     args = [str(a).format(tmp=tmp_path) for a in args] + ["--out", tmp_path / "out"]
     assert run_cli(*args) == 2
     err = capsys.readouterr().err.splitlines()

@@ -1,3 +1,4 @@
+import itertools
 import random
 import statistics
 
@@ -291,17 +292,19 @@ def test_discovery_target_fraction_stops_early():
 
 
 def test_first_walk_distribution_matches_enumeration_smoke():
-    # A quick slice of the exhaustive acceptance oracle: C5 under each policy.
-    g = cycle_graph(5)
-    for policy in POLICIES:
-        exact = exact_first_walk_distribution(g, 0, policy)
+    # A quick slice of the exhaustive acceptance oracle: C5 and a star seen
+    # from a leaf, under each policy, uncapped and with step caps at, below
+    # and above the brain's own degree-sum cost.
+    cases = [(cycle_graph(5), 0), (star_graph(5), 1)]
+    for (g, brain), step_cap, policy in itertools.product(cases, (None, 1, 2, 3, 6), POLICIES):
+        exact = exact_first_walk_distribution(g, brain, policy, step_cap=step_cap)
         rng = random.Random(11)
         counts: dict[int, int] = {}
         trials = 4000
         for _ in range(trials):
-            out = run_walk(g, 0, policy, rng)
+            out = run_walk(g, brain, policy, rng, step_cap=step_cap)
             counts[out.steps] = counts.get(out.steps, 0) + 1
-        assert set(counts) == set(exact)
+        assert set(counts) == set(exact), (brain, step_cap, policy)
         for steps, prob in exact.items():
             assert counts.get(steps, 0) / trials == pytest.approx(prob, abs=0.035)
 

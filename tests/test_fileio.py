@@ -152,15 +152,28 @@ def base_config_dict():
         ("generator.k_avg", "5"),
         ("generator.k_avg", True),
         ("start.nodes", [0, 1.5]),
+        ("policies", 5),
+        ("policies", "standard"),
+        ("start.kind", ["x"]),
+        ("edge_list", 5),
+        ("sweep.values", 5),
+        ("sweep.values", []),
+        ("sweep.values", ["4"]),
+        ("sweep.axis", 5),
     ],
 )
 def test_config_types_are_strict(key, value):
     d = base_config_dict()
+    if key == "edge_list":
+        del d["generator"]
+    if key.startswith("sweep."):
+        d["sweep"] = {"axis": "k_avg", "values": [4]}
     *blocks, name = key.split(".")
     block = d[blocks[0]] if blocks else d
     block[name] = value
     with pytest.raises(ConfigError, match=key):
         config_from_dict(d)
+
 
 
 def test_config_float_fields_accept_integers():

@@ -23,6 +23,7 @@ from netbrain import (
     select_starts,
     sweep,
 )
+from netbrain import harness
 from netbrain.harness import TaggedCurve
 
 
@@ -319,6 +320,34 @@ def test_sweep_rejects_invalid_values():
     base = small_config(generator=GeneratorSpec(model="ws", n=100, k_avg=4, seed=1))
     with pytest.raises(ConfigError):
         sweep(base, "p_rewire", [2.0])
+
+
+@pytest.mark.parametrize(
+    "axis, values, named",
+    [
+        ("p_rewire", [0.1, 0.2, 2.0], "2.0"),
+        ("model", ["ws", "er", "nope"], "'nope'"),
+        ("k_avg", [4, 4.0, 6], "distinct"),
+    ],
+    ids=["p_rewire", "model", "duplicate"],
+)
+def test_sweep_checks_every_value_before_running(monkeypatch, axis, values, named):
+    calls = []
+    monkeypatch.setattr(harness, "run_experiment", lambda *a, **k: calls.append(a) or [])
+    base = small_config(generator=GeneratorSpec(model="ws", n=100, k_avg=4, seed=1))
+    with pytest.raises(ConfigError, match=named):
+        sweep(base, axis, values)
+    assert calls == []
+
+
+def test_sweep_checks_the_base_config_before_running(monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "run_experiment", lambda *a, **k: calls.append(a) or [])
+    base = small_config(generator=GeneratorSpec(model="ws", n=100, k_avg=4, seed=1), repetitions_per_start=0)
+    for axis, values in (("hub_degree", None), ("k_avg", [4, 6])):
+        with pytest.raises(ConfigError, match="repetitions_per_start"):
+            sweep(base, axis, values)
+    assert calls == []
 
 
 @pytest.mark.parametrize(
