@@ -42,24 +42,13 @@ from .generators import (
     GenerationResult,
     GeneratorSpec,
     RealizedStats,
-    gen_ba,
-    gen_cm,
-    gen_er,
-    gen_sbm,
-    gen_waxman,
-    gen_ws,
     generate,
-    sbm_intra_probability,
-    waxman_beta,
 )
 from .graph import (
     Graph,
     betweenness,
     build_graph,
-    build_graph_reported,
-    connected_components,
     degree_ranked_nodes,
-    is_connected,
     largest_connected_component,
 )
 from .harness import (
@@ -108,32 +97,21 @@ __all__ = [
     "aggregate",
     "betweenness",
     "build_graph",
-    "build_graph_reported",
     "config_from_dict",
     "config_to_dict",
-    "connected_components",
     "default_thresholds",
     "degree_ranked_nodes",
     "derive_seed",
-    "gen_ba",
-    "gen_cm",
-    "gen_er",
-    "gen_sbm",
-    "gen_waxman",
-    "gen_ws",
     "generate",
     "ingest_edge_list",
-    "is_connected",
     "largest_connected_component",
     "load_config",
     "run_discovery",
     "run_experiment",
     "run_walk",
     "save_config",
-    "sbm_intra_probability",
     "select_starts",
     "sweep",
-    "waxman_beta",
     "write_aggregate_csv",
     "write_curves_csv",
     "write_edge_list",

@@ -24,7 +24,7 @@ from .fileio import (
     write_manifest,
 )
 from .generators import _MODELS, MODELS, GeneratorSpec, generate
-from .harness import _START_KINDS, aggregate, resolve_graph, run_experiment, sweep
+from .harness import _START_KINDS, _worker_count, aggregate, resolve_graph, run_experiment, sweep
 
 
 # GeneratorSpec field -> (flag, help). Types and defaults come from the
@@ -147,9 +147,11 @@ def _config_from_flags(args: argparse.Namespace) -> dict:
     """The mapping of a config file, from the flags of `run`."""
     if bool(args.edge_list) == bool(args.model):
         raise NetbrainError("provide --config, or exactly one of --model and --edge-list")
+    policies = "standard" if args.policies is None else args.policies
+    start = "stride:50" if args.start is None else args.start
     d = {
-        "policies": _split_flag("--policies", args.policies, WalkPolicy),
-        "start": _start_from_flag(args.start),
+        "policies": _split_flag("--policies", policies, WalkPolicy),
+        "start": _start_from_flag(start),
         **{key: getattr(args, dest) for dest, key in _RUN_KEYS.items() if getattr(args, dest) is not None},
     }
     if args.thresholds:
@@ -170,13 +172,28 @@ def _write_manifest(out_dir: Path, elapsed: float, **payload) -> None:
     write_manifest(out_dir / "manifest.json", payload)
 
 
+# Arguments of `run` that go with --config; every other run flag sets a config key.
+_RUN_SHARED = {"command", "func", "config", "out", "workers"}
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    cfg, sweep_block = load_config(args.config) if args.config else config_from_dict(_config_from_flags(args))
+    if args.config:
+        given = [
+            _GENERATOR_FLAGS.get(dest, ("--" + dest.replace("_", "-"),))[0]
+            for dest, value in vars(args).items()
+            if dest not in _RUN_SHARED and value is not None
+        ]
+        if given:
+            raise NetbrainError(f"--config excludes the other run flags, got {', '.join(given)}")
+        cfg, sweep_block = load_config(args.config)
+    else:
+        cfg, sweep_block = config_from_dict(_config_from_flags(args))
     if sweep_block is not None:
         raise NetbrainError("config contains a sweep block; use 'netbrain sweep'")
+    workers = _worker_count(args.workers)
     started = time.monotonic()
     graph, stats = resolve_graph(cfg)
-    curves = run_experiment(cfg, graph=graph, workers=args.workers)
+    curves = run_experiment(cfg, graph=graph, workers=workers)
     elapsed = time.monotonic() - started
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -201,8 +218,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise NetbrainError("sweep config needs a 'sweep' block with axis and values")
     axis = sweep_block["axis"]
     values = sweep_block.get("values")
+    workers = _worker_count(args.workers)
     started = time.monotonic()
-    keyed = sweep(cfg, axis, values, workers=args.workers)
+    keyed = sweep(cfg, axis, values, workers=workers)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     combined = []
@@ -248,8 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "run":
             p.add_argument("--edge-list", help="run on an ingested edge list")
             _add_generator_args(p, positional=False)
-            p.add_argument("--policies", default="standard", help="comma-separated policies")
-            p.add_argument("--start", default="stride:50", help=_START_FORMS)
+            p.add_argument("--policies", help="comma-separated policies")
+            p.add_argument("--start", help=_START_FORMS)
             p.add_argument("--reps", type=int, help="repetitions per start node")
             p.add_argument("--step-cap", type=int, help="maximum steps per walk")
             p.add_argument("--thresholds", help="comma-separated fractions")

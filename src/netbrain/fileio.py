@@ -206,6 +206,8 @@ def config_from_dict(d: dict) -> tuple[ExperimentConfig, dict | None]:
         if unknown:
             raise ConfigError(f"unknown sweep keys: {sorted(unknown)}")
         axis = _typed(sweep_block.get("axis"), str, "sweep.axis")
+        if axis == "hub_degree" and "values" in sweep_block:
+            raise ConfigError("sweep.values: a hub_degree sweep takes no values")
         if "values" in sweep_block:
             item = {"model": str, **_SPEC_TYPES}.get(axis, float)
             _typed(sweep_block["values"], [item], "sweep.values")

@@ -67,28 +67,6 @@ class GenerationResult:
     stats: RealizedStats
 
 
-def _gnp_edges(nodes: Sequence[int], p: float, rng: random.Random) -> Iterator[tuple[int, int]]:
-    """G(n, p) over the given nodes via geometric skipping, O(n + m)."""
-    n = len(nodes)
-    if p <= 0.0 or n < 2:
-        return
-    if p >= 1.0:
-        for i in range(n):
-            for j in range(i + 1, n):
-                yield nodes[i], nodes[j]
-        return
-    lp = math.log1p(-p)
-    v, w = 1, -1
-    while v < n:
-        lr = math.log1p(-rng.random())
-        w = w + 1 + int(lr / lp)
-        while w >= v and v < n:
-            w -= v
-            v += 1
-        if v < n:
-            yield nodes[v], nodes[w]
-
-
 def _bernoulli_indices(total: int, p: float, rng: random.Random) -> Iterator[int]:
     """Indices of successes among `total` independent Bernoulli(p) trials."""
     if p <= 0.0 or total <= 0:
@@ -103,6 +81,13 @@ def _bernoulli_indices(total: int, p: float, rng: random.Random) -> Iterator[int
         if i >= total:
             return
         yield i
+
+
+def _gnp_pairs(n: int, p: float, rng: random.Random) -> Iterator[tuple[int, int]]:
+    """G(n, p) on nodes 0..n-1: each success index t ranks the pair (v, w), w < v."""
+    for t in _bernoulli_indices(n * (n - 1) // 2, p, rng):
+        v = (1 + math.isqrt(1 + 8 * t)) // 2
+        yield v, t - v * (v - 1) // 2
 
 
 # --- range rules, shared by GeneratorSpec.validate and the gen_* functions ---
@@ -156,7 +141,7 @@ def gen_er(n: int, k_avg: float, seed: int) -> Graph:
     _check_n_k(n, k_avg)
     p = min(1.0, k_avg / (n - 1))
     rng = random.Random(seed)
-    return build_graph(n, _gnp_edges(range(n), p, rng))
+    return build_graph(n, _gnp_pairs(n, p, rng))
 
 
 def gen_ba(n: int, m_attach: int, seed: int) -> Graph:
@@ -323,8 +308,8 @@ def gen_sbm(n: int, blocks: int, mu: float, k_avg: float, seed: int) -> Graph:
     rng = random.Random(seed)
     edges: list[tuple[int, int]] = []
     for b in range(blocks):
-        block_nodes = range(offsets[b], offsets[b + 1])
-        edges.extend(_gnp_edges(block_nodes, p_in, rng))
+        o = offsets[b]
+        edges.extend((o + v, o + w) for v, w in _gnp_pairs(sizes[b], p_in, rng))
     for a in range(blocks):
         for b in range(a + 1, blocks):
             na, nb = sizes[a], sizes[b]

@@ -118,13 +118,10 @@ def largest_connected_component(g: Graph) -> tuple[Graph, dict[int, int]]:
     components = connected_components(g)
     best = max(components, key=lambda c: (len(c), -c[0]))
     mapping = {old: new for new, old in enumerate(best)}
-    edges = [
-        (mapping[u], mapping[v])
-        for u in best
-        for v in g.adj[u]
-        if u < v and v in mapping
-    ]
-    return build_graph(len(best), edges), mapping
+    # A component holds all its nodes' neighbours, and the relabelling keeps
+    # node order, so each relabelled list is already sorted and simple.
+    adj = tuple(tuple(mapping[w] for w in g.adj[u]) for u in best)
+    return Graph(n=len(best), adj=adj, m=sum(map(len, adj)) // 2), mapping
 
 
 def betweenness(g: Graph) -> list[float]:
@@ -173,17 +170,4 @@ def degree_ranked_nodes(g: Graph) -> list[int]:
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    seen = bytearray(g.n)
-    seen[0] = 1
-    queue = deque([0])
-    count = 1
-    while queue:
-        u = queue.popleft()
-        for w in g.adj[u]:
-            if not seen[w]:
-                seen[w] = 1
-                count += 1
-                queue.append(w)
-    return count == g.n
+    return len(connected_components(g)) <= 1

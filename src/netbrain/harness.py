@@ -260,15 +260,20 @@ def _run_cell(ctx: dict, cell: tuple[int, int, int]) -> TaggedCurve:
 
 
 def _worker_count(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, workers)
-    env = os.environ.get("NETBRAIN_THREADS")
-    if env:
+    """`workers`, else NETBRAIN_THREADS, else 1; a count below 1 is an error."""
+    name = "workers"
+    if workers is None:
+        env = os.environ.get("NETBRAIN_THREADS")
+        if not env:
+            return 1
         try:
-            return max(1, int(env))
+            workers = int(env)
         except ValueError:
             raise ConfigError(f"NETBRAIN_THREADS must be an integer, got {env!r}")
-    return 1
+        name = "NETBRAIN_THREADS"
+    if workers < 1:
+        raise ConfigError(f"{name} must be at least 1, got {workers}")
+    return workers
 
 
 def run_experiment(
@@ -281,7 +286,8 @@ def run_experiment(
 
     Child seeds are derived statelessly from (master_seed, cell indices), so
     cells are independent and the result is the same at any parallelism.
-    `workers` defaults to NETBRAIN_THREADS or 1.
+    `workers` defaults to NETBRAIN_THREADS or 1; the pool never has more
+    processes than there are cells.
     """
     cfg.validate()
     if graph is None:
@@ -296,8 +302,8 @@ def run_experiment(
         for ri in range(cfg.repetitions_per_start)
     ]
     ctx = {"g": graph, "cfg": cfg, "starts": starts, "group": group}
-    nworkers = _worker_count(workers)
-    if nworkers <= 1 or len(cells) <= 1:
+    nworkers = min(_worker_count(workers), len(cells))  # a pool starts every worker up front
+    if nworkers <= 1:
         return [_run_cell(ctx, c) for c in cells]
     with ProcessPoolExecutor(
         max_workers=nworkers, initializer=_init_worker, initargs=(ctx,)
@@ -350,11 +356,13 @@ def sweep(
 
     The axis `model` or a number parameter of the base model (such as k_avg,
     or p_rewire for ws) re-generates the network per value; the hub_degree
-    axis runs the base config once and buckets curves by the exact degree of
-    their start node.
+    axis takes no values, runs the base config once and buckets curves by the
+    exact degree of their start node.
     """
     base.validate()
     if axis == "hub_degree":
+        if values is not None:
+            raise ConfigError(f"a hub_degree sweep takes no values, got {values!r}")
         buckets: dict[object, list[TaggedCurve]] = {}
         for c in run_experiment(base, workers=workers):
             buckets.setdefault(c.start_degree, []).append(c)

@@ -12,7 +12,8 @@ import random
 from collections import defaultdict
 from itertools import combinations, permutations
 
-from netbrain import GeneratorSpec, Graph, WalkPolicy, build_graph, is_connected
+from netbrain import GeneratorSpec, Graph, WalkPolicy, build_graph
+from netbrain.graph import is_connected
 
 # One spec per network model, with non-default model parameters.
 ALL_SPECS = [

@@ -31,7 +31,6 @@ from netbrain import (
     WalkPolicy,
     degree_ranked_nodes,
     derive_seed,
-    gen_cm,
     generate,
     ingest_edge_list,
     largest_connected_component,
@@ -41,6 +40,7 @@ from netbrain import (
     write_edge_list,
 )
 from netbrain.cli import main as cli_main
+from netbrain.generators import gen_cm
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:

@@ -282,11 +282,19 @@ ER_FLAGS = ["run", "--model", "er", "--n", 60, "--k", 5, "--reps", 1]
         (["run", "--model", "er", "--n", 60, "--k", 5, "--reps", 0], "repetitions_per_start"),
         (ER_FLAGS + ["--start", "percentile:1.5"], "min_percentile"),
         (["sweep", "--config", "{tmp}/sweep-values.json"], "sweep.values"),
+        (["run", "--config", "{tmp}/ok.json", "--reps", 0], "--reps"),
+        (["run", "--config", "{tmp}/ok.json", "--policies", "look_ahead"], "--policies"),
+        (["run", "--config", "{tmp}/ok.json", "--model", "er"], "--model"),
+        (ER_FLAGS + ["--workers", 0], "workers"),
+        (["sweep", "--config", "{tmp}/sweep-ok.json", "--workers", -3], "workers"),
+        (["sweep", "--config", "{tmp}/hub-values.json"], "hub_degree"),
     ],
     ids=[
         "start", "policies", "thresholds", "step-cap", "degrees-file", "non-utf8", "directory",
         "config-type", "policies-int", "policies-str", "start-kind-list", "edge-list-int",
         "edge-list-and-model", "stride-0", "reps-0", "percentile", "sweep-values",
+        "config-and-reps", "config-and-policies", "config-and-model", "workers-0", "workers-negative",
+        "hub-degree-values",
     ],
 )
 def test_bad_values_exit_2_with_one_error_line(tmp_path, capsys, monkeypatch, args, named):
@@ -302,6 +310,9 @@ def test_bad_values_exit_2_with_one_error_line(tmp_path, capsys, monkeypatch, ar
     write_config(tmp_path, "edge-list-int.json", edge_list=5)
     write_config(tmp_path, "stride0.json", start={"kind": "degree_stride", "stride": 0})
     write_config(tmp_path, "sweep-values.json", sweep={"axis": "k_avg", "values": 5})
+    write_config(tmp_path, "ok.json")
+    write_config(tmp_path, "sweep-ok.json", sweep={"axis": "k_avg", "values": [4, 6]})
+    write_config(tmp_path, "hub-values.json", sweep={"axis": "hub_degree", "values": [999, 12345]})
     args = [str(a).format(tmp=tmp_path) for a in args] + ["--out", tmp_path / "out"]
     assert run_cli(*args) == 2
     err = capsys.readouterr().err.splitlines()

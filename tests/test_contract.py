@@ -15,13 +15,13 @@ from netbrain import (
     WalkPolicy,
     degree_ranked_nodes,
     derive_seed,
-    gen_cm,
     ingest_edge_list,
     largest_connected_component,
     run_discovery,
     write_edge_list,
 )
 from netbrain.cli import main as cli_main
+from netbrain.generators import gen_cm
 
 CRITERION_8_CURVES_SHA256 = "c95cca2bba52eb8e6d6d100046a231a5ff953c248ed19fd344dd25959454555f"
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import statistics
@@ -5,19 +6,9 @@ import statistics
 import pytest
 
 from helpers import ALL_SPECS, average_clustering, cycle_graph
-from netbrain import (
-    GeneratorSpec,
-    ParameterError,
-    gen_ba,
-    gen_cm,
-    gen_er,
-    gen_sbm,
-    gen_waxman,
-    gen_ws,
-    generate,
-    is_connected,
-    sbm_intra_probability,
-)
+from netbrain import GeneratorSpec, ParameterError, generate
+from netbrain.generators import gen_ba, gen_cm, gen_er, gen_sbm, gen_waxman, gen_ws, sbm_intra_probability
+from netbrain.graph import is_connected
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.model)
@@ -36,6 +27,30 @@ def test_outputs_are_simple_and_symmetric(spec):
         for v in g.adj[u]:
             assert u in g.adj[v]
     assert sum(g.degrees()) == 2 * g.m
+
+
+# sha256 of repr(graph.edges()), recorded before the G(n, p) samplers of ER
+# and SBM were merged into one; a sampler change may not move an edge.
+EDGE_DIGESTS = {
+    "er": "1a96dbefdf1de6724cc1b9d7db17916921b45387aa52ec6bf121014dc6077a99",
+    "ba": "4ecf653f549f3b0ac1b1dabcf9cd27d85519a8e9a202e12e439ade66230af9fc",
+    "cm": "836fb744bfe269da5cae9150790d9c6aa5c05fc934d0a9396862849dfb2a6617",
+    "ws": "3aabefbc97494f008959c9e132f4663c5b2e128d1955d2fb72fd716fe41b8e94",
+    "waxman": "5970274f86a0a80431f6eabcb9af4898cff87eb86759f3c146ee9540dfbff72e",
+    "sbm": "e43edf4b2fbf6f2663714d0be7f74b870f557c3e60faae93906f170dd62596a0",
+    "gen_er": "29836a0dd28d952ce2c9eef044798b102ade672463c4b068a96c012194f0abaa",
+    "gen_sbm": "802beaec4ab8a6c3f9ca5168ebaede31eb28e0e3daeeb91b34ef41b7acbd20d6",
+}
+PINNED_GRAPHS = [(s.model, lambda s=s: generate(s).graph) for s in ALL_SPECS] + [
+    ("gen_er", lambda: gen_er(300, 6, seed=11)),  # raw, before LCC reduction
+    ("gen_sbm", lambda: gen_sbm(303, 5, 0.02, 8, seed=12)),  # unequal blocks
+]
+
+
+@pytest.mark.parametrize("name, build", PINNED_GRAPHS, ids=[n for n, _ in PINNED_GRAPHS])
+def test_generator_edges_are_pinned(name, build):
+    edges = build().edges()
+    assert hashlib.sha256(repr(edges).encode()).hexdigest() == EDGE_DIGESTS[name]
 
 
 # --- ER ------------------------------------------------------------------

@@ -14,12 +14,11 @@ from netbrain import (
     ConstructionError,
     betweenness,
     build_graph,
-    build_graph_reported,
     degree_ranked_nodes,
-    gen_er,
-    is_connected,
     largest_connected_component,
 )
+from netbrain.generators import gen_er
+from netbrain.graph import build_graph_reported, is_connected
 
 
 def test_build_path_graph():
@@ -108,7 +107,7 @@ def test_lcc_output_is_connected_and_largest():
         lcc, mapping = largest_connected_component(g)
         assert is_connected(lcc)
         # no discarded component may be larger
-        from netbrain import connected_components
+        from netbrain.graph import connected_components
 
         assert lcc.n == max(len(c) for c in connected_components(g))
         assert len(mapping) == lcc.n

@@ -166,9 +166,34 @@ def test_netbrain_threads_env_bounds_workers(monkeypatch):
     baseline = run_experiment(cfg)
     monkeypatch.setenv("NETBRAIN_THREADS", "2")
     assert run_experiment(cfg) == baseline
-    monkeypatch.setenv("NETBRAIN_THREADS", "lots")
-    with pytest.raises(ConfigError):
-        run_experiment(cfg)
+    for env in ("lots", "0", "-3"):
+        monkeypatch.setenv("NETBRAIN_THREADS", env)
+        with pytest.raises(ConfigError, match="NETBRAIN_THREADS"):
+            run_experiment(cfg)
+    for workers in (0, -3):
+        with pytest.raises(ConfigError, match="workers must be at least 1"):
+            run_experiment(cfg, workers=workers)
+
+
+class _PoolStarted(Exception):
+    pass
+
+
+def test_pool_never_has_more_processes_than_cells(monkeypatch):
+    sizes = []
+
+    def recorder(max_workers, **kwargs):
+        sizes.append(max_workers)
+        raise _PoolStarted
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", recorder)
+    two_cells = small_config(repetitions_per_start=1, start=ExplicitStarts(nodes=(0, 1)))
+    with pytest.raises(_PoolStarted):
+        run_experiment(two_cells, workers=5000)
+    # One cell runs in this process, whatever the worker count.
+    one_cell = small_config(repetitions_per_start=1, start=ExplicitStarts(nodes=(0,)))
+    assert len(run_experiment(one_cell, workers=5000)) == 1
+    assert sizes == [2]
 
 
 def test_concurrent_serial_experiments_in_threads_do_not_mix():
@@ -328,8 +353,9 @@ def test_sweep_rejects_invalid_values():
         ("p_rewire", [0.1, 0.2, 2.0], "2.0"),
         ("model", ["ws", "er", "nope"], "'nope'"),
         ("k_avg", [4, 4.0, 6], "distinct"),
+        ("hub_degree", [999, 12345], "no values"),
     ],
-    ids=["p_rewire", "model", "duplicate"],
+    ids=["p_rewire", "model", "duplicate", "hub_degree"],
 )
 def test_sweep_checks_every_value_before_running(monkeypatch, axis, values, named):
     calls = []
