@@ -1,0 +1,162 @@
+"""The native discovery kernel: `_walk.c`, compiled on first use and loaded with ctypes.
+
+`LOADER.kernel()` compiles the shipped source with the system C compiler
+into ``${XDG_CACHE_HOME:-~/.cache}/netbrain/``, under a name keyed by the
+hash of the source and the compile command, and loads it. Importing this
+module compiles nothing. Any failure (no compiler, an unwritable cache, a
+library that does not load) leaves the kernel unavailable, and
+`run_discovery` uses the Python engine.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import logging
+import os
+import random
+import subprocess
+import tempfile
+import threading
+from pathlib import Path
+
+import numpy as np
+
+from .graph import Graph
+
+logger = logging.getLogger(__name__)
+
+SOURCE = Path(__file__).with_name("_walk.c")
+CFLAGS = ("-O2", "-fPIC", "-shared")
+
+_i32 = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
+_i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+_u8 = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
+_u32 = np.ctypeslib.ndpointer(np.uint32, flags="C_CONTIGUOUS")
+_ARGTYPES = (
+    _i32, _i32,  # indptr, indices
+    ctypes.c_int32, ctypes.c_int32, ctypes.c_int64, ctypes.c_int64,  # brain, policy, cap, stop_count
+    _i64, ctypes.c_int64, _i64,  # targets, ntargets, crossed_steps
+    _u8, _u8, _u8,  # known, reported, state
+    _i32, _i32,  # touched, elig
+    _u32, _i64, ctypes.c_int64,  # mt, ctr, stall_limit
+)
+
+
+class Loader:
+    """Builds and loads the kernel once per process; threads share the result."""
+
+    def __init__(self, cc: str = "cc", cache_dir: Path | None = None):
+        self.cc = cc
+        self.cache_dir = cache_dir  # None: the user cache directory, read at first use
+        self._lock = threading.Lock()
+        self._tried = False
+        self._kernel = None
+
+    def _library(self) -> Path:
+        command = (self.cc, *CFLAGS)
+        source = SOURCE.read_bytes()
+        key = hashlib.blake2b(source + "\0".join(command).encode(), digest_size=8).hexdigest()
+        root = self.cache_dir
+        if root is None:
+            root = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "netbrain"
+        lib = root / f"_walk-{key}.so"
+        if lib.exists():
+            return lib
+        root.mkdir(parents=True, exist_ok=True)
+        # Pool workers may build at once: each writes its own file, and the
+        # rename makes the finished library appear whole.
+        fd, tmp = tempfile.mkstemp(prefix=lib.stem + "-", suffix=".tmp", dir=root)
+        os.close(fd)
+        try:
+            subprocess.run(
+                [*command, "-o", tmp, str(SOURCE)], check=True, capture_output=True, timeout=300
+            )
+            os.replace(tmp, lib)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        return lib
+
+    def kernel(self):
+        """The loaded `netbrain_discover`, or None when it cannot be built or loaded."""
+        with self._lock:
+            if not self._tried:
+                self._tried = True
+                try:
+                    fn = ctypes.CDLL(str(self._library())).netbrain_discover
+                    fn.argtypes = _ARGTYPES
+                    fn.restype = ctypes.c_int
+                    self._kernel = fn
+                except Exception as exc:  # any failure selects the Python engine
+                    logger.info("native walk kernel unavailable, using the Python engine: %s", exc)
+            return self._kernel
+
+
+LOADER = Loader()
+
+
+class Discovery:
+    """One discovery run by the kernel.
+
+    It has the attributes and the `discover` method of `dynamics._Walker`
+    that `run_discovery` reads, and it writes the crossings into the same
+    tracker. Between calls, the generator's state lives in `rng`.
+    """
+
+    def __init__(
+        self,
+        kernel,
+        g: Graph,
+        brain: int,
+        policy_code: int,
+        rng: random.Random,
+        cap: int,
+        stop_count: int,
+        tracker,
+    ):
+        if not 0 <= brain < g.n:
+            raise ValueError(f"brain {brain} outside [0, {g.n})")
+        self.kernel = kernel
+        self.indptr, self.indices = g._csr
+        self.brain = brain
+        self.policy_code = policy_code
+        self.rng = rng
+        self.cap = cap
+        self.stop_count = stop_count
+        self.tracker = tracker
+        self.targets = np.array(tracker.targets, dtype=np.int64)
+        self.crossed_steps = np.zeros(len(self.targets), dtype=np.int64)
+        n = g.n
+        self.known = bytearray(n)  # the kernel writes through the array views
+        self.reported = bytearray(n)
+        self._known = np.frombuffer(self.known, dtype=np.uint8)
+        self._reported = np.frombuffer(self.reported, dtype=np.uint8)
+        self._state = np.zeros(n, dtype=np.uint8)
+        self._touched = np.empty(n, dtype=np.int32)
+        self._elig = np.empty(n, dtype=np.int32)
+        self.count = self.steps = self.walks = self.moves = self.cap_hits = self.stalled = 0
+
+    def discover(self, stall_limit: int) -> bool:
+        """Walk until the brain knows `stop_count` nodes (False), or until
+        `stall_limit` walks in a row have made nothing known (True)."""
+        version, words, gauss_next = self.rng.getstate()
+        mt = np.array(words, dtype=np.uint32)
+        ctr = np.array(
+            [self.count, self.steps, self.walks, self.moves, self.cap_hits, self.stalled,
+             len(self.tracker.crossings)],
+            dtype=np.int64,
+        )
+        stalled = self.kernel(
+            self.indptr, self.indices,
+            self.brain, self.policy_code, self.cap, self.stop_count,
+            self.targets, len(self.targets), self.crossed_steps,
+            self._known, self._reported, self._state,
+            self._touched, self._elig,
+            mt, ctr, stall_limit,
+        )
+        self.rng.setstate((version, tuple(mt.tolist()), gauss_next))
+        self.count, self.steps, self.walks, self.moves, self.cap_hits, self.stalled, crossed = ctr.tolist()
+        grid = self.tracker.grid
+        self.tracker.crossings = list(zip(grid[:crossed], self.crossed_steps[:crossed].tolist()))
+        return bool(stalled)

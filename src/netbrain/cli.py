@@ -10,7 +10,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
-from .dynamics import WalkPolicy
+from .dynamics import WalkPolicy, _engine
 from .errors import ConfigError, NetbrainError, ParseError
 from .fileio import (
     _generator_from_dict,
@@ -206,7 +206,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         graph_stats=None if stats is None else stats.__dict__,
         cells=len(curves),
         total_walks=sum(c.walk_count for c in curves),
+        total_moves=sum(c.moves for c in curves),
         cap_hits=sum(c.cap_hits for c in curves),
+        engine=_engine(),
     )
     print(f"{len(curves)} curves -> {args.out}")
     return 0

@@ -23,8 +23,10 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 from typing import Iterable, Sequence
 
+from . import _native
 from .errors import ConfigError, DiscoveryStallError
 from .graph import Graph, is_connected
 
@@ -60,6 +62,7 @@ class BrainState:
     cumulative_steps: int = 0
     walk_count: int = 0
     cap_hits: int = 0
+    moves: int = 0
 
 
 @dataclass(frozen=True)
@@ -120,6 +123,7 @@ class _CrossingTracker:
 
 
 _NO_CAP = 1 << 62  # a step count no walk reaches
+_POLICY_CODES = {WalkPolicy.STANDARD: 0, WalkPolicy.EXTENDED: 1, WalkPolicy.LOOK_AHEAD: 2}  # as in _walk.c
 
 
 class _Walker:
@@ -136,7 +140,9 @@ class _Walker:
     to them for the rest of the walk.
 
     `stop_count` (default: the node count) ends a walk as soon as the brain
-    knows that many nodes.
+    knows that many nodes. `walks`, `moves`, `cap_hits` and `stalled` (walks
+    in a row that made nothing known) count what the walks did; counting
+    draws nothing from the rng.
 
     A walk's view of each node is one byte: 0 unvisited, 1 PRIMED,
     2 BLOCKED (left), 3 CURRENT.
@@ -145,6 +151,7 @@ class _Walker:
     __slots__ = (
         "adj", "n", "brain", "policy", "rng", "cap", "stop_count",
         "known", "count", "reported", "steps", "tracker", "target",
+        "walks", "moves", "cap_hits", "stalled",
     )
 
     def __init__(
@@ -177,6 +184,7 @@ class _Walker:
         self.steps = 0
         self.tracker = tracker
         self.target = tracker.targets[0] if tracker is not None else g.n + 1
+        self.walks = self.moves = self.cap_hits = self.stalled = 0
 
     def walk(self, collect_path: bool = False) -> tuple[list[int] | None, int, list[int], Termination]:
         """One walk from the brain with a fresh agent view.
@@ -204,6 +212,7 @@ class _Walker:
             count += 1
             new_nodes.append(brain)
         steps = 0 if standard else len(adj[brain])
+        moves = 0
         path = [brain] if collect_path else None
         if count >= target:
             target = record(count, base + steps)
@@ -223,6 +232,7 @@ class _Walker:
                 # Exactly one rng draw per move keeps runs reproducible.
                 i = int(rnd() * len(elig))
                 nxt = elig[i if i < len(elig) else -1]
+                moves += 1
                 state[cur] = 2  # BLOCKED
                 if look_ahead:
                     # Departure primes the neighbourhood and reports it.
@@ -261,7 +271,23 @@ class _Walker:
         self.count = count
         self.steps = base + steps
         self.target = target
+        self.moves += moves
         return path, steps, new_nodes, reason
+
+    def discover(self, stall_limit: int) -> bool:
+        """Walk until the brain knows `stop_count` nodes (False), or until
+        `stall_limit` walks in a row have made nothing known (True)."""
+        while self.count < self.stop_count:
+            _, _, new_nodes, reason = self.walk()
+            self.walks += 1
+            self.cap_hits += reason is Termination.STEP_CAP
+            if new_nodes:
+                self.stalled = 0
+            else:
+                self.stalled += 1
+                if self.stalled >= stall_limit:
+                    return True
+        return False
 
 
 def run_walk(
@@ -318,34 +344,45 @@ def run_discovery(
     n = g.n
     stop_count = math.ceil(target_fraction * n - 1e-9)
     tracker = _CrossingTracker(grid, n)
-    walker = _Walker(g, brain, policy, rng, step_cap, stop_count=stop_count, tracker=tracker)
-    walks = 0
-    cap_hits = 0
-    stalled = 0
-    while walker.count < stop_count:
-        _, _, new_nodes, reason = walker.walk()
-        walks += 1
-        if reason is Termination.STEP_CAP:
-            cap_hits += 1
-        if new_nodes:
-            stalled = 0
-        else:
-            stalled += 1
-            if stalled >= 10 * n:
-                if step_cap is None and is_connected(g):
-                    stalled = 0
-                    continue
-                raise DiscoveryStallError(
-                    f"no progress in {stalled} consecutive walks "
-                    f"(policy={policy.value}, brain={brain}, known={walker.count}/{n}); "
-                    "is the graph connected?"
-                )
+    kernel = _native_kernel(g, rng)
+    if kernel is None:
+        walker = _Walker(g, brain, policy, rng, step_cap, stop_count=stop_count, tracker=tracker)
+    else:
+        cap = _NO_CAP if step_cap is None else step_cap
+        walker = _native.Discovery(kernel, g, brain, _POLICY_CODES[policy], rng, cap, stop_count, tracker)
+    while walker.discover(10 * n):
+        if step_cap is None and is_connected(g):
+            walker.stalled = 0
+            continue
+        raise DiscoveryStallError(
+            f"no progress in {walker.stalled} consecutive walks "
+            f"(policy={policy.value}, brain={brain}, known={walker.count}/{n}); "
+            "is the graph connected?"
+        )
     curve = LearningCurve(thresholds=grid, crossings=tuple(tracker.crossings))
     brain_state = BrainState(
         brain=brain,
-        known={v for v in range(n) if walker.known[v]},
+        known=set(compress(range(n), walker.known)),
         cumulative_steps=walker.steps,
-        walk_count=walks,
-        cap_hits=cap_hits,
+        walk_count=walker.walks,
+        cap_hits=walker.cap_hits,
+        moves=walker.moves,
     )
     return curve, brain_state
+
+
+def _native_kernel(g: Graph, rng: random.Random):
+    """The native kernel if it may run this discovery, else None.
+
+    The kernel replays `random.Random` itself, so a subclass, which may
+    override `random()`, gets the Python engine; so does a graph too large
+    for an int32 CSR view.
+    """
+    if type(rng) is not random.Random or 2 * g.m >= 2**31:
+        return None
+    return _native.LOADER.kernel()
+
+
+def _engine() -> str:
+    """The engine `run_discovery` runs for a `random.Random`: "native" or "python"."""
+    return "python" if _native.LOADER.kernel() is None else "native"

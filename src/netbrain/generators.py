@@ -129,11 +129,36 @@ def _check_waxman(n: int, k_avg: float, alpha: float) -> None:
     _check_unit("alpha", alpha, open_below=True)
 
 
+# The most edges an sbm may expect to draw. build_graph holds each edge as a
+# tuple and in two adjacency sets, a few hundred bytes per edge, so this is
+# over a gigabyte; the clamp of a negative intra-block probability can ask
+# for far more edges than k_avg does (README).
+_SBM_MAX_EDGES = 5_000_000
+
+
+def _sbm_sizes(n: int, blocks: int) -> list[int]:
+    """Equal block sizes; the remainder goes to the first blocks."""
+    base, rem = divmod(n, blocks)
+    return [base + 1] * rem + [base] * (blocks - rem)
+
+
 def _check_sbm(n: int, blocks: int, mu: float, k_avg: float) -> None:
     _check_n_k(n, k_avg)
     if not 1 <= blocks <= n:
         raise ParameterError(f"need 1 <= blocks <= n, got blocks={blocks}, n={n}")
     _check_unit("mu", mu)
+    p_in = sbm_intra_probability(n, blocks, mu, k_avg)
+    if p_in > 1.0:
+        raise ParameterError(
+            f"intra-block probability {p_in:.3f} > 1: mu={mu} too small for k_avg={k_avg}"
+        )
+    pairs_in = sum(s * (s - 1) // 2 for s in _sbm_sizes(n, blocks))
+    expected = max(p_in, 0.0) * pairs_in + mu * (n * (n - 1) // 2 - pairs_in)
+    if expected > _SBM_MAX_EDGES:
+        raise ParameterError(
+            f"sbm would draw about {expected:.3g} edges (mean degree {2 * expected / n:.3g} "
+            f"for k_avg={k_avg}), above the bound of {_SBM_MAX_EDGES:,}; lower mu or n"
+        )
 
 
 def gen_er(n: int, k_avg: float, seed: int) -> Graph:
@@ -288,10 +313,6 @@ def gen_sbm(n: int, blocks: int, mu: float, k_avg: float, seed: int) -> Graph:
     """
     _check_sbm(n, blocks, mu, k_avg)
     p_in = sbm_intra_probability(n, blocks, mu, k_avg)
-    if p_in > 1.0:
-        raise ParameterError(
-            f"intra-block probability {p_in:.3f} > 1: mu={mu} too small for k_avg={k_avg}"
-        )
     if p_in < 0.0:
         logger.warning(
             "sbm intra-block probability %.4f clamped to 0 (mu=%g alone exceeds k_avg=%g)",
@@ -300,8 +321,7 @@ def gen_sbm(n: int, blocks: int, mu: float, k_avg: float, seed: int) -> Graph:
             k_avg,
         )
         p_in = 0.0
-    base, rem = divmod(n, blocks)
-    sizes = [base + 1] * rem + [base] * (blocks - rem)
+    sizes = _sbm_sizes(n, blocks)
     offsets = [0]
     for s in sizes:
         offsets.append(offsets[-1] + s)

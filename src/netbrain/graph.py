@@ -5,7 +5,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Iterable
+
+import numpy as np
 
 from .errors import ConstructionError
 
@@ -40,6 +44,22 @@ class Graph:
         a = self.adj[u]
         i = bisect_left(a, v)
         return i < len(a) and a[i] == v
+
+    @cached_property
+    def _csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """The adjacency as read-only int32 `indptr` and `indices` arrays.
+
+        Built on first use. Callers keep 2 * m below 2**31. The view is not a
+        field, so it takes no part in equality, and pickles leave it out.
+        """
+        indptr = np.zeros(self.n + 1, dtype=np.int32)
+        np.cumsum([len(nbrs) for nbrs in self.adj], out=indptr[1:])
+        indices = np.fromiter(chain.from_iterable(self.adj), dtype=np.int32, count=2 * self.m)
+        indptr.flags.writeable = indices.flags.writeable = False
+        return indptr, indices
+
+    def __getstate__(self) -> dict:
+        return {"n": self.n, "adj": self.adj, "m": self.m}
 
 
 @dataclass(frozen=True)

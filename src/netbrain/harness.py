@@ -182,6 +182,7 @@ class TaggedCurve:
     curve: LearningCurve
     walk_count: int = 0
     cap_hits: int = 0
+    moves: int = 0
 
 
 @dataclass(frozen=True)
@@ -256,6 +257,7 @@ def _run_cell(ctx: dict, cell: tuple[int, int, int]) -> TaggedCurve:
         curve=curve,
         walk_count=brain.walk_count,
         cap_hits=brain.cap_hits,
+        moves=brain.moves,
     )
 
 

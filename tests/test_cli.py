@@ -41,6 +41,15 @@ def test_generate_sbm_single_block_is_er_equivalent(tmp_path):
     assert abs(g.mean_degree() - 10) < 2.5
 
 
+@pytest.mark.parametrize("command", ["generate sbm", "run --model sbm"])
+def test_sbm_above_the_edge_bound_is_one_error_line(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert run_cli(*command.split(), "--n", 100000, "--k", 10, "--seed", 1, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: sbm would draw about 4.5e+07 edges") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_generate_rejects_bad_parameters(tmp_path, capsys):
     out = tmp_path / "g.txt"
     assert run_cli("generate", "er", "--n", 10, "--k", 99, "--seed", 1, "--out", out) == 2
@@ -147,6 +156,8 @@ def test_run_p3_explicit_brain(tmp_path):
     assert run_cli("run", "--config", cfg, "--out", out) == 0
     lines = (out / "curves.csv").read_text().splitlines()
     assert lines[1].endswith("1.0000,2")  # both leaves need their own walk
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["total_walks"], manifest["total_moves"], manifest["engine"]) == (2, 2, "native")
 
 
 def test_run_twice_is_byte_identical_except_manifest(tmp_path):

@@ -6,7 +6,7 @@ import statistics
 import pytest
 
 from helpers import ALL_SPECS, average_clustering, cycle_graph
-from netbrain import GeneratorSpec, ParameterError, generate
+from netbrain import GeneratorSpec, ParameterError, generate, generators
 from netbrain.generators import gen_ba, gen_cm, gen_er, gen_sbm, gen_waxman, gen_ws, sbm_intra_probability
 from netbrain.graph import is_connected
 
@@ -235,6 +235,22 @@ def test_sbm_zero_mu_gives_disjoint_cliques():
 def test_sbm_rejects_unreachable_k():
     with pytest.raises(ParameterError):
         gen_sbm(100, 50, 0.0, 10, seed=0)  # p_in would exceed 1
+
+
+def test_sbm_refuses_expected_edges_above_the_bound(monkeypatch):
+    # Default mu=0.01 at n=100000: the clamp leaves mu * (n - n/blocks) = 900
+    # as the mean degree, about 4.5e7 edges. Refused before any is drawn.
+    def no_draws(*args):
+        raise AssertionError("an edge was drawn")
+
+    monkeypatch.setattr(generators, "_bernoulli_indices", no_draws)
+    spec = GeneratorSpec(model="sbm", n=100000, k_avg=10, seed=0)
+    with pytest.raises(ParameterError, match=r"about 4\.5e\+07 edges \(mean degree 900"):
+        spec.validate()
+    with pytest.raises(ParameterError, match="above the bound"):
+        generate(spec)
+    with pytest.raises(ParameterError, match="above the bound"):
+        gen_sbm(100000, 10, 0.01, 10, seed=0)
 
 
 def test_sbm_mean_degree_within_5pct_over_seeds():
