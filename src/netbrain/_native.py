@@ -1,11 +1,12 @@
-"""The native discovery kernel: `_walk.c`, compiled on first use and loaded with ctypes.
+"""The native kernels: `_walk.c`, compiled on first use and loaded with ctypes.
 
-`LOADER.kernel()` compiles the shipped source with the system C compiler
+`LOADER.kernel(name)` compiles the shipped source with the system C compiler
 into ``${XDG_CACHE_HOME:-~/.cache}/netbrain/``, under a name keyed by the
-hash of the source and the compile command, and loads it. Importing this
-module compiles nothing. Any failure (no compiler, an unwritable cache, a
-library that does not load) leaves the kernel unavailable, and
-`run_discovery` uses the Python engine.
+hash of the source and the compile command, loads it, and returns the entry
+point `name`. One library holds both entry points, `netbrain_discover` and
+`netbrain_betweenness`. Importing this module compiles nothing. Any failure
+(no compiler, an unwritable cache, a library that does not load) leaves the
+kernels unavailable, and `run_discovery` and `betweenness` run in Python.
 """
 
 from __future__ import annotations
@@ -19,28 +20,39 @@ import subprocess
 import tempfile
 import threading
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .graph import Graph
+if TYPE_CHECKING:  # `graph` imports this module
+    from .graph import Graph
 
 logger = logging.getLogger(__name__)
 
 SOURCE = Path(__file__).with_name("_walk.c")
-CFLAGS = ("-O2", "-fPIC", "-shared")
+CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
 _i32 = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
 _i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
 _u8 = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
 _u32 = np.ctypeslib.ndpointer(np.uint32, flags="C_CONTIGUOUS")
-_ARGTYPES = (
-    _i32, _i32,  # indptr, indices
-    ctypes.c_int32, ctypes.c_int32, ctypes.c_int64, ctypes.c_int64,  # brain, policy, cap, stop_count
-    _i64, ctypes.c_int64, _i64,  # targets, ntargets, crossed_steps
-    _u8, _u8, _u8,  # known, reported, state
-    _i32, _i32,  # touched, elig
-    _u32, _i64, ctypes.c_int64,  # mt, ctr, stall_limit
-)
+_f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+# The argument types of each entry point; each returns an int.
+_ENTRY_POINTS = {
+    "netbrain_discover": (
+        _i32, _i32,  # indptr, indices
+        ctypes.c_int32, ctypes.c_int32, ctypes.c_int64, ctypes.c_int64,  # brain, policy, cap, stop_count
+        _i64, ctypes.c_int64, _i64,  # targets, ntargets, crossed_steps
+        _u8, _u8, _u8,  # known, reported, state
+        _i32, _i32,  # touched, elig
+        _u32, _i64, ctypes.c_int64,  # mt, ctr, stall_limit
+    ),
+    "netbrain_betweenness": (
+        _i32, _i32, ctypes.c_int32,  # indptr, indices, n
+        _f64,  # centrality
+        _i32, _i32, _i64, _f64,  # order, dist, sigma, delta
+    ),
+}
 
 
 class Loader:
@@ -51,7 +63,7 @@ class Loader:
         self.cache_dir = cache_dir  # None: the user cache directory, read at first use
         self._lock = threading.Lock()
         self._tried = False
-        self._kernel = None
+        self._kernels = {}  # entry point name -> function; empty when unavailable
 
     def _library(self) -> Path:
         command = (self.cc, *CFLAGS)
@@ -78,22 +90,52 @@ class Loader:
                 os.unlink(tmp)
         return lib
 
-    def kernel(self):
-        """The loaded `netbrain_discover`, or None when it cannot be built or loaded."""
+    def kernel(self, name: str):
+        """The loaded entry point `name`, or None when the library cannot be built or loaded."""
         with self._lock:
             if not self._tried:
                 self._tried = True
                 try:
-                    fn = ctypes.CDLL(str(self._library())).netbrain_discover
-                    fn.argtypes = _ARGTYPES
-                    fn.restype = ctypes.c_int
-                    self._kernel = fn
-                except Exception as exc:  # any failure selects the Python engine
-                    logger.info("native walk kernel unavailable, using the Python engine: %s", exc)
-            return self._kernel
+                    lib = ctypes.CDLL(str(self._library()))
+                    kernels = {}
+                    for entry, argtypes in _ENTRY_POINTS.items():
+                        fn = getattr(lib, entry)
+                        fn.argtypes = argtypes
+                        fn.restype = ctypes.c_int
+                        kernels[entry] = fn
+                    self._kernels = kernels
+                except Exception as exc:  # any failure selects the Python code
+                    logger.info("native kernels unavailable, using the Python engine: %s", exc)
+            return self._kernels.get(name)
 
 
 LOADER = Loader()
+
+
+def kernel_for(g: Graph, name: str):
+    """The entry point `name` if it may run on `g`, else None.
+
+    The kernels read the int32 CSR view `Graph._csr`, so a graph with
+    2 * m of 2**31 or more runs in Python.
+    """
+    if 2 * g.m >= 2**31:
+        return None
+    return LOADER.kernel(name)
+
+
+def betweenness(kernel, g: Graph) -> list[float] | None:
+    """Exact betweenness of `g` by `netbrain_betweenness`, bit-identical to
+    `graph._betweenness_python`, or None when a path count exceeds 2**53,
+    which Python counts exactly and a double does not."""
+    n = g.n
+    indptr, indices = g._csr
+    centrality = np.empty(n)
+    overflow = kernel(
+        indptr, indices, n, centrality,
+        np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int32),
+        np.empty(n, dtype=np.int64), np.empty(n),
+    )
+    return None if overflow else centrality.tolist()
 
 
 class Discovery:

@@ -1,15 +1,22 @@
-/* Native discovery kernel: the walks of `netbrain.dynamics.run_discovery`.
+/* Native kernels of netbrain: the walks of `netbrain.dynamics.run_discovery`
+ * and the exact betweenness of `netbrain.graph.betweenness`.
  *
- * The kernel repeats self-avoiding walks from the brain over an int32 CSR
- * adjacency (`indptr`/`indices`) until the brain knows `stop_count` nodes or
- * `stall_limit` walks in a row have added nothing. It follows `_Walker.walk`
- * and `_Walker.discover` in `dynamics.py` move for move, and it draws from a
- * copy of CPython's MT19937 (Modules/_randommodule.c; Matsumoto & Nishimura
- * 1998) seeded from `random.Random.getstate()`. So curves, counters and the
- * generator's end state are bit-identical to the Python engine's.
+ * The discovery kernel repeats self-avoiding walks from the brain over an
+ * int32 CSR adjacency (`indptr`/`indices`) until the brain knows `stop_count`
+ * nodes or `stall_limit` walks in a row have added nothing. It follows
+ * `_Walker.walk` and `_Walker.discover` in `dynamics.py` move for move, and it
+ * draws from a copy of CPython's MT19937 (Modules/_randommodule.c; Matsumoto &
+ * Nishimura 1998) seeded from `random.Random.getstate()`. So curves, counters
+ * and the generator's end state are bit-identical to the Python engine's.
  *
- * Built on first use by `netbrain._native` with `cc -O2 -fPIC -shared`. The
- * kernel keeps no state between calls, so threads may run it at once on
+ * The betweenness kernel runs Brandes (2001) over the same CSR view, in the
+ * operation order of `graph._betweenness_python`, so every value is
+ * bit-identical to it.
+ *
+ * Built on first use by `netbrain._native` with `cc -O2 -ffp-contract=off
+ * -fPIC -shared`; the contraction flag keeps the compiler from fusing a
+ * multiply and an add, which would round differently from Python. The
+ * kernels keep no state between calls, so threads may run them at once on
  * separate buffers.
  */
 
@@ -89,7 +96,12 @@ static int64_t record(int64_t crossed, int64_t count, int64_t steps,
  * crossed_steps    cumulative steps at each crossed threshold (output)
  * mt               the generator state, advanced in place
  * ctr              the counters named above
+ *
+ * Aligned so that code elsewhere in this file cannot shift its loops across
+ * instruction-fetch boundaries: a 16-byte shift made extended discoveries
+ * 12% slower.
  */
+__attribute__((aligned(64)))
 int netbrain_discover(
     const int32_t *indptr, const int32_t *indices,
     int32_t brain, int32_t policy, int64_t cap, int64_t stop_count,
@@ -146,24 +158,23 @@ int netbrain_discover(
             nxt = elig[i < ne ? i : ne - 1];
             moves++;
             state[cur] = BLOCKED;
-            if (look_ahead) {
-                for (w = nbrs; w < end; w++) {
-                    if (!known[*w]) {
-                        known[*w] = 1;
-                        count++;
-                    }
-                    if (state[*w] == UNVISITED) {
-                        state[*w] = PRIMED;
-                        touched[ntouched++] = *w;
-                    }
-                }
-            } else if (!standard && !reported[cur]) {
+            /* Departure reports the neighbourhood, which is all known after
+             * the first departure from `cur`. */
+            if (!standard && !reported[cur]) {
                 reported[cur] = 1;
                 for (w = nbrs; w < end; w++) {
                     if (!known[*w]) {
                         known[*w] = 1;
                         count++;
                     }
+                }
+            }
+            /* A look_ahead departure primes the unvisited neighbours, which
+             * are exactly `elig`. */
+            if (look_ahead) {
+                for (i = 0; i < ne; i++) {
+                    state[elig[i]] = PRIMED;
+                    touched[ntouched++] = elig[i];
                 }
             }
             if (state[nxt] == UNVISITED)
@@ -200,4 +211,88 @@ int netbrain_discover(
     ctr[STALLED] = stalled;
     ctr[CROSSED] = crossed;
     return stall;
+}
+
+/* ---- betweenness ------------------------------------------------------ */
+
+/* Path counts above 2^53 are not exact as doubles, where Python's are. */
+#define SIGMA_EXACT ((int64_t)1 << 53)
+
+/* Exact shortest-path betweenness of the `n` nodes into `centrality`, with
+ * unordered source-target pairs and path endpoints excluded. Returns 0, or
+ * 1 as soon as a path count exceeds 2^53; `centrality` is then incomplete.
+ *
+ * For each source it repeats `graph._betweenness_python` step for step: the
+ * BFS order (kept in `order`, which is the queue and the stack), the path
+ * counts as exact integers, `coeff = (1 + delta[w]) / sigma[w]` and
+ * `delta[v] += sigma[v] * coeff` in stack-pop order, and the halving at the
+ * end. The predecessors of `w` are its neighbours one level closer to the
+ * source; each `delta[v]` gets one addition per successor `w`, in the pop
+ * order of `w`, so the order within a predecessor list does not matter.
+ *
+ * centrality       output, n doubles
+ * order, dist      scratch of one int per node each
+ * sigma, delta     scratch of one int64 and one double per node
+ */
+int netbrain_betweenness(
+    const int32_t *indptr, const int32_t *indices, int32_t n,
+    double *centrality, int32_t *order, int32_t *dist, int64_t *sigma, double *delta)
+{
+    int32_t s, v;
+
+    for (v = 0; v < n; v++) {
+        centrality[v] = 0.0;
+        dist[v] = -1;
+        sigma[v] = 0;
+        delta[v] = 0.0;
+    }
+    for (s = 0; s < n; s++) {
+        int32_t head = 0, tail = 0, i;
+
+        dist[s] = 0;
+        sigma[s] = 1;
+        order[tail++] = s;
+        while (head < tail) {
+            const int32_t *w, *end;
+            int32_t dv;
+
+            v = order[head++];
+            dv = dist[v];
+            end = indices + indptr[v + 1];
+            for (w = indices + indptr[v]; w < end; w++) {
+                if (dist[*w] < 0) {
+                    dist[*w] = dv + 1;
+                    order[tail++] = *w;
+                }
+                if (dist[*w] == dv + 1) {
+                    sigma[*w] += sigma[v]; /* both at most 2^53: no overflow */
+                    if (sigma[*w] > SIGMA_EXACT)
+                        return 1;
+                }
+            }
+        }
+        /* order[0] is the source, which has no predecessors and no score. */
+        for (i = tail - 1; i > 0; i--) {
+            const int32_t *u, *end;
+            int32_t w = order[i];
+            int32_t pred = dist[w] - 1;
+            double coeff = (1.0 + delta[w]) / (double)sigma[w];
+
+            end = indices + indptr[w + 1];
+            for (u = indices + indptr[w]; u < end; u++)
+                if (dist[*u] == pred)
+                    delta[*u] += (double)sigma[*u] * coeff;
+            centrality[w] += delta[w];
+        }
+        for (i = 0; i < tail; i++) {
+            v = order[i];
+            dist[v] = -1;
+            sigma[v] = 0;
+            delta[v] = 0.0;
+        }
+    }
+    /* Each unordered pair was counted from both endpoints. */
+    for (v = 0; v < n; v++)
+        centrality[v] /= 2.0;
+    return 0;
 }

@@ -378,11 +378,11 @@ def _native_kernel(g: Graph, rng: random.Random):
     override `random()`, gets the Python engine; so does a graph too large
     for an int32 CSR view.
     """
-    if type(rng) is not random.Random or 2 * g.m >= 2**31:
+    if type(rng) is not random.Random:
         return None
-    return _native.LOADER.kernel()
+    return _native.kernel_for(g, "netbrain_discover")
 
 
 def _engine() -> str:
     """The engine `run_discovery` runs for a `random.Random`: "native" or "python"."""
-    return "python" if _native.LOADER.kernel() is None else "native"
+    return "python" if _native.LOADER.kernel("netbrain_discover") is None else "native"

@@ -11,6 +11,7 @@ from typing import Iterable
 
 import numpy as np
 
+from . import _native
 from .errors import ConstructionError
 
 
@@ -49,8 +50,9 @@ class Graph:
     def _csr(self) -> tuple[np.ndarray, np.ndarray]:
         """The adjacency as read-only int32 `indptr` and `indices` arrays.
 
-        Built on first use. Callers keep 2 * m below 2**31. The view is not a
-        field, so it takes no part in equality, and pickles leave it out.
+        Built on first use; `_native.kernel_for` keeps 2 * m below 2**31.
+        The view is not a field, so it takes no part in equality, and pickles
+        leave it out.
         """
         indptr = np.zeros(self.n + 1, dtype=np.int32)
         np.cumsum([len(nbrs) for nbrs in self.adj], out=indptr[1:])
@@ -148,8 +150,20 @@ def betweenness(g: Graph) -> list[float]:
     """Exact shortest-path betweenness (Brandes).
 
     Source-target pairs are unordered and path endpoints are excluded, so a
-    path middle node of P3 scores 1.0.
+    path middle node of P3 scores 1.0. Runs in the native kernel when it
+    loads, with every value bit-identical to the Python loop, which runs
+    otherwise and whenever a path count exceeds 2**53.
     """
+    kernel = _native.kernel_for(g, "netbrain_betweenness")
+    if kernel is not None:
+        values = _native.betweenness(kernel, g)
+        if values is not None:
+            return values
+    return _betweenness_python(g)
+
+
+def _betweenness_python(g: Graph) -> list[float]:
+    """Brandes in Python: the reference the native kernel reproduces."""
     n = g.n
     adj = g.adj
     centrality = [0.0] * n

@@ -1,10 +1,12 @@
-"""The native discovery kernel against the Python engine it replaces.
+"""The native kernels against the Python code they replace.
 
 `run_discovery` runs the kernel for a plain `random.Random` and the Python
 engine (`_Walker`) for any subclass, so a subclass run is the reference.
-The kernel must build and load here: these tests do not skip.
+`betweenness` runs the kernel whenever it loads; `_betweenness_python` is
+its reference. The kernels must build and load here: these tests do not skip.
 """
 
+import ctypes
 import itertools
 import json
 import os
@@ -16,17 +18,20 @@ import threading
 
 import pytest
 
-from helpers import CRITERION_8_CONFIG, cycle_graph, star_graph
+from helpers import CRITERION_8_CONFIG, brute_force_betweenness, cycle_graph, path_graph, star_graph
 from netbrain import (
+    BetweennessPercentile,
     DiscoveryStallError,
     GeneratorSpec,
     WalkPolicy,
+    betweenness,
     build_graph,
     degree_ranked_nodes,
     generate,
     run_discovery,
+    select_starts,
 )
-from netbrain import _native
+from netbrain import _native, graph
 from netbrain.cli import main as cli_main
 
 POLICIES = list(WalkPolicy)
@@ -77,13 +82,14 @@ def discover(g, brain, policy, rng, **kwargs):
 
 
 def test_kernel_builds_and_loads():
-    assert _native.LOADER.kernel() is not None
+    for name in _native._ENTRY_POINTS:
+        assert _native.LOADER.kernel(name) is not None
 
 
 @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
 @pytest.mark.parametrize("name", GRAPHS)
 def test_kernel_matches_python_engine(name, policy):
-    assert _native.LOADER.kernel() is not None
+    assert _native.LOADER.kernel("netbrain_discover") is not None
     g = GRAPHS[name]
     for cap, target, seed in itertools.product(CAPS, TARGETS, SEEDS):
         brain = degree_ranked_nodes(g)[seed % g.n]  # the top hubs
@@ -134,23 +140,114 @@ def test_csr_view_keeps_graph_equality_and_pickles():
     assert "_csr" not in vars(copy)
 
 
+# --- betweenness -----------------------------------------------------------------
+
+BETWEENNESS_GRAPHS = {
+    "er": generate(GeneratorSpec(model="er", n=300, k_avg=6, seed=4)).graph,
+    "ba": generate(GeneratorSpec(model="ba", n=400, k_avg=4, seed=5)).graph,
+    "ws": generate(GeneratorSpec(model="ws", n=300, k_avg=6, seed=6, p_rewire=0.1)).graph,
+    "waxman": generate(GeneratorSpec(model="waxman", n=300, k_avg=6, seed=7)).graph,
+    "star": star_graph(9),
+    "path": path_graph(7),
+    "c5": cycle_graph(5),
+    "disconnected": build_graph(9, [(0, 1), (1, 2), (2, 0), (2, 3), (4, 5), (5, 6), (6, 4)]),
+    "one-node": build_graph(1, []),
+    "empty": build_graph(0, []),
+}
+
+
+def native_betweenness(g):
+    kernel = _native.kernel_for(g, "netbrain_betweenness")
+    assert kernel is not None
+    values = _native.betweenness(kernel, g)
+    assert values is not None  # no path count above 2**53
+    return values
+
+
+@pytest.mark.parametrize("name", BETWEENNESS_GRAPHS)
+def test_betweenness_kernel_is_bit_identical_to_python(name):
+    g = BETWEENNESS_GRAPHS[name]
+    values = native_betweenness(g)
+    assert values == graph._betweenness_python(g)  # == on floats: every bit
+    assert all(type(v) is float for v in values)
+    assert betweenness(g) == values
+
+
+@pytest.mark.parametrize("name", ["star", "path", "c5", "disconnected", "one-node", "empty"])
+def test_betweenness_kernel_matches_enumeration_oracle(name):
+    g = BETWEENNESS_GRAPHS[name]
+    assert native_betweenness(g) == pytest.approx(brute_force_betweenness(g))
+
+
+def test_percentile_starts_agree_under_both_paths(tmp_path, monkeypatch):
+    g = generate(GeneratorSpec(model="waxman", n=500, k_avg=6, seed=8)).graph
+    chosen = {}
+    for engine, loader in (("native", _native.LOADER), ("python", _native.Loader(cc="false", cache_dir=tmp_path))):
+        monkeypatch.setattr(_native, "LOADER", loader)
+        for p in (0.0, 0.5, 0.98):
+            chosen[engine, p] = select_starts(g, BetweennessPercentile(p), random.Random(3))
+    assert _native.LOADER.kernel("netbrain_betweenness") is None  # the Python path ran
+    for p in (0.0, 0.5, 0.98):
+        assert chosen["native", p] == chosen["python", p]
+
+
+def diamond_chain(k: int):
+    """k diamonds in a row: 2**k shortest paths between the two ends."""
+    edges = []
+    for i in range(k):
+        a, top, bottom, b = 3 * i, 3 * i + 1, 3 * i + 2, 3 * i + 3
+        edges += [(a, top), (a, bottom), (top, b), (bottom, b)]
+    return build_graph(3 * k + 1, edges)
+
+
+def test_betweenness_falls_back_to_python_above_2_to_the_53_paths(monkeypatch):
+    g = diamond_chain(54)
+    calls = {"native": [], "python": 0}
+    native, python = _native.betweenness, graph._betweenness_python
+
+    def counted_native(kernel, g):
+        calls["native"].append(native(kernel, g))
+        return calls["native"][-1]
+
+    def counted_python(g):
+        calls["python"] += 1
+        return python(g)
+
+    monkeypatch.setattr(_native, "betweenness", counted_native)
+    monkeypatch.setattr(graph, "_betweenness_python", counted_python)
+    values = betweenness(g)
+    assert calls == {"native": [None], "python": 1}  # overflow reported, Python recomputed
+    assert values == python(g)
+    # At exactly 2**53 paths, the kernel's values stand.
+    g = diamond_chain(53)
+    calls["native"].clear()
+    calls["python"] = 0
+    assert betweenness(g) == python(g)
+    assert calls["python"] == 0 and calls["native"][0] is not None
+
+
 # --- building and loading ------------------------------------------------------
 
 
 def test_compile_failure_falls_back_to_python(tmp_path, monkeypatch):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(CRITERION_8_CONFIG))
-    native_out, python_out = tmp_path / "native", tmp_path / "python"
-    assert cli_main(["run", "--config", str(cfg), "--out", str(native_out)]) == 0
+    percentile = dict(CRITERION_8_CONFIG, start={"kind": "betweenness_percentile", "min_percentile": 0.9})
+    runs = []
+    for i, config in enumerate((CRITERION_8_CONFIG, percentile)):
+        cfg = tmp_path / f"cfg{i}.json"
+        cfg.write_text(json.dumps(config))
+        runs.append((cfg, tmp_path / f"native{i}", tmp_path / f"python{i}"))
+    for cfg, native_out, _ in runs:
+        assert cli_main(["run", "--config", str(cfg), "--out", str(native_out)]) == 0
     cache = tmp_path / "cache"
     monkeypatch.setattr(_native, "LOADER", _native.Loader(cc="false", cache_dir=cache))
-    assert cli_main(["run", "--config", str(cfg), "--out", str(python_out)]) == 0
-    for name in ("curves.csv", "aggregate.csv"):
-        assert (native_out / name).read_bytes() == (python_out / name).read_bytes()
-    native = json.loads((native_out / "manifest.json").read_text())
-    python = json.loads((python_out / "manifest.json").read_text())
-    assert (native["engine"], python["engine"]) == ("native", "python")
-    assert native["total_moves"] == python["total_moves"] > 0
+    for cfg, native_out, python_out in runs:
+        assert cli_main(["run", "--config", str(cfg), "--out", str(python_out)]) == 0
+        for name in ("curves.csv", "aggregate.csv"):
+            assert (native_out / name).read_bytes() == (python_out / name).read_bytes()
+        native = json.loads((native_out / "manifest.json").read_text())
+        python = json.loads((python_out / "manifest.json").read_text())
+        assert (native["engine"], python["engine"]) == ("native", "python")
+        assert native["total_moves"] == python["total_moves"] > 0
     assert list(cache.iterdir()) == []  # the failed build left no file
 
 
@@ -171,10 +268,14 @@ def test_threads_build_once_and_match_serial_runs(tmp_path, monkeypatch):
     barrier = threading.Barrier(len(jobs))
 
     def run(i):
+        # The threads race to build the library from different entry points.
         g, policy = jobs[i]
         rng = random.Random(i)
         barrier.wait(timeout=60)
-        results[i] = discover(g, 0, policy, rng)
+        if i % 2:
+            results[i] = (betweenness(g), discover(g, 0, policy, rng))
+        else:
+            results[i] = (discover(g, 0, policy, rng), betweenness(g))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -187,16 +288,22 @@ def test_threads_build_once_and_match_serial_runs(tmp_path, monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert loader.kernel() is not None
+    assert loader.kernel("netbrain_discover") is not None
+    assert loader.kernel("netbrain_betweenness") is not None
     assert [p.suffix for p in tmp_path.iterdir()] == [".so"]
     for i, (g, policy) in enumerate(jobs):
-        assert results[i] == discover(g, 0, policy, random.Random(i))
+        serial = discover(g, 0, policy, random.Random(i)), graph._betweenness_python(g)
+        assert results[i] == (serial[::-1] if i % 2 else serial)
 
 
 def test_kernel_source_compiles_without_warnings(tmp_path):
+    lib = tmp_path / "walk.so"
     done = subprocess.run(
-        ["cc", "-std=c99", "-Wall", "-Wextra", "-Werror", "-c", str(_native.SOURCE), "-o", str(tmp_path / "walk.o")],
+        ["cc", "-std=c99", "-Wall", "-Wextra", "-Werror", *_native.CFLAGS, "-o", str(lib), str(_native.SOURCE)],
         capture_output=True,
         text=True,
     )
     assert done.returncode == 0 and not done.stderr, done.stderr
+    loaded = ctypes.CDLL(str(lib))
+    for name in _native._ENTRY_POINTS:  # every entry point the loader binds
+        assert hasattr(loaded, name)
