@@ -15,7 +15,6 @@ import ctypes
 import hashlib
 import logging
 import os
-import random
 import subprocess
 import tempfile
 import threading
@@ -138,67 +137,31 @@ def betweenness(kernel, g: Graph) -> list[float] | None:
     return None if overflow else centrality.tolist()
 
 
-class Discovery:
-    """One discovery run by the kernel.
-
-    It has the attributes and the `discover` method of `dynamics._Walker`
-    that `run_discovery` reads, and it writes the crossings into the same
-    tracker. Between calls, the generator's state lives in `rng`.
-    """
-
-    def __init__(
-        self,
-        kernel,
-        g: Graph,
-        brain: int,
-        policy_code: int,
-        rng: random.Random,
-        cap: int,
-        stop_count: int,
-        tracker,
-    ):
-        if not 0 <= brain < g.n:
-            raise ValueError(f"brain {brain} outside [0, {g.n})")
-        self.kernel = kernel
-        self.indptr, self.indices = g._csr
-        self.brain = brain
-        self.policy_code = policy_code
-        self.rng = rng
-        self.cap = cap
-        self.stop_count = stop_count
-        self.tracker = tracker
-        self.targets = np.array(tracker.targets, dtype=np.int64)
-        self.crossed_steps = np.zeros(len(self.targets), dtype=np.int64)
-        n = g.n
-        self.known = bytearray(n)  # the kernel writes through the array views
-        self.reported = bytearray(n)
-        self._known = np.frombuffer(self.known, dtype=np.uint8)
-        self._reported = np.frombuffer(self.reported, dtype=np.uint8)
-        self._state = np.zeros(n, dtype=np.uint8)
-        self._touched = np.empty(n, dtype=np.int32)
-        self._elig = np.empty(n, dtype=np.int32)
-        self.count = self.steps = self.walks = self.moves = self.cap_hits = self.stalled = 0
-
-    def discover(self, stall_limit: int) -> bool:
-        """Walk until the brain knows `stop_count` nodes (False), or until
-        `stall_limit` walks in a row have made nothing known (True)."""
-        version, words, gauss_next = self.rng.getstate()
-        mt = np.array(words, dtype=np.uint32)
-        ctr = np.array(
-            [self.count, self.steps, self.walks, self.moves, self.cap_hits, self.stalled,
-             len(self.tracker.crossings)],
-            dtype=np.int64,
-        )
-        stalled = self.kernel(
-            self.indptr, self.indices,
-            self.brain, self.policy_code, self.cap, self.stop_count,
-            self.targets, len(self.targets), self.crossed_steps,
-            self._known, self._reported, self._state,
-            self._touched, self._elig,
-            mt, ctr, stall_limit,
-        )
-        self.rng.setstate((version, tuple(mt.tolist()), gauss_next))
-        self.count, self.steps, self.walks, self.moves, self.cap_hits, self.stalled, crossed = ctr.tolist()
-        grid = self.tracker.grid
-        self.tracker.crossings = list(zip(grid[:crossed], self.crossed_steps[:crossed].tolist()))
-        return bool(stalled)
+def discover(kernel, walker, policy_code: int, stall_limit: int) -> bool:
+    """`dynamics._Walker.discover` run by `netbrain_discover` on the walker's
+    own `known` and `reported` buffers; the counters, the crossed targets and
+    the generator's state go back into the walker and its `rng`."""
+    n = walker.g.n
+    indptr, indices = walker.g._csr
+    version, words, gauss_next = walker.rng.getstate()
+    mt = np.array(words, dtype=np.uint32)
+    targets = np.array(walker.targets, dtype=np.int64)
+    crossed_steps = np.empty(len(targets), dtype=np.int64)
+    crossed = len(walker.crossed)
+    ctr = np.array(
+        [walker.count, walker.steps, walker.walks, walker.moves, walker.cap_hits, walker.stalled, crossed],
+        dtype=np.int64,
+    )
+    stalled = kernel(
+        indptr, indices,
+        walker.brain, policy_code, walker.cap, walker.stop_count,
+        targets, len(targets), crossed_steps,
+        np.frombuffer(walker.known, dtype=np.uint8), np.frombuffer(walker.reported, dtype=np.uint8),
+        np.zeros(n, dtype=np.uint8),  # state
+        np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int32),  # touched, elig
+        mt, ctr, stall_limit,
+    )
+    walker.rng.setstate((version, tuple(mt.tolist()), gauss_next))
+    walker.count, walker.steps, walker.walks, walker.moves, walker.cap_hits, walker.stalled, now = ctr.tolist()
+    walker.crossed += crossed_steps[crossed:now].tolist()
+    return bool(stalled)

@@ -36,6 +36,10 @@ class WalkPolicy(str, Enum):
     EXTENDED = "extended"
     LOOK_AHEAD = "look_ahead"
 
+    @classmethod
+    def _missing_(cls, value):  # `WalkPolicy(value)` for a value that names no policy
+        raise ConfigError(f"unknown policy {value!r}; expected one of {', '.join(p.value for p in cls)}")
+
 
 class Termination(str, Enum):
     DEAD_END = "dead_end"
@@ -95,31 +99,10 @@ def validate_thresholds(thresholds: Sequence[float]) -> tuple[float, ...]:
     return ts
 
 
-class _CrossingTracker:
-    """Records cumulative steps the moment each knowledge threshold is reached.
-
-    Thresholds are precomputed as integer knowledge counts, so the per-move
-    check is one integer comparison against the next target. Checks happen
-    at move boundaries: a move's cost is charged before its discoveries are
-    inspected.
-    """
-
-    __slots__ = ("grid", "targets", "never", "crossings")
-
-    def __init__(self, grid: tuple[float, ...], n: int):
-        self.grid = grid
-        self.targets = [math.ceil(t * n - 1e-9) for t in grid]
-        self.never = n + 1  # a target no knowledge count reaches
-        self.crossings: list[tuple[float, int]] = []
-
-    def record(self, known_count: int, steps: int) -> int:
-        """Record every threshold `known_count` reaches; return the next target."""
-        targets = self.targets
-        i = len(self.crossings)
-        while i < len(targets) and known_count >= targets[i]:
-            self.crossings.append((self.grid[i], steps))
-            i += 1
-        return targets[i] if i < len(targets) else self.never
+def validate_step_cap(step_cap: int | None) -> None:
+    """A step cap is None (no cap) or at least 1; it is checked after a move."""
+    if step_cap is not None and step_cap < 1:
+        raise ConfigError(f"step_cap must be >= 1, got {step_cap}")
 
 
 _NO_CAP = 1 << 62  # a step count no walk reaches
@@ -127,95 +110,99 @@ _POLICY_CODES = {WalkPolicy.STANDARD: 0, WalkPolicy.EXTENDED: 1, WalkPolicy.LOOK
 
 
 class _Walker:
-    """The walks of one discovery, against the brain's shared knowledge.
+    """The walks of one discovery, and its whole state for either engine.
 
-    The walker owns the brain's knowledge mask `known` and its popcount
-    `count` (so the coverage check is O(1) per move), the cumulative step
-    count, and the optional crossing tracker. `reported` marks the nodes
-    whose neighbourhood an extended walk has reported: knowledge only grows
-    within a discovery, so a later departure from such a node would report
-    nothing new and skips the scan. Extended walks never write PRIMED, as it
-    does not change their eligibility (`state < BLOCKED`). Look-ahead walks
-    prime and report on every departure, since primed nodes are off-limits
-    to them for the rest of the walk.
+    The state is the brain's knowledge mask `known` and its popcount `count`
+    (so the coverage check is O(1) per move), `reported`, the cumulative
+    `steps`, the knowledge counts `targets` of the thresholds, the steps at
+    each target crossed so far (`crossed`), and the counters `walks`,
+    `moves`, `cap_hits` and `stalled` (walks in a row that made nothing
+    known). `discover` runs the walks here or, given a kernel, in
+    `netbrain_discover` on the same buffers; `walk` follows that kernel line
+    for line. Counting draws nothing from the rng.
 
-    `stop_count` (default: the node count) ends a walk as soon as the brain
-    knows that many nodes. `walks`, `moves`, `cap_hits` and `stalled` (walks
-    in a row that made nothing known) count what the walks did; counting
-    draws nothing from the rng.
+    Both report policies report a node's neighbourhood on the first
+    departure from it in a discovery: knowledge only grows, so a later
+    departure would report nothing new. `look_ahead` primes the unvisited
+    neighbours on every departure, as primed nodes are off-limits to it for
+    the rest of the walk; `extended` never primes, as its eligibility
+    (`state < BLOCKED`) does not see it. A walk ends as soon as the brain
+    knows `stop_count` nodes (default: all).
 
     A walk's view of each node is one byte: 0 unvisited, 1 PRIMED,
     2 BLOCKED (left), 3 CURRENT.
     """
 
     __slots__ = (
-        "adj", "n", "brain", "policy", "rng", "cap", "stop_count",
-        "known", "count", "reported", "steps", "tracker", "target",
-        "walks", "moves", "cap_hits", "stalled",
+        "g", "brain", "policy", "rng", "cap", "stop_count", "known", "count", "reported",
+        "steps", "targets", "crossed", "walks", "moves", "cap_hits", "stalled",
     )
 
     def __init__(
         self,
         g: Graph,
         brain: int,
-        policy: WalkPolicy,
+        policy: WalkPolicy | str,
         rng: random.Random,
         step_cap: int | None = None,
         known: Iterable[int] | None = None,
         stop_count: int | None = None,
-        tracker: _CrossingTracker | None = None,
+        targets: Sequence[int] = (),
     ):
         if not 0 <= brain < g.n:
             raise ValueError(f"brain {brain} outside [0, {g.n})")
-        self.adj = g.adj
-        self.n = g.n
+        self.g = g
         self.brain = brain
-        self.policy = policy
+        self.policy = WalkPolicy(policy)
         self.rng = rng
+        validate_step_cap(step_cap)
         self.cap = _NO_CAP if step_cap is None else step_cap
         self.stop_count = g.n if stop_count is None else stop_count
         self.known = bytearray(g.n)
-        self.count = 0
         for v in known or ():
-            if not self.known[v]:
-                self.known[v] = 1
-                self.count += 1
+            if not 0 <= v < g.n:
+                raise ValueError(f"known node {v} outside [0, {g.n})")
+            self.known[v] = 1
+        self.count = self.known.count(1)
         self.reported = bytearray(g.n)
         self.steps = 0
-        self.tracker = tracker
-        self.target = tracker.targets[0] if tracker is not None else g.n + 1
+        self.targets = targets
+        self.crossed: list[int] = []
         self.walks = self.moves = self.cap_hits = self.stalled = 0
 
-    def walk(self, collect_path: bool = False) -> tuple[list[int] | None, int, list[int], Termination]:
+    def _record(self, count: int, steps: int) -> int:
+        """Record `steps` at every target that `count` reaches; return the
+        next target, or n + 1, which no count reaches."""
+        targets, crossed = self.targets, self.crossed
+        while len(crossed) < len(targets) and count >= targets[len(crossed)]:
+            crossed.append(steps)
+        return targets[len(crossed)] if len(crossed) < len(targets) else self.g.n + 1
+
+    def walk(self, collect_path: bool = False) -> tuple[list[int] | None, int, Termination]:
         """One walk from the brain with a fresh agent view.
 
-        Returns the path (if collected), the walk's steps, the nodes it made
-        known, in report order, and why it ended.
+        Returns the path (if collected), the walk's steps and why it ended.
         """
-        adj = self.adj
+        adj = self.g.adj
         known = self.known
         reported = self.reported
         count = self.count
         stop = self.stop_count
         cap = self.cap
         base = self.steps
-        target = self.target
-        record = self.tracker.record if self.tracker is not None else None
+        record = self._record
         standard = self.policy is WalkPolicy.STANDARD
         look_ahead = self.policy is WalkPolicy.LOOK_AHEAD
         brain = cur = self.brain
-        state = bytearray(self.n)
+        state = bytearray(self.g.n)
         state[brain] = 3  # CURRENT
-        new_nodes: list[int] = []
         if not known[brain]:
             known[brain] = 1
             count += 1
-            new_nodes.append(brain)
         steps = 0 if standard else len(adj[brain])
         moves = 0
         path = [brain] if collect_path else None
-        if count >= target:
-            target = record(count, base + steps)
+        target = record(count, base + steps)
         if count >= stop:
             reason = Termination.FULL_COVERAGE
         else:
@@ -234,28 +221,23 @@ class _Walker:
                 nxt = elig[i if i < len(elig) else -1]
                 moves += 1
                 state[cur] = 2  # BLOCKED
-                if look_ahead:
-                    # Departure primes the neighbourhood and reports it.
-                    for w in nbrs:
-                        if not known[w]:
-                            known[w] = 1
-                            count += 1
-                            new_nodes.append(w)
-                        if not state[w]:
-                            state[w] = 1  # PRIMED
-                elif not standard and not reported[cur]:
-                    # Extended: report once per discovery, never prime.
+                # Departure reports the neighbourhood, which is all known
+                # after the first departure from `cur`.
+                if not standard and not reported[cur]:
                     reported[cur] = 1
                     for w in nbrs:
                         if not known[w]:
                             known[w] = 1
                             count += 1
-                            new_nodes.append(w)
+                # A look_ahead departure primes the unvisited neighbours,
+                # which are exactly `elig`.
+                if look_ahead:
+                    for w in elig:
+                        state[w] = 1  # PRIMED
                 state[nxt] = 3  # CURRENT
                 if not known[nxt]:
                     known[nxt] = 1
                     count += 1
-                    new_nodes.append(nxt)
                 steps += 1 if standard else len(adj[nxt])
                 if collect_path:
                     path.append(nxt)
@@ -270,18 +252,21 @@ class _Walker:
                     break
         self.count = count
         self.steps = base + steps
-        self.target = target
+        self.walks += 1
         self.moves += moves
-        return path, steps, new_nodes, reason
+        self.cap_hits += reason is Termination.STEP_CAP
+        return path, steps, reason
 
-    def discover(self, stall_limit: int) -> bool:
+    def discover(self, stall_limit: int, kernel=None) -> bool:
         """Walk until the brain knows `stop_count` nodes (False), or until
-        `stall_limit` walks in a row have made nothing known (True)."""
+        `stall_limit` walks in a row have made nothing known (True); in
+        `netbrain_discover` when a kernel is given."""
+        if kernel is not None:
+            return _native.discover(kernel, self, _POLICY_CODES[self.policy], stall_limit)
         while self.count < self.stop_count:
-            _, _, new_nodes, reason = self.walk()
-            self.walks += 1
-            self.cap_hits += reason is Termination.STEP_CAP
-            if new_nodes:
+            before = self.count
+            self.walk()
+            if self.count > before:
                 self.stalled = 0
             else:
                 self.stalled += 1
@@ -293,7 +278,7 @@ class _Walker:
 def run_walk(
     g: Graph,
     brain: int,
-    policy: WalkPolicy,
+    policy: WalkPolicy | str,
     rng: random.Random,
     step_cap: int | None = None,
     known: Iterable[int] | None = None,
@@ -304,12 +289,12 @@ def run_walk(
     affects the full-coverage early exit and which reports count as new.
     Every departure reports its neighbourhood afresh.
     """
-    path, steps, new_nodes, reason = _Walker(g, brain, policy, rng, step_cap, known).walk(
-        collect_path=True
-    )
+    known = frozenset(known or ())
+    walker = _Walker(g, brain, policy, rng, step_cap, known)
+    path, steps, reason = walker.walk(collect_path=True)
     return WalkOutcome(
         visited_path=tuple(path),
-        newly_known=frozenset(new_nodes),
+        newly_known=frozenset(compress(range(g.n), walker.known)) - known,
         steps=steps,
         terminated_by=reason,
     )
@@ -318,7 +303,7 @@ def run_walk(
 def run_discovery(
     g: Graph,
     brain: int,
-    policy: WalkPolicy,
+    policy: WalkPolicy | str,
     rng: random.Random,
     step_cap: int | None = None,
     thresholds: Sequence[float] | None = None,
@@ -337,29 +322,31 @@ def run_discovery(
     `target_fraction` stops the run once that fraction is known; the default
     of 1.0 runs to full coverage. Thresholds above the target are then never
     crossed.
+
+    The native kernel runs the walks for a plain `random.Random`, which it
+    replays itself; a subclass, which may override `random()`, gets the
+    Python engine, and so does a graph too large for an int32 CSR view.
     """
     grid = validate_thresholds(thresholds if thresholds is not None else default_thresholds())
     if not 0.0 < target_fraction <= 1.0:
         raise ConfigError(f"target_fraction must be in (0, 1], got {target_fraction}")
     n = g.n
-    stop_count = math.ceil(target_fraction * n - 1e-9)
-    tracker = _CrossingTracker(grid, n)
-    kernel = _native_kernel(g, rng)
-    if kernel is None:
-        walker = _Walker(g, brain, policy, rng, step_cap, stop_count=stop_count, tracker=tracker)
-    else:
-        cap = _NO_CAP if step_cap is None else step_cap
-        walker = _native.Discovery(kernel, g, brain, _POLICY_CODES[policy], rng, cap, stop_count, tracker)
-    while walker.discover(10 * n):
+    walker = _Walker(
+        g, brain, policy, rng, step_cap,
+        stop_count=math.ceil(target_fraction * n - 1e-9),
+        targets=[math.ceil(t * n - 1e-9) for t in grid],
+    )
+    kernel = _native.kernel_for(g, "netbrain_discover") if type(rng) is random.Random else None
+    while walker.discover(10 * n, kernel):
         if step_cap is None and is_connected(g):
             walker.stalled = 0
             continue
         raise DiscoveryStallError(
             f"no progress in {walker.stalled} consecutive walks "
-            f"(policy={policy.value}, brain={brain}, known={walker.count}/{n}); "
+            f"(policy={walker.policy.value}, brain={brain}, known={walker.count}/{n}); "
             "is the graph connected?"
         )
-    curve = LearningCurve(thresholds=grid, crossings=tuple(tracker.crossings))
+    curve = LearningCurve(thresholds=grid, crossings=tuple(zip(grid, walker.crossed)))
     brain_state = BrainState(
         brain=brain,
         known=set(compress(range(n), walker.known)),
@@ -369,18 +356,6 @@ def run_discovery(
         moves=walker.moves,
     )
     return curve, brain_state
-
-
-def _native_kernel(g: Graph, rng: random.Random):
-    """The native kernel if it may run this discovery, else None.
-
-    The kernel replays `random.Random` itself, so a subclass, which may
-    override `random()`, gets the Python engine; so does a graph too large
-    for an int32 CSR view.
-    """
-    if type(rng) is not random.Random:
-        return None
-    return _native.kernel_for(g, "netbrain_discover")
 
 
 def _engine() -> str:

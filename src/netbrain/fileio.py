@@ -186,10 +186,7 @@ def config_from_dict(d: dict) -> tuple[ExperimentConfig, dict | None]:
         generator: GeneratorSpec | str = _generator_from_dict(d["generator"])
     else:
         generator = _typed(d["edge_list"], str, "edge_list")
-    try:
-        policies = tuple(WalkPolicy(p) for p in _typed(d.get("policies"), [str], "policies"))
-    except ValueError as exc:
-        raise ConfigError(f"unknown policy: {exc}")
+    policies = tuple(WalkPolicy(p) for p in _typed(d.get("policies"), [str], "policies"))
     start = _start_from_dict(d.get("start"))
     given = {k: _typed(d[k], t, k) for k, t in _OPTIONAL_TYPES.items() if d.get(k) is not None}
     if "thresholds" in given:  # stored as floats; generator numbers stay as written

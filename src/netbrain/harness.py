@@ -16,6 +16,7 @@ from .dynamics import (
     WalkPolicy,
     default_thresholds,
     run_discovery,
+    validate_step_cap,
     validate_thresholds,
 )
 from .errors import AggregationError, ConfigError, ParameterError
@@ -155,8 +156,7 @@ class ExperimentConfig:
             raise ConfigError("at least one walk policy is required")
         if self.repetitions_per_start < 1:
             raise ConfigError("repetitions_per_start must be >= 1")
-        if self.step_cap is not None and self.step_cap < 1:
-            raise ConfigError(f"step_cap must be >= 1, got {self.step_cap}")
+        validate_step_cap(self.step_cap)
         grid = validate_thresholds(self.thresholds)
         if not 0.0 < self.target_fraction <= 1.0:
             raise ConfigError(f"target_fraction must be in (0, 1], got {self.target_fraction}")

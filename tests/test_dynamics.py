@@ -13,6 +13,7 @@ from helpers import (
     star_graph,
 )
 from netbrain import (
+    ConfigError,
     DiscoveryStallError,
     GeneratorSpec,
     Termination,
@@ -151,6 +152,20 @@ def test_walk_respects_prior_brain_knowledge():
     # Only one leaf is missing; the walk may or may not hit it, but reports
     # only genuinely new nodes.
     assert out.newly_known <= {4}
+
+
+@pytest.mark.parametrize(
+    "policy, known, error, match",
+    [
+        ("bogus", None, ConfigError, "unknown policy 'bogus'"),
+        (WalkPolicy.STANDARD, [-1], ValueError, "known node -1 outside"),
+        (WalkPolicy.STANDARD, [4], ValueError, "known node 4 outside"),
+        (WalkPolicy.EXTENDED, [1, 9], ValueError, "known node 9 outside"),
+    ],
+)
+def test_walk_rejects_bad_arguments(policy, known, error, match):
+    with pytest.raises(error, match=match):
+        run_walk(path_graph(4), 0, policy, random.Random(0), known=known)
 
 
 def test_walk_step_cap_uses_policy_metric():

@@ -19,7 +19,9 @@ from netbrain import (
     aggregate,
     derive_seed,
     generate,
+    run_discovery,
     run_experiment,
+    run_walk,
     select_starts,
     sweep,
 )
@@ -124,8 +126,19 @@ def test_cell_count_is_policies_times_starts_times_reps():
 
 @pytest.mark.parametrize("step_cap", [0, -3])
 def test_step_cap_below_one_rejected(step_cap):
+    # One rule for configs and for the engine, under both engines.
     with pytest.raises(ConfigError, match="step_cap"):
         small_config(step_cap=step_cap).validate()
+    g = path_graph(5)
+    with pytest.raises(ConfigError, match="step_cap"):
+        run_walk(g, 0, WalkPolicy.STANDARD, random.Random(0), step_cap=step_cap)
+
+    class PythonEngine(random.Random):
+        """A subclass selects the Python engine, a plain Random the kernel."""
+
+    for rng in (PythonEngine(0), random.Random(0)):
+        with pytest.raises(ConfigError, match="step_cap"):
+            run_discovery(g, 0, WalkPolicy.STANDARD, rng, step_cap=step_cap)
 
 
 def test_run_experiment_is_deterministic():

@@ -21,6 +21,7 @@ import pytest
 from helpers import CRITERION_8_CONFIG, brute_force_betweenness, cycle_graph, path_graph, star_graph
 from netbrain import (
     BetweennessPercentile,
+    ConfigError,
     DiscoveryStallError,
     GeneratorSpec,
     WalkPolicy,
@@ -103,6 +104,20 @@ def test_kernel_matches_python_engine(name, policy):
             assert state.moves == reference.draws  # one draw per move
             if policy is WalkPolicy.STANDARD:
                 assert state.cumulative_steps == state.moves
+
+
+def test_policy_name_runs_its_policy_under_both_engines():
+    # "standard" == WalkPolicy.STANDARD, so both engines must read a name as its member.
+    for g, policy in itertools.product((star_graph(6), GRAPHS["er"]), POLICIES):
+        expected = discover(g, 0, policy, Reference(3))
+        for rng in (Reference(3), random.Random(3)):
+            assert discover(g, 0, policy.value, rng) == expected, policy
+
+
+@pytest.mark.parametrize("engine", [Reference, random.Random], ids=["python", "native"])
+def test_unknown_policy_is_a_config_error_under_both_engines(engine):
+    with pytest.raises(ConfigError, match="unknown policy 'bogus'"):
+        run_discovery(GRAPHS["c5"], 0, "bogus", engine(0))
 
 
 def test_kernel_resumes_after_idle_walks_on_a_connected_graph():
