@@ -3,10 +3,17 @@
 `LOADER.kernel(name)` compiles the shipped source with the system C compiler
 into ``${XDG_CACHE_HOME:-~/.cache}/netbrain/``, under a name keyed by the
 hash of the source and the compile command, loads it, and returns the entry
-point `name`. One library holds both entry points, `netbrain_discover` and
-`netbrain_betweenness`. Importing this module compiles nothing. Any failure
-(no compiler, an unwritable cache, a library that does not load) leaves the
-kernels unavailable, and `run_discovery` and `betweenness` run in Python.
+point `name`. One library holds all four entry points:
+
+- `netbrain_discover`: the walks of `dynamics.run_discovery`;
+- `netbrain_betweenness`: exact Brandes for `graph.betweenness`;
+- `netbrain_shuffle`: `random.Random.shuffle` for the stubs of
+  `generators.gen_cm`;
+- `netbrain_parse_edges`: the edge lines of `fileio.ingest_edge_list`.
+
+Importing this module compiles nothing. Any failure (no compiler, an
+unwritable cache, a library that does not load) leaves the kernels
+unavailable, and each caller runs its Python code, with the same result.
 """
 
 from __future__ import annotations
@@ -50,6 +57,11 @@ _ENTRY_POINTS = {
         _i32, _i32, ctypes.c_int32,  # indptr, indices, n
         _f64,  # centrality
         _i32, _i32, _i64, _f64,  # order, dist, sigma, delta
+    ),
+    "netbrain_shuffle": (_i64, ctypes.c_int64, _u32),  # x, len, mt
+    "netbrain_parse_edges": (
+        ctypes.c_char_p, ctypes.c_int64,  # buf, len
+        _i64, ctypes.c_int64, _i64,  # labels, cap, nedges
     ),
 }
 
@@ -165,3 +177,27 @@ def discover(kernel, walker, policy_code: int, stall_limit: int) -> bool:
     walker.count, walker.steps, walker.walks, walker.moves, walker.cap_hits, walker.stalled, now = ctr.tolist()
     walker.crossed += crossed_steps[crossed:now].tolist()
     return bool(stalled)
+
+
+def shuffle(kernel, rng, x: np.ndarray) -> None:
+    """`rng.shuffle(x)` on the int64 array `x` by `netbrain_shuffle`: the same
+    permutation, and the generator's state goes back into `rng`."""
+    if len(x) >= 2**32:  # the kernel draws at most 32 bits per index
+        raise ValueError(f"cannot shuffle {len(x)} items natively")
+    version, words, gauss_next = rng.getstate()
+    mt = np.array(words, dtype=np.uint32)
+    kernel(x, len(x), mt)
+    rng.setstate((version, tuple(mt.tolist()), gauss_next))
+
+
+def parse_edges(kernel, data: bytes) -> np.ndarray | None:
+    """The (k, 2) int64 labels of the edge lines in `data` by
+    `netbrain_parse_edges`, or None when some line falls outside the
+    kernel's grammar (ASCII only, blanks and tabs, "#" comments, two labels
+    of at most 18 digits a line)."""
+    cap = data.count(b"\n") + 1  # no more edges than lines
+    labels = np.empty((cap, 2), dtype=np.int64)
+    nedges = np.zeros(1, dtype=np.int64)
+    if kernel(data, len(data), labels, cap, nedges):
+        return None
+    return labels[: nedges[0]]

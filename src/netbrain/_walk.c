@@ -1,5 +1,7 @@
-/* Native kernels of netbrain: the walks of `netbrain.dynamics.run_discovery`
- * and the exact betweenness of `netbrain.graph.betweenness`.
+/* Native kernels of netbrain: the walks of `netbrain.dynamics.run_discovery`,
+ * the exact betweenness of `netbrain.graph.betweenness`, and two set-up
+ * steps: the stub shuffle of `netbrain.generators.gen_cm` and the edge-list
+ * parse of `netbrain.fileio.ingest_edge_list`.
  *
  * The discovery kernel repeats self-avoiding walks from the brain over an
  * int32 CSR adjacency (`indptr`/`indices`) until the brain knows `stop_count`
@@ -12,6 +14,10 @@
  * The betweenness kernel runs Brandes (2001) over the same CSR view, in the
  * operation order of `graph._betweenness_python`, so every value is
  * bit-identical to it.
+ *
+ * The shuffle replays `random.Random.shuffle` on the same generator state.
+ * The parse takes only plain ASCII edge lists and refuses anything else, which
+ * the caller then reads with its Python line loop.
  *
  * Built on first use by `netbrain._native` with `cc -O2 -ffp-contract=off
  * -fPIC -shared`; the contraction flag keeps the compiler from fusing a
@@ -294,5 +300,114 @@ int netbrain_betweenness(
     /* Each unordered pair was counted from both endpoints. */
     for (v = 0; v < n; v++)
         centrality[v] /= 2.0;
+    return 0;
+}
+
+/* ---- set-up: the configuration model's shuffle ------------------------ */
+
+/* `random.Random.shuffle(x)` on the `len` values of `x`, drawing from `mt`
+ * exactly as CPython does: for i from len - 1 down to 1 it swaps x[i] with
+ * x[j], j = `_randbelow(i + 1)`, which draws `getrandbits(k)` (the top k bits
+ * of one 32-bit draw), k the bit length of i + 1, until the draw is below
+ * i + 1. Requires len < 2^32, so that k is at most 32. */
+int netbrain_shuffle(int64_t *x, int64_t len, uint32_t *mt)
+{
+    int64_t i;
+
+    for (i = len - 1; i > 0; i--) {
+        uint32_t bound = (uint32_t)(i + 1);
+        int shift = __builtin_clz(bound); /* 32 - k */
+        uint32_t j = genrand_uint32(mt) >> shift;
+        int64_t t;
+
+        while (j >= bound)
+            j = genrand_uint32(mt) >> shift;
+        t = x[i];
+        x[i] = x[j];
+        x[j] = t;
+    }
+    return 0;
+}
+
+/* ---- set-up: the edge-list parse -------------------------------------- */
+
+/* Labels of at most 18 digits are below 10^18 < 2^63. */
+#define LABEL_DIGITS 18
+
+static int blank(uint8_t c)
+{
+    return c == ' ' || c == '\t';
+}
+
+static int digit(const uint8_t *p, const uint8_t *end)
+{
+    return p < end && *p >= '0' && *p <= '9';
+}
+
+/* Read the 1 to LABEL_DIGITS digits at `*p` (before `end`) into `*label`;
+ * returns 0 when there are none or too many. */
+static int read_label(const uint8_t **p, const uint8_t *end, int64_t *label)
+{
+    const uint8_t *start = *p;
+    int64_t value = 0;
+
+    while (digit(*p, end) && *p - start < LABEL_DIGITS)
+        value = value * 10 + (*(*p)++ - '0');
+    *label = value;
+    return *p > start && !digit(*p, end);
+}
+
+/* Parse the `len` bytes of an edge list into pairs of labels, two per edge,
+ * at most `cap` edges, and store the edge count in `*nedges`. Returns 0, or
+ * 1 as soon as a line falls outside this grammar (the caller then parses
+ * the file in Python, which gives the line's error or reads it its own way):
+ *
+ *   line    = ( blank* | blank* "#" ascii* | blank* label blank+ label blank* ) end
+ *   blank   = " " | "\t"
+ *   label   = 1 to 18 decimal digits
+ *   end     = "\n" | "\r\n" | the end of the data
+ *
+ * where `ascii` is any byte below 0x80 except "\r" and "\n". So every
+ * accepted file is ASCII, splits into the same lines under universal
+ * newlines, and has labels that fit an int64.
+ */
+int netbrain_parse_edges(const uint8_t *buf, int64_t len, int64_t *labels, int64_t cap,
+                         int64_t *nedges)
+{
+    const uint8_t *p = buf, *data_end = buf + len;
+    int64_t count = 0;
+
+    while (p < data_end) {
+        const uint8_t *end = p, *next;
+
+        while (end < data_end && *end != '\n')
+            end++;
+        next = end < data_end ? end + 1 : end;
+        if (end < data_end && end > p && end[-1] == '\r')
+            end--; /* "\r\n" */
+        while (p < end && blank(*p))
+            p++;
+        if (p < end && *p == '#') {
+            for (p++; p < end; p++)
+                if (*p >= 0x80 || *p == '\r')
+                    return 1;
+        } else if (p < end) {
+            if (count == cap || !read_label(&p, end, &labels[2 * count]))
+                return 1;
+            if (p == end || !blank(*p))
+                return 1;
+            while (p < end && blank(*p))
+                p++;
+            if (!read_label(&p, end, &labels[2 * count + 1]))
+                return 1;
+            while (p < end && blank(*p))
+                p++;
+            if (p < end)
+                return 1;
+            count++;
+        }
+        p = next;
+    }
+    *nedges = count;
     return 0;
 }

@@ -153,7 +153,8 @@ class _Walker:
             raise ValueError(f"brain {brain} outside [0, {g.n})")
         self.g = g
         self.brain = brain
-        self.policy = WalkPolicy(policy)
+        # A member skips the Enum call (~0.7 us a walk over millions of short walks).
+        self.policy = policy if isinstance(policy, WalkPolicy) else WalkPolicy(policy)
         self.rng = rng
         validate_step_cap(step_cap)
         self.cap = _NO_CAP if step_cap is None else step_cap

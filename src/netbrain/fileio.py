@@ -7,10 +7,13 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
+from . import _native
 from .dynamics import WalkPolicy
 from .errors import ConfigError, ParseError
 from .generators import _MODELS, MODELS, GeneratorSpec, _params
-from .graph import Graph, build_graph_reported, largest_connected_component
+from .graph import Graph, _first_of_runs, build_graph_reported, largest_connected_component
 from .harness import (
     _START_KINDS,
     AggregateCurve,
@@ -39,8 +42,46 @@ def ingest_edge_list(path: str | Path) -> tuple[Graph, dict[int, int], IngestRep
     One edge per line, two whitespace-separated non-negative integer labels;
     lines starting with '#' are ignored. Labels need not be dense; the
     returned map sends original labels of retained nodes to their dense ids.
+    Plain ASCII files are parsed by the native kernel when it loads; any
+    other file, or any file without the kernel, by the line loop
+    `_parse_lines`, which gives the same result and every error.
     """
     path = Path(path)
+    kernel = _native.LOADER.kernel("netbrain_parse_edges")
+    pairs = None if kernel is None else _native.parse_edges(kernel, path.read_bytes())
+    if pairs is None:
+        labels, edges = _parse_lines(path)
+    else:
+        labels, edges = _dense(pairs)
+    if not len(edges):
+        raise ParseError(f"{path}: no edges found")
+    g, drops = build_graph_reported(len(labels), edges)
+    lcc, lcc_map = largest_connected_component(g)
+    label_map = {labels[old]: new for old, new in lcc_map.items()}
+    report = IngestReport(
+        raw_nodes=len(labels),
+        raw_edges=len(edges),
+        self_loops_dropped=drops.self_loops,
+        duplicates_dropped=drops.duplicates,
+        lcc_nodes=lcc.n,
+        lcc_edges=lcc.m,
+    )
+    return lcc, label_map, report
+
+
+def _dense(pairs: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """The sorted distinct labels of `pairs`, and `pairs` in their dense ids."""
+    flat = pairs.ravel()
+    order = np.argsort(flat)
+    ranked = flat[order]
+    first = _first_of_runs(ranked)
+    dense = np.empty_like(flat)
+    dense[order] = np.cumsum(first) - 1
+    return ranked[first].tolist(), dense.reshape(pairs.shape)
+
+
+def _parse_lines(path: Path) -> tuple[list[int], list[tuple[int, int]]]:
+    """The sorted labels of an edge list and its edges in dense ids, read line by line."""
     raw_edges: list[tuple[int, int]] = []
     labels: set[int] = set()
     with path.open(encoding="utf-8") as fh:
@@ -63,33 +104,19 @@ def ingest_edge_list(path: str | Path) -> tuple[Graph, dict[int, int], IngestRep
                 labels.add(v)
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    if not raw_edges:
-        raise ParseError(f"{path}: no edges found")
-    dense = {label: i for i, label in enumerate(sorted(labels))}
-    g, drops = build_graph_reported(len(dense), [(dense[u], dense[v]) for u, v in raw_edges])
-    lcc, lcc_map = largest_connected_component(g)
-    label_map = {
-        label: lcc_map[dense[label]] for label in sorted(labels) if dense[label] in lcc_map
-    }
-    report = IngestReport(
-        raw_nodes=len(labels),
-        raw_edges=len(raw_edges),
-        self_loops_dropped=drops.self_loops,
-        duplicates_dropped=drops.duplicates,
-        lcc_nodes=lcc.n,
-        lcc_edges=lcc.m,
-    )
-    return lcc, label_map, report
+    ordered = sorted(labels)
+    dense = {label: i for i, label in enumerate(ordered)}
+    return ordered, [(dense[u], dense[v]) for u, v in raw_edges]
 
 
 def write_edge_list(g: Graph, path: str | Path, header: Sequence[str] = ()) -> None:
     """Write edges as 'u v' lines (u < v, ascending), with optional # header lines."""
-    path = Path(path)
-    with path.open("w") as fh:
-        for line in header:
-            fh.write(f"# {line}\n")
-        for u, v in g.edges():
-            fh.write(f"{u} {v}\n")
+    indptr, indices = g._csr
+    source = np.repeat(np.arange(g.n), np.diff(indptr))
+    upper = source < indices
+    lines = [f"# {line}\n" for line in header]
+    lines += [f"{u} {v}\n" for u, v in zip(source[upper].tolist(), indices[upper].tolist())]
+    Path(path).write_text("".join(lines))
 
 
 # --- experiment config files (JSON) -----------------------------------------

@@ -16,6 +16,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from . import _native
 from .errors import ParameterError
 from .graph import Graph, build_graph, build_graph_reported, largest_connected_component
 
@@ -203,10 +204,15 @@ def gen_cm(degree_sequence: Sequence[int], seed: int) -> Graph:
     _check_cm(degree_sequence)
     n = len(degree_sequence)
     rng = random.Random(seed)
-    stubs = [v for v, d in enumerate(degree_sequence) for _ in range(d)]
-    rng.shuffle(stubs)
-    pairs = [(stubs[i], stubs[i + 1]) for i in range(0, len(stubs), 2)]
-    g, drops = build_graph_reported(n, pairs)
+    stubs = np.repeat(np.arange(n, dtype=np.int64), degree_sequence)
+    kernel = _native.LOADER.kernel("netbrain_shuffle")
+    if kernel is None:
+        shuffled = stubs.tolist()
+        rng.shuffle(shuffled)
+        stubs = np.array(shuffled, dtype=np.int64)
+    else:
+        _native.shuffle(kernel, rng, stubs)
+    g, drops = build_graph_reported(n, stubs.reshape(-1, 2))
     if drops.self_loops or drops.duplicates:
         logger.info(
             "configuration model erased %d self-loops and %d duplicate pairings",

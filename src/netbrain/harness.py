@@ -151,6 +151,10 @@ class ExperimentConfig:
     master_seed: int = 0
     target_fraction: float = 1.0
 
+    def __post_init__(self):
+        # A plain name is read as its member, and an unknown one is a ConfigError.
+        object.__setattr__(self, "policies", tuple(WalkPolicy(p) for p in self.policies))
+
     def validate(self) -> None:
         if not self.policies:
             raise ConfigError("at least one walk policy is required")

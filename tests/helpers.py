@@ -12,8 +12,8 @@ import random
 from collections import defaultdict
 from itertools import combinations, permutations
 
-from netbrain import GeneratorSpec, Graph, WalkPolicy, build_graph
-from netbrain.graph import is_connected
+from netbrain import ConstructionError, GeneratorSpec, Graph, WalkPolicy, build_graph
+from netbrain.graph import DropCounts, is_connected
 
 # One spec per network model, with non-default model parameters.
 ALL_SPECS = [
@@ -34,6 +34,30 @@ CRITERION_8_CONFIG = {
     "thresholds": [0.25, 0.5, 0.75, 1.0],
     "master_seed": 88,
 }
+
+
+def set_build_graph_reported(n: int, edges) -> tuple[Graph, DropCounts]:
+    """`graph.build_graph_reported` as one set per node: the reference the
+    array build is compared against."""
+    if n < 0:
+        raise ConstructionError(f"node count must be non-negative, got {n}")
+    neighbor_sets: list[set[int]] = [set() for _ in range(n)]
+    self_loops = 0
+    duplicates = 0
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ConstructionError(f"edge ({u}, {v}) has an endpoint outside [0, {n})")
+        if u == v:
+            self_loops += 1
+            continue
+        if v in neighbor_sets[u]:
+            duplicates += 1
+            continue
+        neighbor_sets[u].add(v)
+        neighbor_sets[v].add(u)
+    adj = tuple(tuple(sorted(s)) for s in neighbor_sets)
+    m = sum(len(s) for s in neighbor_sets) // 2
+    return Graph(n=n, adj=adj, m=m), DropCounts(self_loops, duplicates)
 
 
 def path_graph(n: int) -> Graph:

@@ -2,12 +2,15 @@ import random
 
 import pytest
 
+import numpy as np
+
 from helpers import (
     brute_force_betweenness,
     complete_graph,
     cycle_graph,
     path_graph,
     random_connected_graph,
+    set_build_graph_reported,
     star_graph,
 )
 from netbrain import (
@@ -18,7 +21,7 @@ from netbrain import (
     largest_connected_component,
 )
 from netbrain.generators import gen_er
-from netbrain.graph import build_graph_reported, is_connected
+from netbrain.graph import Graph, build_graph_reported, connected_components, is_connected
 
 
 def test_build_path_graph():
@@ -43,6 +46,74 @@ def test_build_complete_graph():
 def test_build_rejects_out_of_range_endpoint():
     with pytest.raises(ConstructionError, match=r"\(1, 5\)"):
         build_graph(3, [(0, 1), (1, 5)])
+
+
+def random_multiset(rng, n, k):
+    """k edges on n nodes with loops and repeats in both orientations; some nodes stay isolated."""
+    pool = range(max(1, n - n // 4))  # the top quarter of the ids is never used
+    edges = [(rng.choice(pool), rng.choice(pool)) for _ in range(k)]
+    edges += [(v, u) for u, v in rng.sample(edges, k // 3)] + rng.sample(edges, k // 5)
+    rng.shuffle(edges)
+    return edges
+
+
+def assert_same_build(got, expected):
+    (g, drops), (ref, ref_drops) = got, expected
+    assert (g, drops) == (ref, ref_drops)
+    for a, b in zip(g._csr, Graph(ref.n, ref.adj, ref.m)._csr):  # seeded view == the lazy one
+        assert a.dtype == b.dtype == np.int32 and not a.flags.writeable
+        assert a.tolist() == b.tolist()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_array_build_matches_set_build(seed):
+    rng = random.Random(seed)
+    for n, k in ((0, 0), (1, 0), (1, 3), (2, 5), (7, 12), (40, 90), (300, 2000), (2000, 1500)):
+        edges = random_multiset(rng, n, k) if n else []
+        expected = set_build_graph_reported(n, edges)
+        assert_same_build(build_graph_reported(n, edges), expected)
+        assert_same_build(build_graph_reported(n, iter(edges)), expected)
+        assert_same_build(build_graph_reported(n, np.array(edges, dtype=np.int64).reshape(-1, 2)), expected)
+
+
+@pytest.mark.parametrize(
+    "n, edges",
+    [
+        (0, [(0, 0)]),
+        (3, [(0, 1), (2, 2), (1, 5), (-1, 0)]),
+        (3, [(0, 0), (1, 0), (-1, 2), (1, 5)]),
+        (3, [(0, 1), (0, 3)]),
+        (4, [(1, 2), (2**70, 1), (9, 9)]),
+        (4, [(1, 2), (5, 1), (2**70, 1)]),
+        (4, [(1, 2), (0, -(2**64))]),
+    ],
+)
+def test_array_build_names_the_first_edge_outside_the_range(n, edges):
+    with pytest.raises(ConstructionError) as expected:
+        set_build_graph_reported(n, edges)
+    inputs = [edges, iter(edges)]
+    if all(abs(x) < 2**63 for e in edges for x in e):
+        inputs.append(np.array(edges, dtype=np.int64))
+    for given in inputs:
+        with pytest.raises(ConstructionError) as got:
+            build_graph_reported(n, given)
+        assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lcc_matches_a_rebuild_of_its_component(seed):
+    rng = random.Random(seed)
+    for n, k in ((1, 0), (5, 2), (60, 40), (600, 500), (600, 3000)):
+        g = build_graph(n, random_multiset(rng, n, k))
+        lcc, mapping = largest_connected_component(g)
+        best = max(connected_components(g), key=lambda c: (len(c), -c[0]))
+        assert mapping == {old: new for new, old in enumerate(best)}
+        expected = set_build_graph_reported(
+            len(best), [(mapping[u], mapping[v]) for u, v in g.edges() if u in mapping]
+        )
+        assert_same_build((lcc, expected[1]), expected)
+        if lcc.n == g.n:
+            assert lcc is g
 
 
 def test_adjacency_is_sorted_and_symmetric():

@@ -124,6 +124,16 @@ def test_cell_count_is_policies_times_starts_times_reps():
     assert len(tags) == 30
 
 
+def test_policy_names_run_and_aggregate_as_their_members():
+    named = run_experiment(small_config(policies=("standard", "look_ahead")))
+    members = run_experiment(small_config(policies=(WalkPolicy.STANDARD, WalkPolicy.LOOK_AHEAD)))
+    assert named == members
+    assert aggregate(named) == aggregate(members)
+    assert all(type(c.policy) is WalkPolicy for c in named)
+    with pytest.raises(ConfigError, match="unknown policy 'bogus'"):
+        small_config(policies=("standard", "bogus"))
+
+
 @pytest.mark.parametrize("step_cap", [0, -3])
 def test_step_cap_below_one_rejected(step_cap):
     # One rule for configs and for the engine, under both engines.

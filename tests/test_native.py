@@ -3,7 +3,9 @@
 `run_discovery` runs the kernel for a plain `random.Random` and the Python
 engine (`_Walker`) for any subclass, so a subclass run is the reference.
 `betweenness` runs the kernel whenever it loads; `_betweenness_python` is
-its reference. The kernels must build and load here: these tests do not skip.
+its reference. The set-up kernels are compared with `random.shuffle` and
+with the ingest line loop, which run when the library does not load. The
+kernels must build and load here: these tests do not skip.
 """
 
 import ctypes
@@ -16,24 +18,35 @@ import subprocess
 import sys
 import threading
 
+import numpy as np
 import pytest
 
-from helpers import CRITERION_8_CONFIG, brute_force_betweenness, cycle_graph, path_graph, star_graph
+from helpers import (
+    CRITERION_8_CONFIG,
+    brute_force_betweenness,
+    cycle_graph,
+    path_graph,
+    star_graph,
+    wos_scale_degree_sequence,
+)
 from netbrain import (
     BetweennessPercentile,
     ConfigError,
     DiscoveryStallError,
     GeneratorSpec,
+    ParseError,
     WalkPolicy,
     betweenness,
     build_graph,
     degree_ranked_nodes,
     generate,
+    ingest_edge_list,
     run_discovery,
     select_starts,
 )
 from netbrain import _native, graph
 from netbrain.cli import main as cli_main
+from netbrain.generators import gen_cm
 
 POLICIES = list(WalkPolicy)
 CAPS = (None, 1, 7, 50)
@@ -241,6 +254,90 @@ def test_betweenness_falls_back_to_python_above_2_to_the_53_paths(monkeypatch):
     assert calls["python"] == 0 and calls["native"][0] is not None
 
 
+# --- set-up: the configuration model's shuffle ---------------------------------
+
+
+@pytest.mark.parametrize("length", [0, 1, 2, 3, 1000, 193_494])
+def test_shuffle_kernel_matches_random_shuffle(length):
+    kernel = _native.LOADER.kernel("netbrain_shuffle")
+    assert kernel is not None
+    for seed in (0, 1, 6, 2**40 + 3):
+        expected, reference = list(range(length)), random.Random(seed)
+        reference.shuffle(expected)
+        got, rng = np.arange(length, dtype=np.int64), random.Random(seed)
+        _native.shuffle(kernel, rng, got)
+        assert got.tolist() == expected
+        assert rng.getstate() == reference.getstate()
+
+
+def test_configuration_model_is_the_same_without_the_kernel(tmp_path, monkeypatch):
+    sequence = wos_scale_degree_sequence(2000, 5)
+    native = gen_cm(sequence, seed=6)
+    monkeypatch.setattr(_native, "LOADER", _native.Loader(cc="false", cache_dir=tmp_path))
+    assert gen_cm(sequence, seed=6) == native
+    assert _native.LOADER.kernel("netbrain_shuffle") is None  # the Python path ran
+
+
+# --- set-up: the edge-list parse ----------------------------------------------
+
+# name -> (file bytes, whether the kernel's grammar takes the file)
+EDGE_FILES = {
+    "plain": (b"1 2\n2 3\n", True),
+    "crlf": (b"# head\r\n1 2\r\n\r\n2 3\r\n", True),
+    "tabs-and-blanks": (b"  \t\n\t1\t2 \t\n 2  3\n   # note\n", True),
+    "no-final-newline": (b"1 2\n2 3", True),
+    "loops-duplicates-two-components": (b"5 5\n1 2\n2 1\n1 2\n2 9\n70 80\n", True),
+    "18-digit-label": (b"999999999999999999 1\n1 0\n", True),
+    "comment-controls": (b"#\x00\x0b\x0c\x1c\x7f\n1 2\n", True),
+    "empty": (b"", True),
+    "comments-only": (b"# a\n\n  # b\n", True),
+    "lone-cr": (b"1 2\r2 3\n", False),
+    "lone-cr-in-comment": (b"# c\r1 2\n", False),
+    "cr-at-end": (b"1 2\n2 3\r", False),
+    "vertical-tab": (b"1\x0b2\n", False),
+    "form-feed-line": (b"\x0c\n1 2\n", False),
+    "file-separator": (b"1\x1c2\n", False),
+    "no-break-space": ("1\u00a02\n".encode(), False),
+    "plus": (b"+1 2\n", False),
+    "underscore": (b"1_0 2\n", False),
+    "arabic-indic": ("\u0661 2\n2 3\n".encode(), False),
+    "2^63": (b"9223372036854775808 1\n1 0\n", False),
+    "19-digit-zero-padded": (b"0000000000000000001 2\n", False),
+    "bom": (b"\xef\xbb\xbf1 2\n", False),
+    "mid-line-comment": (b"1 2 # c\n", False),
+    "negative": (b"1 2\n-1 2\n", False),
+    "three-tokens": (b"1 2 3\n", False),
+    "one-token": (b"1\n", False),
+    "letters": (b"a b\n", False),
+    "nul": (b"1 2\x00\n", False),
+    "invalid-utf8-comment": (b"# \xff\n1 2\n", False),
+}
+
+
+def ingest_outcome(path):
+    try:
+        return ingest_edge_list(path)
+    except ParseError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", EDGE_FILES)
+def test_parse_kernel_matches_the_line_loop(name, tmp_path, monkeypatch):
+    data, accepted = EDGE_FILES[name]
+    path = tmp_path / "edges.txt"
+    path.write_bytes(data)
+    kernel = _native.LOADER.kernel("netbrain_parse_edges")
+    assert kernel is not None
+    assert (_native.parse_edges(kernel, data) is not None) == accepted
+    native = ingest_outcome(path)
+    monkeypatch.setattr(_native, "LOADER", _native.Loader(cc="false", cache_dir=tmp_path / "cache"))
+    python = ingest_outcome(path)
+    assert _native.LOADER.kernel("netbrain_parse_edges") is None  # the line loop ran
+    assert native == python
+    if not isinstance(native, str):
+        assert list(native[1].items()) == list(python[1].items())  # same order too
+
+
 # --- building and loading ------------------------------------------------------
 
 
@@ -314,7 +411,10 @@ def test_threads_build_once_and_match_serial_runs(tmp_path, monkeypatch):
 def test_kernel_source_compiles_without_warnings(tmp_path):
     lib = tmp_path / "walk.so"
     done = subprocess.run(
-        ["cc", "-std=c99", "-Wall", "-Wextra", "-Werror", *_native.CFLAGS, "-o", str(lib), str(_native.SOURCE)],
+        [
+            "cc", "-std=c99", "-pedantic", "-Wall", "-Wextra", "-Wshadow", "-Wconversion", "-Werror",
+            *_native.CFLAGS, "-o", str(lib), str(_native.SOURCE),
+        ],
         capture_output=True,
         text=True,
     )
