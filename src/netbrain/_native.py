@@ -123,26 +123,14 @@ class Loader:
 LOADER = Loader()
 
 
-def kernel_for(g: Graph, name: str):
-    """The entry point `name` if it may run on `g`, else None.
-
-    The kernels read the int32 CSR view `Graph._csr`, so a graph with
-    2 * m of 2**31 or more runs in Python.
-    """
-    if 2 * g.m >= 2**31:
-        return None
-    return LOADER.kernel(name)
-
-
 def betweenness(kernel, g: Graph) -> list[float] | None:
     """Exact betweenness of `g` by `netbrain_betweenness`, bit-identical to
     `graph._betweenness_python`, or None when a path count exceeds 2**53,
     which Python counts exactly and a double does not."""
     n = g.n
-    indptr, indices = g._csr
     centrality = np.empty(n)
     overflow = kernel(
-        indptr, indices, n, centrality,
+        g.indptr, g.indices, n, centrality,
         np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int32),
         np.empty(n, dtype=np.int64), np.empty(n),
     )
@@ -153,8 +141,7 @@ def discover(kernel, walker, policy_code: int, stall_limit: int) -> bool:
     """`dynamics._Walker.discover` run by `netbrain_discover` on the walker's
     own `known` and `reported` buffers; the counters, the crossed targets and
     the generator's state go back into the walker and its `rng`."""
-    n = walker.g.n
-    indptr, indices = walker.g._csr
+    g = walker.g
     version, words, gauss_next = walker.rng.getstate()
     mt = np.array(words, dtype=np.uint32)
     targets = np.array(walker.targets, dtype=np.int64)
@@ -165,12 +152,12 @@ def discover(kernel, walker, policy_code: int, stall_limit: int) -> bool:
         dtype=np.int64,
     )
     stalled = kernel(
-        indptr, indices,
+        g.indptr, g.indices,
         walker.brain, policy_code, walker.cap, walker.stop_count,
         targets, len(targets), crossed_steps,
         np.frombuffer(walker.known, dtype=np.uint8), np.frombuffer(walker.reported, dtype=np.uint8),
-        np.zeros(n, dtype=np.uint8),  # state
-        np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int32),  # touched, elig
+        np.zeros(g.n, dtype=np.uint8),  # state
+        np.empty(g.n, dtype=np.int32), np.empty(g.n, dtype=np.int32),  # touched, elig
         mt, ctr, stall_limit,
     )
     walker.rng.setstate((version, tuple(mt.tolist()), gauss_next))

@@ -326,7 +326,7 @@ def run_discovery(
 
     The native kernel runs the walks for a plain `random.Random`, which it
     replays itself; a subclass, which may override `random()`, gets the
-    Python engine, and so does a graph too large for an int32 CSR view.
+    Python engine.
     """
     grid = validate_thresholds(thresholds if thresholds is not None else default_thresholds())
     if not 0.0 < target_fraction <= 1.0:
@@ -337,7 +337,7 @@ def run_discovery(
         stop_count=math.ceil(target_fraction * n - 1e-9),
         targets=[math.ceil(t * n - 1e-9) for t in grid],
     )
-    kernel = _native.kernel_for(g, "netbrain_discover") if type(rng) is random.Random else None
+    kernel = _native.LOADER.kernel("netbrain_discover") if type(rng) is random.Random else None
     while walker.discover(10 * n, kernel):
         if step_cap is None and is_connected(g):
             walker.stalled = 0

@@ -13,7 +13,7 @@ from . import _native
 from .dynamics import WalkPolicy
 from .errors import ConfigError, ParseError
 from .generators import _MODELS, MODELS, GeneratorSpec, _params
-from .graph import Graph, _first_of_runs, build_graph_reported, largest_connected_component
+from .graph import Graph, _first_of_runs, _upper_arcs, build_graph_reported, largest_connected_component
 from .harness import (
     _START_KINDS,
     AggregateCurve,
@@ -111,12 +111,16 @@ def _parse_lines(path: Path) -> tuple[list[int], list[tuple[int, int]]]:
 
 def write_edge_list(g: Graph, path: str | Path, header: Sequence[str] = ()) -> None:
     """Write edges as 'u v' lines (u < v, ascending), with optional # header lines."""
-    indptr, indices = g._csr
-    source = np.repeat(np.arange(g.n), np.diff(indptr))
-    upper = source < indices
-    lines = [f"# {line}\n" for line in header]
-    lines += [f"{u} {v}\n" for u, v in zip(source[upper].tolist(), indices[upper].tolist())]
-    Path(path).write_text("".join(lines))
+    names = [str(v) for v in range(g.n)]  # each id is formatted once
+    source, target = _upper_arcs(g)
+    ends = [names[v] for v in target.tolist()]
+    text = [f"# {line}\n" for line in header]
+    nodes, counts = np.unique(source, return_counts=True)
+    bounds = np.cumsum(counts).tolist()
+    for u, start, stop in zip(nodes.tolist(), [0, *bounds], bounds):
+        row = names[u] + " "
+        text.append(row + ("\n" + row).join(ends[start:stop]) + "\n")  # node u's block
+    Path(path).write_text("".join(text))
 
 
 # --- experiment config files (JSON) -----------------------------------------

@@ -130,10 +130,10 @@ def _check_waxman(n: int, k_avg: float, alpha: float) -> None:
     _check_unit("alpha", alpha, open_below=True)
 
 
-# The most edges an sbm may expect to draw. build_graph holds each edge as a
-# tuple and in two adjacency sets, a few hundred bytes per edge, so this is
-# over a gigabyte; the clamp of a negative intra-block probability can ask
-# for far more edges than k_avg does (README).
+# The most edges an sbm may expect to draw. gen_sbm keeps each drawn edge as
+# a tuple in a list, about 128 bytes per edge before build_graph packs them
+# into arrays, so this is over half a gigabyte; the clamp of a negative
+# intra-block probability can ask for far more edges than k_avg does (README).
 _SBM_MAX_EDGES = 5_000_000
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -15,53 +14,74 @@ from . import _native
 from .errors import ConstructionError
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Undirected simple graph on nodes 0..n-1 with sorted adjacency lists.
+_INT32 = 2**31  # Graph's arrays are int32: node ids and arc offsets stay below this
 
-    Instances are immutable after construction and safe to share across
-    concurrent readers. Use :func:`build_graph` instead of constructing
-    directly, so the simple-graph invariants are enforced.
+
+@dataclass(frozen=True, eq=False)
+class Graph:
+    """Undirected simple graph on nodes 0..n-1, held as read-only int32 CSR
+    arrays: node v's neighbours are `indices[indptr[v]:indptr[v + 1]]`, ascending.
+
+    Instances are immutable and safe to share across concurrent readers.
+    Graphs with the same `n` and edges are equal; a pickle holds only `n` and
+    the arrays. Use :func:`build_graph` instead of constructing directly, so
+    the simple-graph invariants are enforced.
     """
 
     n: int
-    adj: tuple[tuple[int, ...], ...]
-    m: int
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    def __post_init__(self):
+        for name in ("indptr", "indices"):
+            a = np.array(getattr(self, name), dtype=np.int32)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+
+    @property
+    def m(self) -> int:
+        return len(self.indices) // 2
+
+    @cached_property
+    def adj(self) -> tuple[tuple[int, ...], ...]:
+        """The neighbour tuples the Python engines read, built on first use."""
+        flat = self.indices.tolist()
+        bounds = self.indptr.tolist()
+        return tuple(tuple(flat[bounds[v] : bounds[v + 1]]) for v in range(self.n))
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        v = range(self.n)[v]  # a sequence index: negatives count from the end, others raise
+        return int(self.indptr[v + 1] - self.indptr[v])
 
     def degrees(self) -> list[int]:
-        return [len(nbrs) for nbrs in self.adj]
+        return np.diff(self.indptr).tolist()
 
     def mean_degree(self) -> float:
         return 2.0 * self.m / self.n if self.n else 0.0
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, in ascending order."""
-        return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
+        source, target = _upper_arcs(self)
+        return list(zip(source.tolist(), target.tolist()))
 
-    def has_edge(self, u: int, v: int) -> bool:
-        a = self.adj[u]
-        i = bisect_left(a, v)
-        return i < len(a) and a[i] == v
+    def _key(self) -> tuple[int, bytes, bytes]:
+        return self.n, self.indptr.tobytes(), self.indices.tobytes()
 
-    @cached_property
-    def _csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """The adjacency as read-only int32 `indptr` and `indices` arrays.
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if isinstance(other, Graph) else NotImplemented
 
-        Built on first use; `_native.kernel_for` keeps 2 * m below 2**31.
-        The view is not a field, so it takes no part in equality, and pickles
-        leave it out.
-        """
-        indptr = np.zeros(self.n + 1, dtype=np.int32)
-        np.cumsum([len(nbrs) for nbrs in self.adj], out=indptr[1:])
-        indices = np.fromiter(chain.from_iterable(self.adj), dtype=np.int32, count=2 * self.m)
-        indptr.flags.writeable = indices.flags.writeable = False
-        return indptr, indices
+    def __hash__(self) -> int:
+        return hash(self._key())
 
-    def __getstate__(self) -> dict:
-        return {"n": self.n, "adj": self.adj, "m": self.m}
+    def __reduce__(self):
+        return Graph, (self.n, self.indptr, self.indices)
+
+
+def _upper_arcs(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """The sources and targets of the arcs (u, v) with u < v, in ascending order."""
+    source = np.repeat(np.arange(g.n), np.diff(g.indptr))
+    upper = source < g.indices
+    return source[upper], g.indices[upper]
 
 
 @dataclass(frozen=True)
@@ -85,10 +105,11 @@ def build_graph_reported(
     `edges` holds integer pairs: any iterable of them, or a (k, 2) integer
     array. Returns the graph together with the counts of dropped edges.
     Endpoints outside [0, n) raise :class:`ConstructionError` naming the first
-    offending edge.
+    offending edge, and so does a graph whose arcs (2 * m) or nodes do not
+    fit the int32 arrays of :class:`Graph`.
     """
-    if n < 0:
-        raise ConstructionError(f"node count must be non-negative, got {n}")
+    if not 0 <= n < _INT32:
+        raise ConstructionError(f"node count must be in [0, 2**31), got {n}")
     if not isinstance(edges, np.ndarray):
         edges = list(edges)
         try:
@@ -112,14 +133,15 @@ def build_graph_reported(
     u, v = u[~loop], v[~loop]
     keys = np.sort(np.minimum(u, v) * n + np.maximum(u, v))  # one per unordered pair
     keys = keys[_first_of_runs(keys)]
+    if 2 * keys.size >= _INT32:
+        raise ConstructionError(f"{keys.size} edges give 2 * m >= 2**31 arcs, too many for int32")
     drops = DropCounts(int(loop.sum()), int(u.size - keys.size))
     lo, hi = np.divmod(keys, n)
     # Both directions of each pair, sorted by (source, target).
     arcs = np.sort(np.concatenate((keys, hi * n + lo)))
     source, target = np.divmod(arcs, n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(source, minlength=n), out=indptr[1:])
-    return _from_csr(n, indptr, target), drops
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(source, minlength=n))))
+    return Graph(n, indptr, target), drops
 
 
 def _first_of_runs(ranked: np.ndarray) -> np.ndarray:
@@ -130,42 +152,32 @@ def _first_of_runs(ranked: np.ndarray) -> np.ndarray:
     return first
 
 
-def _from_csr(n: int, indptr: np.ndarray, indices: np.ndarray) -> Graph:
-    """The graph whose sorted, simple adjacency is the CSR (`indptr`, `indices`).
+def _component_labels(g: Graph) -> np.ndarray:
+    """Each node's component label: the smallest node id in its component.
 
-    The arrays also become the graph's `_csr` view, so it is not rebuilt.
+    Hook and compress after Shiloach & Vishkin (1982): labels start as the
+    node ids; across each arc joining two trees the larger root hooks to the
+    smaller, then labels pointer-jump to their roots. Labels only decrease.
     """
-    flat = indices.tolist()
-    bounds = indptr.tolist()
-    adj = tuple(tuple(flat[bounds[i] : bounds[i + 1]]) for i in range(n))
-    g = Graph(n=n, adj=adj, m=len(flat) // 2)
-    if len(flat) < 2**31:  # the int32 view of `_csr`
-        indptr, indices = indptr.astype(np.int32), indices.astype(np.int32)
-        indptr.flags.writeable = indices.flags.writeable = False
-        vars(g)["_csr"] = indptr, indices
-    return g
+    labels = np.arange(g.n)
+    source = np.repeat(labels, np.diff(g.indptr))
+    target = g.indices.astype(np.intp)
+    while source.size:
+        np.minimum.at(labels, labels[source], labels[target])
+        while not np.array_equal(jumped := labels[labels], labels):
+            labels = jumped
+        crossing = labels[source] != labels[target]
+        source, target = source[crossing], target[crossing]
+    return labels
 
 
 def connected_components(g: Graph) -> list[list[int]]:
     """Connected components as sorted node lists, ordered by smallest member."""
-    seen = bytearray(g.n)
-    components: list[list[int]] = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        seen[start] = 1
-        comp = [start]
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in g.adj[u]:
-                if not seen[w]:
-                    seen[w] = 1
-                    comp.append(w)
-                    queue.append(w)
-        comp.sort()
-        components.append(comp)
-    return components
+    labels = _component_labels(g)
+    members = np.argsort(labels, kind="stable").tolist()
+    sizes = np.bincount(labels)
+    bounds = np.cumsum(sizes[sizes > 0]).tolist()
+    return [members[a:b] for a, b in zip([0, *bounds], bounds)]
 
 
 def largest_connected_component(g: Graph) -> tuple[Graph, dict[int, int]]:
@@ -175,24 +187,21 @@ def largest_connected_component(g: Graph) -> tuple[Graph, dict[int, int]]:
     node id. The returned mapping sends old ids of retained nodes to their
     new dense ids (ascending order is preserved).
     """
-    if g.n == 0:
-        return g, {}
-    components = connected_components(g)
-    best = max(components, key=lambda c: (len(c), -c[0]))
-    mapping = {old: new for new, old in enumerate(best)}
-    if len(best) == g.n:
+    labels = _component_labels(g)
+    # The first largest has the smallest label, so id; with n = 0 nothing is kept.
+    best = np.bincount(labels, minlength=1).argmax()
+    inside = labels == best
+    kept = np.flatnonzero(inside).tolist()
+    mapping = {old: new for new, old in enumerate(kept)}
+    if len(kept) == g.n:
         return g, mapping
     # A component holds all its nodes' neighbours, and the relabelling keeps
     # node order, so each relabelled row is already sorted and simple.
-    inside = np.zeros(g.n, dtype=bool)
-    inside[best] = True
-    indptr, indices = g._csr
-    degrees = np.diff(indptr)
+    degrees = np.diff(g.indptr)
     new_id = np.cumsum(inside) - 1
-    new_indptr = np.zeros(len(best) + 1, dtype=np.int64)
-    np.cumsum(degrees[inside], out=new_indptr[1:])
-    new_indices = new_id[indices[np.repeat(inside, degrees)]]
-    return _from_csr(len(best), new_indptr, new_indices), mapping
+    new_indptr = np.concatenate(([0], np.cumsum(degrees[inside])))
+    new_indices = new_id[g.indices[np.repeat(inside, degrees)]]
+    return Graph(len(kept), new_indptr, new_indices), mapping
 
 
 def betweenness(g: Graph) -> list[float]:
@@ -203,7 +212,7 @@ def betweenness(g: Graph) -> list[float]:
     loads, with every value bit-identical to the Python loop, which runs
     otherwise and whenever a path count exceeds 2**53.
     """
-    kernel = _native.kernel_for(g, "netbrain_betweenness")
+    kernel = _native.LOADER.kernel("netbrain_betweenness")
     if kernel is not None:
         values = _native.betweenness(kernel, g)
         if values is not None:
@@ -249,8 +258,8 @@ def _betweenness_python(g: Graph) -> list[float]:
 
 def degree_ranked_nodes(g: Graph) -> list[int]:
     """Nodes sorted by descending degree, ties broken by ascending id."""
-    return sorted(range(g.n), key=lambda v: (-len(g.adj[v]), v))
+    return np.argsort(-np.diff(g.indptr), kind="stable").tolist()
 
 
 def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) <= 1
+    return not _component_labels(g).any()

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import math
 import random
-from collections import defaultdict
-from itertools import combinations, permutations
+from collections import defaultdict, deque
+from itertools import accumulate, combinations, permutations
 
 from netbrain import ConstructionError, GeneratorSpec, Graph, WalkPolicy, build_graph
 from netbrain.graph import DropCounts, is_connected
@@ -55,9 +55,33 @@ def set_build_graph_reported(n: int, edges) -> tuple[Graph, DropCounts]:
             continue
         neighbor_sets[u].add(v)
         neighbor_sets[v].add(u)
-    adj = tuple(tuple(sorted(s)) for s in neighbor_sets)
-    m = sum(len(s) for s in neighbor_sets) // 2
-    return Graph(n=n, adj=adj, m=m), DropCounts(self_loops, duplicates)
+    rows = [sorted(s) for s in neighbor_sets]
+    indptr = [0, *accumulate(len(row) for row in rows)]
+    indices = [w for row in rows for w in row]
+    return Graph(n, indptr, indices), DropCounts(self_loops, duplicates)
+
+
+def bfs_components(g: Graph) -> list[list[int]]:
+    """Connected components by breadth-first search over `adj`, as sorted node
+    lists ordered by smallest member: the reference for the array labelling."""
+    seen = bytearray(g.n)
+    components: list[list[int]] = []
+    for start in range(g.n):
+        if seen[start]:
+            continue
+        seen[start] = 1
+        comp = [start]
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for w in g.adj[u]:
+                if not seen[w]:
+                    seen[w] = 1
+                    comp.append(w)
+                    queue.append(w)
+        comp.sort()
+        components.append(comp)
+    return components
 
 
 def path_graph(n: int) -> Graph:
@@ -82,15 +106,14 @@ def harmonic(n: int) -> float:
 
 
 def average_clustering(g: Graph) -> float:
+    linked = [set(nbrs) for nbrs in g.adj]
     total = 0.0
     for v in range(g.n):
         nbrs = g.adj[v]
         k = len(nbrs)
         if k < 2:
             continue
-        links = sum(
-            1 for i in range(k) for j in range(i + 1, k) if g.has_edge(nbrs[i], nbrs[j])
-        )
+        links = sum(1 for i in range(k) for j in range(i + 1, k) if nbrs[j] in linked[nbrs[i]])
         total += 2.0 * links / (k * (k - 1))
     return total / g.n
 

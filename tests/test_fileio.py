@@ -1,4 +1,5 @@
 import json
+import random
 from dataclasses import replace
 
 import pytest
@@ -13,6 +14,7 @@ from netbrain import (
     ParseError,
     WalkPolicy,
     aggregate,
+    build_graph,
     config_from_dict,
     config_to_dict,
     generate,
@@ -89,6 +91,14 @@ def test_roundtrip_preserves_degree_sequence(tmp_path):
     assert g2.n == g.n and g2.m == g.m
     assert sorted(g2.degrees()) == sorted(g.degrees())
     assert g2.edges() == g.edges()  # labels were already dense and sorted
+    # The bytes of one f-string line per edge, here with isolated nodes and long ids.
+    rng = random.Random(6)
+    sparse = build_graph(12_000, [(rng.randrange(12_000), rng.randrange(12_000)) for _ in range(5000)])
+    for graph, header in ((g, ["roundtrip check"]), (sparse, [])):
+        write_edge_list(graph, f, header=header)
+        lines = [f"# {line}\n" for line in header]
+        lines += [f"{u} {v}\n" for u in range(graph.n) for v in graph.adj[u] if u < v]
+        assert f.read_bytes() == "".join(lines).encode()
 
 
 # --- config files -----------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 import numpy as np
 
 from helpers import (
+    bfs_components,
     brute_force_betweenness,
     complete_graph,
     cycle_graph,
@@ -20,8 +21,9 @@ from netbrain import (
     degree_ranked_nodes,
     largest_connected_component,
 )
+from netbrain import graph
 from netbrain.generators import gen_er
-from netbrain.graph import Graph, build_graph_reported, connected_components, is_connected
+from netbrain.graph import build_graph_reported, connected_components, is_connected
 
 
 def test_build_path_graph():
@@ -60,9 +62,10 @@ def random_multiset(rng, n, k):
 def assert_same_build(got, expected):
     (g, drops), (ref, ref_drops) = got, expected
     assert (g, drops) == (ref, ref_drops)
-    for a, b in zip(g._csr, Graph(ref.n, ref.adj, ref.m)._csr):  # seeded view == the lazy one
+    for a, b in ((g.indptr, ref.indptr), (g.indices, ref.indices)):
         assert a.dtype == b.dtype == np.int32 and not a.flags.writeable
         assert a.tolist() == b.tolist()
+    assert type(g.m) is int and g.m == ref.m
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -100,6 +103,69 @@ def test_array_build_names_the_first_edge_outside_the_range(n, edges):
         assert str(got.value) == str(expected.value)
 
 
+def test_build_refuses_graphs_beyond_int32(monkeypatch):
+    with pytest.raises(ConstructionError, match="node count"):
+        build_graph(2**31, [])
+    monkeypatch.setattr(graph, "_INT32", 12)  # 2 * m must stay below 12
+    k4 = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    assert build_graph(5, k4[:5]).m == 5
+    for edges in (k4, iter(k4), np.array(k4 + k4)):
+        with pytest.raises(ConstructionError, match=r"2 \* m >= 2\*\*31"):
+            build_graph(5, edges)
+
+
+def shuffled_path(n: int, seed: int) -> list[tuple[int, int]]:
+    ids = list(range(n))
+    random.Random(seed).shuffle(ids)
+    return list(zip(ids, ids[1:]))
+
+
+def zigzag_path(n: int) -> list[tuple[int, int]]:
+    """The path 0, n-1, 1, n-2, ...: each hop crosses the id range."""
+    ids = [i // 2 if i % 2 == 0 else n - 1 - i // 2 for i in range(n)]
+    return list(zip(ids, ids[1:]))
+
+
+def random_forest(n: int, seed: int) -> list[tuple[int, int]]:
+    """Each node links to an earlier one with probability 0.9, under shuffled ids."""
+    rng = random.Random(seed)
+    ids = list(range(n))
+    rng.shuffle(ids)
+    return [(ids[v], ids[rng.randrange(v)]) for v in range(1, n) if rng.random() < 0.9]
+
+
+_rng = random.Random(11)
+COMPONENT_GRAPHS = {
+    **{
+        f"multiset-{n}-{k}": build_graph(n, random_multiset(_rng, n, k))
+        for n, k in ((1, 0), (5, 2), (60, 40), (600, 500), (600, 3000), (3000, 2500))
+    },
+    "shuffled-path": build_graph(2000, shuffled_path(2000, 3)),
+    "zigzag-path": build_graph(2001, zigzag_path(2001)),
+    "forest": build_graph(3000, random_forest(3000, 4)),
+    "no-edges": build_graph(5, []),
+    "empty": build_graph(0, []),
+    "tie": build_graph(7, [(6, 2), (2, 5), (4, 1), (3, 4)]),  # {1, 3, 4} beats {2, 5, 6}
+}
+
+
+@pytest.mark.parametrize("name", COMPONENT_GRAPHS)
+def test_components_and_lcc_match_the_bfs_oracle(name):
+    g = COMPONENT_GRAPHS[name]
+    components = bfs_components(g)
+    assert connected_components(g) == components
+    assert is_connected(g) == (len(components) <= 1)
+    lcc, mapping = largest_connected_component(g)
+    best = max(components, key=lambda c: (len(c), -c[0]), default=[])
+    assert mapping == {old: new for new, old in enumerate(best)}
+    expected, _ = set_build_graph_reported(
+        len(best), [(mapping[u], mapping[v]) for u in best for v in g.adj[u]]
+    )
+    assert lcc == expected
+    if len(best) == g.n:
+        assert lcc is g
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_lcc_matches_a_rebuild_of_its_component(seed):
     rng = random.Random(seed)
@@ -129,8 +195,10 @@ def test_degree_examples():
     s5 = star_graph(5)
     assert s5.degree(0) == 4
     assert s5.degree(3) == 1
-    with pytest.raises(IndexError):
-        s5.degree(5)
+    assert s5.degree(-5) == 4 and type(s5.degree(-1)) is int  # as the index of a sequence
+    for v in (5, -6):
+        with pytest.raises(IndexError):
+            s5.degree(v)
 
 
 def test_degree_sum_is_twice_edge_count():

@@ -159,13 +159,16 @@ def test_capped_disconnected_input_stalls_under_both_engines(policy):
 
 def test_csr_view_keeps_graph_equality_and_pickles():
     g = GRAPHS["ws"]
-    indptr, indices = g._csr
-    assert indptr.tolist() == [0, *itertools.accumulate(len(a) for a in g.adj)]
-    assert indices.tolist() == [w for a in g.adj for w in a]
-    assert g._csr is g._csr  # built once
-    copy = pickle.loads(pickle.dumps(g))
+    assert g.indptr.tolist() == [0, *itertools.accumulate(len(a) for a in g.adj)]
+    assert g.indices.tolist() == [w for a in g.adj for w in a]
+    assert g.adj is g.adj  # built once
+    data = pickle.dumps(g)
+    copy = pickle.loads(data)
     assert copy == g and hash(copy) == hash(g)
-    assert "_csr" not in vars(copy)
+    assert "adj" not in vars(copy)  # the tuples stay out of the pickle
+    assert len(data) < 4 * (g.n + 1 + 2 * g.m) + 500  # n and the arrays, nothing more
+    for a in (copy.indptr, copy.indices):
+        assert a.dtype == np.int32 and not a.flags.writeable
 
 
 # --- betweenness -----------------------------------------------------------------
@@ -185,7 +188,7 @@ BETWEENNESS_GRAPHS = {
 
 
 def native_betweenness(g):
-    kernel = _native.kernel_for(g, "netbrain_betweenness")
+    kernel = _native.LOADER.kernel("netbrain_betweenness")
     assert kernel is not None
     values = _native.betweenness(kernel, g)
     assert values is not None  # no path count above 2**53
