@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from dataclasses import fields
@@ -21,7 +20,7 @@ from .fileio import (
     write_aggregate_csv,
     write_curves_csv,
     write_edge_list,
-    write_manifest,
+    write_json,
 )
 from .generators import _MODELS, MODELS, GeneratorSpec, generate
 from .harness import _START_KINDS, _worker_count, aggregate, resolve_graph, run_experiment, sweep
@@ -102,12 +101,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         write_edge_list(g, out / "graph.txt", header=[f"LCC of {args.edge_list}"])
-        (out / "label_map.json").write_text(
-            json.dumps({str(k): v for k, v in label_map.items()}, indent=2, sort_keys=True) + "\n"
-        )
-        (out / "ingest_report.json").write_text(
-            json.dumps(report.__dict__, indent=2, sort_keys=True) + "\n"
-        )
+        write_json(out / "label_map.json", {str(k): v for k, v in label_map.items()})
+        write_json(out / "ingest_report.json", report.__dict__)
         print(f"wrote {out / 'graph.txt'}, label_map.json, ingest_report.json")
     return 0
 
@@ -169,7 +164,7 @@ def _write_manifest(out_dir: Path, elapsed: float, **payload) -> None:
         wall_time_s=round(elapsed, 3),
         created=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     )
-    write_manifest(out_dir / "manifest.json", payload)
+    write_json(out_dir / "manifest.json", payload)
 
 
 # Arguments of `run` that go with --config; every other run flag sets a config key.

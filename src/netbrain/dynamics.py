@@ -20,6 +20,7 @@ and step counter persist.
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -100,12 +101,18 @@ def validate_thresholds(thresholds: Sequence[float]) -> tuple[float, ...]:
 
 
 def validate_step_cap(step_cap: int | None) -> None:
-    """A step cap is None (no cap) or at least 1; it is checked after a move."""
-    if step_cap is not None and step_cap < 1:
+    """A step cap is None (no cap) or an integer of at least 1; it is checked after a move."""
+    if step_cap is None:
+        return
+    if isinstance(step_cap, bool) or not isinstance(step_cap, numbers.Integral):
+        raise ConfigError(f"step_cap must be an integer, got {step_cap!r}")
+    if step_cap < 1:
         raise ConfigError(f"step_cap must be >= 1, got {step_cap}")
 
 
-_NO_CAP = 1 << 62  # a step count no walk reaches
+# A step count no walk reaches: a walk's steps are at most 2m < 2**31, so any
+# larger cap runs as this one, and it fits the kernel's int64.
+_NO_CAP = 1 << 62
 _POLICY_CODES = {WalkPolicy.STANDARD: 0, WalkPolicy.EXTENDED: 1, WalkPolicy.LOOK_AHEAD: 2}  # as in _walk.c
 
 
@@ -157,7 +164,7 @@ class _Walker:
         self.policy = policy if isinstance(policy, WalkPolicy) else WalkPolicy(policy)
         self.rng = rng
         validate_step_cap(step_cap)
-        self.cap = _NO_CAP if step_cap is None else step_cap
+        self.cap = _NO_CAP if step_cap is None else min(int(step_cap), _NO_CAP)
         self.stop_count = g.n if stop_count is None else stop_count
         self.known = bytearray(g.n)
         for v in known or ():
@@ -316,9 +323,9 @@ def run_discovery(
     granularity) at the moment each discovery threshold is first reached.
     The graph must be connected (run on the LCC). A misuse guard aborts
     after 10 * n consecutive walks that add nothing, if a step cap is set or
-    the graph is disconnected; without a cap, every node of a connected
-    graph is reachable along a shortest path, so progress is certain and
-    the count starts over.
+    the graph is disconnected; without a cap (or with one of 2**62 or more,
+    which no walk reaches), every node of a connected graph is reachable
+    along a shortest path, so progress is certain and the count starts over.
 
     `target_fraction` stops the run once that fraction is known; the default
     of 1.0 runs to full coverage. Thresholds above the target are then never
@@ -339,7 +346,7 @@ def run_discovery(
     )
     kernel = _native.LOADER.kernel("netbrain_discover") if type(rng) is random.Random else None
     while walker.discover(10 * n, kernel):
-        if step_cap is None and is_connected(g):
+        if walker.cap == _NO_CAP and is_connected(g):
             walker.stalled = 0
             continue
         raise DiscoveryStallError(

@@ -13,7 +13,7 @@ from . import _native
 from .dynamics import WalkPolicy
 from .errors import ConfigError, ParseError
 from .generators import _MODELS, MODELS, GeneratorSpec, _params
-from .graph import Graph, _first_of_runs, _upper_arcs, build_graph_reported, largest_connected_component
+from .graph import Graph, _upper_arcs, build_graph_reported, largest_connected_component
 from .harness import (
     _START_KINDS,
     AggregateCurve,
@@ -50,17 +50,18 @@ def ingest_edge_list(path: str | Path) -> tuple[Graph, dict[int, int], IngestRep
     kernel = _native.LOADER.kernel("netbrain_parse_edges")
     pairs = None if kernel is None else _native.parse_edges(kernel, path.read_bytes())
     if pairs is None:
-        labels, edges = _parse_lines(path)
-    else:
-        labels, edges = _dense(pairs)
-    if not len(edges):
+        pairs = _parse_lines(path)
+    if not len(pairs):
         raise ParseError(f"{path}: no edges found")
-    g, drops = build_graph_reported(len(labels), edges)
+    # The sorted labels, and the pairs as their ranks; numpy versions differ in the shape of `dense`.
+    labels, dense = np.unique(pairs, return_inverse=True)
+    g, drops = build_graph_reported(len(labels), dense.reshape(-1, 2))
     lcc, lcc_map = largest_connected_component(g)
+    labels = labels.tolist()
     label_map = {labels[old]: new for old, new in lcc_map.items()}
     report = IngestReport(
         raw_nodes=len(labels),
-        raw_edges=len(edges),
+        raw_edges=len(pairs),
         self_loops_dropped=drops.self_loops,
         duplicates_dropped=drops.duplicates,
         lcc_nodes=lcc.n,
@@ -69,21 +70,10 @@ def ingest_edge_list(path: str | Path) -> tuple[Graph, dict[int, int], IngestRep
     return lcc, label_map, report
 
 
-def _dense(pairs: np.ndarray) -> tuple[list[int], np.ndarray]:
-    """The sorted distinct labels of `pairs`, and `pairs` in their dense ids."""
-    flat = pairs.ravel()
-    order = np.argsort(flat)
-    ranked = flat[order]
-    first = _first_of_runs(ranked)
-    dense = np.empty_like(flat)
-    dense[order] = np.cumsum(first) - 1
-    return ranked[first].tolist(), dense.reshape(pairs.shape)
-
-
-def _parse_lines(path: Path) -> tuple[list[int], list[tuple[int, int]]]:
-    """The sorted labels of an edge list and its edges in dense ids, read line by line."""
+def _parse_lines(path: Path) -> np.ndarray:
+    """The (k, 2) labels of an edge list, read line by line; object dtype
+    only when some label exceeds int64."""
     raw_edges: list[tuple[int, int]] = []
-    labels: set[int] = set()
     with path.open(encoding="utf-8") as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
@@ -100,13 +90,12 @@ def _parse_lines(path: Path) -> tuple[list[int], list[tuple[int, int]]]:
                 if u < 0 or v < 0:
                     raise ParseError(f"{path}:{lineno}: node labels must be non-negative")
                 raw_edges.append((u, v))
-                labels.add(u)
-                labels.add(v)
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    ordered = sorted(labels)
-    dense = {label: i for i, label in enumerate(ordered)}
-    return ordered, [(dense[u], dense[v]) for u, v in raw_edges]
+    try:
+        return np.array(raw_edges, dtype=np.int64)
+    except OverflowError:  # left to pick a dtype, numpy may round such labels to float64
+        return np.array(raw_edges, dtype=object)
 
 
 def write_edge_list(g: Graph, path: str | Path, header: Sequence[str] = ()) -> None:
@@ -272,7 +261,7 @@ def load_config(path: str | Path) -> tuple[ExperimentConfig, dict | None]:
 
 
 def save_config(cfg: ExperimentConfig, path: str | Path, sweep_block: dict | None = None) -> None:
-    Path(path).write_text(json.dumps(config_to_dict(cfg, sweep_block), indent=2, sort_keys=True) + "\n")
+    write_json(path, config_to_dict(cfg, sweep_block))
 
 
 # --- result serialization -----------------------------------------------------
@@ -306,5 +295,6 @@ def write_aggregate_csv(aggregates: Sequence[AggregateCurve], path: str | Path) 
             fh.write(f"{group},{policy},{threshold:.4f},{mean:.4f},{sd:.4f},{n}\n")
 
 
-def write_manifest(path: str | Path, payload: dict) -> None:
+def write_json(path: str | Path, payload: dict) -> None:
+    """Every JSON file netbrain writes: indented, keys sorted, one final newline."""
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

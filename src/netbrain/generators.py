@@ -46,6 +46,8 @@ class GeneratorSpec:
     def validate(self) -> None:
         if self.model not in _MODELS:
             raise ParameterError(f"unknown model {self.model!r}, expected one of {MODELS}")
+        if self.seed < 0:  # numpy refuses it, and random.Random would seed from |seed|
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         _MODELS[self.model].check(**_params(self))
 
 

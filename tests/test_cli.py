@@ -158,6 +158,9 @@ def test_run_p3_explicit_brain(tmp_path):
     assert lines[1].endswith("1.0000,2")  # both leaves need their own walk
     manifest = json.loads((out / "manifest.json").read_text())
     assert (manifest["total_walks"], manifest["total_moves"], manifest["engine"]) == (2, 2, "native")
+    flags = ["--policies", "standard", "--start", "explicit:1", "--reps", 1, "--thresholds", "1.0"]
+    assert run_cli("run", "--edge-list", net, *flags, "--master-seed", 0, "--out", tmp_path / "flags") == 0
+    assert read_run(tmp_path / "flags") == read_run(out)
 
 
 def test_run_twice_is_byte_identical_except_manifest(tmp_path):
@@ -185,6 +188,15 @@ def test_run_with_step_cap_records_cap_hits(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["cap_hits"] > 0
     assert manifest["config"]["step_cap"] == 100
+
+
+def test_step_cap_beyond_int64_runs_as_no_cap(tmp_path):
+    flags = ["run", "--model", "er", "--n", 50, "--k", 4, "--seed", 1, "--reps", 1, "--start", "hubs:1"]
+    assert run_cli(*flags, "--out", tmp_path / "free") == 0
+    assert run_cli(*flags, "--step-cap", 2**63, "--out", tmp_path / "capped") == 0
+    free, capped = read_run(tmp_path / "free"), read_run(tmp_path / "capped")
+    assert capped[:2] == free[:2]
+    assert capped[2]["config"]["step_cap"] == 2**63
 
 
 def test_run_from_flags_only(tmp_path):
@@ -299,13 +311,19 @@ ER_FLAGS = ["run", "--model", "er", "--n", 60, "--k", 5, "--reps", 1]
         (ER_FLAGS + ["--workers", 0], "workers"),
         (["sweep", "--config", "{tmp}/sweep-ok.json", "--workers", -3], "workers"),
         (["sweep", "--config", "{tmp}/hub-values.json"], "hub_degree"),
+        (["generate", "waxman", "--n", 50, "--k", 4, "--seed", -1], "seed must be >= 0"),
+        (["run", "--model", "waxman", "--n", 50, "--k", 4, "--seed", -1], "seed must be >= 0"),
+        (["generate", "er", "--n", 50, "--k", 4, "--seed", -7], "seed must be >= 0"),
+        (["run", "--config", "{tmp}/target.json"], "target_fraction must be in (0, 1]"),
+        (["run", "--config", "{tmp}/beyond-target.json"], "beyond target_fraction"),
     ],
     ids=[
         "start", "policies", "thresholds", "step-cap", "degrees-file", "non-utf8", "directory",
         "config-type", "policies-int", "policies-str", "start-kind-list", "edge-list-int",
         "edge-list-and-model", "stride-0", "reps-0", "percentile", "sweep-values",
         "config-and-reps", "config-and-policies", "config-and-model", "workers-0", "workers-negative",
-        "hub-degree-values",
+        "hub-degree-values", "waxman-seed", "run-waxman-seed", "er-seed", "target-fraction",
+        "grid-beyond-target",
     ],
 )
 def test_bad_values_exit_2_with_one_error_line(tmp_path, capsys, monkeypatch, args, named):
@@ -324,6 +342,8 @@ def test_bad_values_exit_2_with_one_error_line(tmp_path, capsys, monkeypatch, ar
     write_config(tmp_path, "ok.json")
     write_config(tmp_path, "sweep-ok.json", sweep={"axis": "k_avg", "values": [4, 6]})
     write_config(tmp_path, "hub-values.json", sweep={"axis": "hub_degree", "values": [999, 12345]})
+    write_config(tmp_path, "target.json", target_fraction=1.5)
+    write_config(tmp_path, "beyond-target.json", target_fraction=0.6)
     args = [str(a).format(tmp=tmp_path) for a in args] + ["--out", tmp_path / "out"]
     assert run_cli(*args) == 2
     err = capsys.readouterr().err.splitlines()

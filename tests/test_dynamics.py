@@ -168,6 +168,29 @@ def test_walk_rejects_bad_arguments(policy, known, error, match):
         run_walk(path_graph(4), 0, policy, random.Random(0), known=known)
 
 
+@pytest.mark.parametrize(
+    "kwargs, error, match",
+    [
+        (dict(thresholds=[]), ConfigError, "must not be empty"),
+        (dict(thresholds=[0.5, 1.5]), ConfigError, r"lie in \(0, 1\]"),
+        (dict(thresholds=[0.0, 1.0]), ConfigError, r"lie in \(0, 1\]"),
+        (dict(thresholds=[0.5, 0.5]), ConfigError, "strictly increasing"),
+        (dict(target_fraction=0.0), ConfigError, "target_fraction"),
+        (dict(target_fraction=1.5), ConfigError, "target_fraction"),
+        (dict(brain=-1), ValueError, r"brain -1 outside \[0, 4\)"),
+        (dict(brain=4), ValueError, r"brain 4 outside \[0, 4\)"),
+    ],
+    ids=[
+        "no-thresholds", "threshold-above-1", "threshold-0", "thresholds-repeat",
+        "target-0", "target-above-1", "brain-negative", "brain-n",
+    ],
+)
+def test_discovery_rejects_bad_arguments(kwargs, error, match):
+    kwargs = dict(g=path_graph(4), brain=0, policy=WalkPolicy.STANDARD, rng=random.Random(0)) | kwargs
+    with pytest.raises(error, match=match):
+        run_discovery(**kwargs)
+
+
 def test_walk_step_cap_uses_policy_metric():
     g = cycle_graph(50)
     out = run_walk(g, 0, WalkPolicy.STANDARD, random.Random(0), step_cap=5)

@@ -19,6 +19,7 @@ from netbrain import (
     config_to_dict,
     generate,
     ingest_edge_list,
+    largest_connected_component,
     load_config,
     run_experiment,
     save_config,
@@ -59,6 +60,24 @@ def test_ingest_remaps_sparse_labels(tmp_path):
     assert g.n == 3
     assert label_map == {5: 0, 12: 1, 900: 2}
     assert g.degree(label_map[900]) == 2
+
+
+@pytest.mark.parametrize("top", [10**6, 2**63], ids=["int64", "beyond-int64"])
+def test_ingest_ranks_labels_like_a_sorted_dict(tmp_path, top):
+    # Labels beyond int64 are read by the line loop and ranked as Python ints;
+    # numpy, left to pick a dtype, takes float64 and merges 2**63 + 1 with 2**63.
+    rng = random.Random(8)
+    pool = [rng.randrange(top) for _ in range(300)] + [top, top + 1]
+    pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(600)] + [(top, top + 1)]
+    f = tmp_path / "g.txt"
+    f.write_text("".join(f"{u} {v}\n" for u, v in pairs))
+    g, label_map, report = ingest_edge_list(f)
+    ranks = {label: i for i, label in enumerate(sorted({x for pair in pairs for x in pair}))}
+    ranked = build_graph(len(ranks), [(ranks[u], ranks[v]) for u, v in pairs])
+    expected, lcc_map = largest_connected_component(ranked)
+    assert g == expected
+    assert label_map == {label: lcc_map[i] for label, i in ranks.items() if i in lcc_map}
+    assert (report.raw_nodes, report.raw_edges) == (len(ranks), len(pairs))
 
 
 def test_ingest_keeps_only_lcc(tmp_path):
@@ -126,6 +145,10 @@ def test_config_roundtrip_identity(tmp_path):
     save_config(cfg2, f)
     cfg3, _ = load_config(f)
     assert cfg3 == cfg2
+    early = replace(cfg, thresholds=(0.25, 0.5), target_fraction=0.5)
+    save_config(early, f)
+    assert json.loads(f.read_text())["target_fraction"] == 0.5
+    assert load_config(f) == (early, None)
 
 
 def test_examples_cover_every_model():

@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 import statistics
+from dataclasses import replace
 
 import pytest
 
@@ -16,6 +17,13 @@ def test_same_seed_gives_identical_edges(spec):
     a = generate(spec).graph
     b = generate(spec).graph
     assert a.edges() == b.edges()
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.model)
+def test_negative_seed_is_refused(spec):
+    # numpy refuses one, and random.Random would run -7 as 7.
+    with pytest.raises(ParameterError, match="seed must be >= 0, got -7"):
+        generate(replace(spec, seed=-7))
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.model)

@@ -134,9 +134,10 @@ def test_policy_names_run_and_aggregate_as_their_members():
         small_config(policies=("standard", "bogus"))
 
 
-@pytest.mark.parametrize("step_cap", [0, -3])
+@pytest.mark.parametrize("step_cap", [0, -3, 2.5, True])
 def test_step_cap_below_one_rejected(step_cap):
-    # One rule for configs and for the engine, under both engines.
+    # One rule for configs and for the engine, under both engines; a cap that
+    # is not an integer (a bool included) is refused by the same rule.
     with pytest.raises(ConfigError, match="step_cap"):
         small_config(step_cap=step_cap).validate()
     g = path_graph(5)
@@ -305,6 +306,17 @@ def test_aggregate_rejects_mixed_grids():
         aggregate([a, b])
 
 
+def test_aggregate_rejects_uncrossed_thresholds():
+    # A library run with a target below the top threshold never crosses it.
+    curve, _ = run_discovery(
+        path_graph(5), 0, WalkPolicy.STANDARD, random.Random(0), thresholds=(0.4, 1.0), target_fraction=0.4
+    )
+    assert curve.crossings == ((0.4, 1),)
+    tagged = TaggedCurve("", WalkPolicy.STANDARD, start=0, start_degree=1, repetition=0, curve=curve)
+    with pytest.raises(AggregationError, match="did not cross every threshold"):
+        aggregate([tagged])
+
+
 def test_aggregate_seeded_er_dispersion():
     cfg = small_config(repetitions_per_start=10, start=ExplicitStarts(nodes=(0,)))
     curves = run_experiment(cfg)
@@ -362,6 +374,11 @@ def test_hub_degree_sweep_buckets_by_start_degree():
 def test_sweep_rejects_unknown_axis():
     with pytest.raises(ConfigError):
         sweep(small_config(), "voltage", [1, 2])
+
+
+def test_sweep_refuses_an_edge_list_base():
+    with pytest.raises(ConfigError, match="not an edge list"):
+        sweep(small_config(generator="net.txt"), "k_avg", [4, 6])
 
 
 def test_sweep_rejects_invalid_values():

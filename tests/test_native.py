@@ -24,6 +24,7 @@ import pytest
 from helpers import (
     CRITERION_8_CONFIG,
     brute_force_betweenness,
+    connected_graphs_up_to_iso,
     cycle_graph,
     path_graph,
     star_graph,
@@ -155,6 +156,32 @@ def test_capped_disconnected_input_stalls_under_both_engines(policy):
             run_discovery(g, 0, policy, rng, step_cap=7)
         messages.append((str(exc.value), rng.getstate()))
     assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("cap", [2**62, 2**63, 2**64 + 3], ids=["2^62", "2^63", "2^64+3"])
+@pytest.mark.parametrize("engine", [Reference, random.Random], ids=["python", "native"])
+def test_caps_no_walk_reaches_run_as_no_cap(engine, cap):
+    # The kernel's cap is an int64, which would keep only the low 64 bits of
+    # these; on the trap graph the run also outlasts the idle-walk check.
+    for name, policy in itertools.product(("er", "trap"), POLICIES):
+        g = GRAPHS[name]
+        expected = discover(g, 0, policy, engine(4))
+        assert discover(g, 0, policy, engine(4), step_cap=cap) == expected, (name, policy)
+
+
+def test_kernel_matches_python_engine_on_every_small_graph():
+    # The exhaustive oracle's graphs (criterion 7) from every brain, so the
+    # kernel meets every trajectory shape that the Python engine is checked on.
+    graphs = [g for n in range(1, 7) for g in connected_graphs_up_to_iso(n)]
+    runs = 0
+    for gi, g in enumerate(graphs):
+        for brain, policy, cap in itertools.product(range(g.n), POLICIES, (None, 1, 2, 3)):
+            seed = 6 * gi + brain
+            expected = discover(g, brain, policy, Reference(seed), step_cap=cap)
+            got = discover(g, brain, policy, random.Random(seed), step_cap=cap)
+            assert got == expected, (gi, brain, policy, cap)
+            runs += 1
+    assert (len(graphs), runs) == (143, 9720)
 
 
 def test_csr_view_keeps_graph_equality_and_pickles():
