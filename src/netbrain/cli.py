@@ -9,7 +9,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
-from .dynamics import WalkPolicy, _engine
+from .dynamics import _engine
 from .errors import ConfigError, NetbrainError, ParseError
 from .fileio import (
     _generator_from_dict,
@@ -145,11 +145,11 @@ def _config_from_flags(args: argparse.Namespace) -> dict:
     policies = "standard" if args.policies is None else args.policies
     start = "stride:50" if args.start is None else args.start
     d = {
-        "policies": _split_flag("--policies", policies, WalkPolicy),
+        "policies": [name.strip() for name in policies.split(",")],  # the config reader checks them
         "start": _start_from_flag(start),
         **{key: getattr(args, dest) for dest, key in _RUN_KEYS.items() if getattr(args, dest) is not None},
     }
-    if args.thresholds:
+    if args.thresholds is not None:
         d["thresholds"] = _split_flag("--thresholds", args.thresholds, float)
     if args.edge_list:
         d["edge_list"] = args.edge_list
@@ -259,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=name == "sweep", help="experiment config file (JSON)")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--workers", type=int, default=None, help="parallel worker processes")
+        p.add_argument("--workers", type=int, default=None, help="parallel workers")
         if name == "run":
             p.add_argument("--edge-list", help="run on an ingested edge list")
             _add_generator_args(p, positional=False)

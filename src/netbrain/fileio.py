@@ -10,7 +10,6 @@ from typing import Sequence
 import numpy as np
 
 from . import _native
-from .dynamics import WalkPolicy
 from .errors import ConfigError, ParseError
 from .generators import _MODELS, MODELS, GeneratorSpec, _params
 from .graph import Graph, _upper_arcs, build_graph_reported, largest_connected_component
@@ -206,7 +205,7 @@ def config_from_dict(d: dict) -> tuple[ExperimentConfig, dict | None]:
         generator: GeneratorSpec | str = _generator_from_dict(d["generator"])
     else:
         generator = _typed(d["edge_list"], str, "edge_list")
-    policies = tuple(WalkPolicy(p) for p in _typed(d.get("policies"), [str], "policies"))
+    policies = _typed(d.get("policies"), [str], "policies")  # ExperimentConfig reads the names
     start = _start_from_dict(d.get("start"))
     given = {k: _typed(d[k], t, k) for k, t in _OPTIONAL_TYPES.items() if d.get(k) is not None}
     if "thresholds" in given:  # stored as floats; generator numbers stay as written

@@ -258,21 +258,27 @@ def gen_ws(n: int, k_even: int, p_rewire: float, seed: int) -> Graph:
     return build_graph(n, edges)
 
 
+def _waxman_rows(points: np.ndarray, alpha: float):
+    """(u, w) for each node u but the last, where w[j] = exp(-d / (alpha * sqrt(2)))
+    for the pair (u, u + 1 + j): that pair's link probability divided by beta."""
+    scale = alpha * math.sqrt(2.0)
+    for u in range(len(points) - 1):
+        d = np.hypot(points[u + 1 :, 0] - points[u, 0], points[u + 1 :, 1] - points[u, 1])
+        yield u, np.exp(-d / scale)
+
+
 def waxman_beta(points: np.ndarray, k_avg: float, alpha: float) -> float:
     """Link-probability scale giving expected mean degree k_avg on these points.
 
     The pair probability is beta * exp(-d / (alpha * sqrt(2))), so the
     expected degree is linear in beta and the calibration is exact.
     """
-    n = len(points)
-    scale = alpha * math.sqrt(2.0)
     total = 0.0
-    for u in range(n - 1):
-        d = np.hypot(points[u + 1 :, 0] - points[u, 0], points[u + 1 :, 1] - points[u, 1])
-        total += float(np.exp(-d / scale).sum())
+    for _, weights in _waxman_rows(points, alpha):
+        total += float(weights.sum())
     if total <= 0.0:
         raise ParameterError("degenerate point set for waxman calibration")
-    return k_avg * n / (2.0 * total)
+    return k_avg * len(points) / (2.0 * total)
 
 
 def gen_waxman(n: int, k_avg: float, alpha: float, seed: int) -> Graph:
@@ -291,11 +297,9 @@ def gen_waxman(n: int, k_avg: float, alpha: float, seed: int) -> Graph:
             f"k_avg={k_avg} unreachable at alpha={alpha} (needs beta={beta:.3f} > 1); "
             "increase alpha"
         )
-    scale = alpha * math.sqrt(2.0)
     edges: list[tuple[int, int]] = []
-    for u in range(n - 1):
-        d = np.hypot(points[u + 1 :, 0] - points[u, 0], points[u + 1 :, 1] - points[u, 1])
-        hits = np.nonzero(rng.random(n - u - 1) < beta * np.exp(-d / scale))[0]
+    for u, weights in _waxman_rows(points, alpha):
+        hits = np.nonzero(rng.random(n - u - 1) < beta * weights)[0]
         edges.extend((u, u + 1 + int(j)) for j in hits)
     return build_graph(n, edges)
 

@@ -6,14 +6,16 @@ import hashlib
 import os
 import random
 import struct
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from statistics import fmean, pstdev
 from typing import Callable, Sequence, Union
 
 from .dynamics import (
     LearningCurve,
     WalkPolicy,
+    _engine,
     default_thresholds,
     run_discovery,
     validate_step_cap,
@@ -222,27 +224,12 @@ def resolve_graph(cfg: ExperimentConfig) -> tuple[Graph, RealizedStats | None]:
     return g, None
 
 
-# Worker-process context for parallel cell execution; populated once per
-# worker so the graph is not re-pickled per cell. The serial path passes its
-# context to `_run_cell` directly, so concurrent experiments in threads of
-# one process never share it.
-_CTX: dict = {}
-
-
-def _init_worker(ctx: dict) -> None:
-    global _CTX
-    _CTX = ctx
-
-
-def _run_pooled_cell(cell: tuple[int, int, int]) -> TaggedCurve:
-    return _run_cell(_CTX, cell)
-
-
-def _run_cell(ctx: dict, cell: tuple[int, int, int]) -> TaggedCurve:
+def _run_cell(
+    g: Graph, cfg: ExperimentConfig, starts: list[int], group: str, cell: tuple[int, int, int]
+) -> TaggedCurve:
     pi, si, ri = cell
-    cfg, g = ctx["cfg"], ctx["g"]
     policy = cfg.policies[pi]
-    start = ctx["starts"][si]
+    start = starts[si]
     curve, brain = run_discovery(
         g,
         start,
@@ -253,7 +240,7 @@ def _run_cell(ctx: dict, cell: tuple[int, int, int]) -> TaggedCurve:
         target_fraction=cfg.target_fraction,
     )
     return TaggedCurve(
-        group=ctx["group"],
+        group=group,
         policy=policy,
         start=start,
         start_degree=g.degree(start),
@@ -292,8 +279,9 @@ def run_experiment(
 
     Child seeds are derived statelessly from (master_seed, cell indices), so
     cells are independent and the result is the same at any parallelism.
-    `workers` defaults to NETBRAIN_THREADS or 1; the pool never has more
-    processes than there are cells.
+    `workers` defaults to NETBRAIN_THREADS or 1, and never exceeds the cell
+    count. With the native kernel the cells run in threads that share the
+    graph; with the Python engine, in worker processes.
     """
     cfg.validate()
     if graph is None:
@@ -307,15 +295,15 @@ def run_experiment(
         for si in range(len(starts))
         for ri in range(cfg.repetitions_per_start)
     ]
-    ctx = {"g": graph, "cfg": cfg, "starts": starts, "group": group}
+    run_cell = partial(_run_cell, graph, cfg, starts, group)
     nworkers = min(_worker_count(workers), len(cells))  # a pool starts every worker up front
     if nworkers <= 1:
-        return [_run_cell(ctx, c) for c in cells]
-    with ProcessPoolExecutor(
-        max_workers=nworkers, initializer=_init_worker, initargs=(ctx,)
-    ) as pool:
-        chunksize = max(1, len(cells) // (4 * nworkers))
-        return list(pool.map(_run_pooled_cell, cells, chunksize=chunksize))
+        return [run_cell(c) for c in cells]
+    # The kernel releases the GIL, so threads share the graph; Python walks need processes.
+    executor = ThreadPoolExecutor if _engine() == "native" else ProcessPoolExecutor
+    with executor(max_workers=nworkers) as pool:
+        chunksize = max(1, len(cells) // (4 * nworkers))  # processes only; threads ignore it
+        return list(pool.map(run_cell, cells, chunksize=chunksize))
 
 
 def aggregate(curves: Sequence[TaggedCurve]) -> list[AggregateCurve]:

@@ -289,8 +289,13 @@ ER_FLAGS = ["run", "--model", "er", "--n", 60, "--k", 5, "--reps", 1]
     "args, named",
     [
         (ER_FLAGS + ["--start", "stride:abc"], "--start"),
-        (ER_FLAGS + ["--policies", "bogus"], "--policies"),
+        (ER_FLAGS + ["--policies", "bogus"], "unknown policy 'bogus'"),
         (ER_FLAGS + ["--thresholds", "0.5,x"], "--thresholds"),
+        (ER_FLAGS + ["--thresholds", ""], "--thresholds"),
+        (
+            ER_FLAGS + ["--policies", "standard,walkabout"],
+            "unknown policy 'walkabout'; expected one of standard, extended, look_ahead",
+        ),
         (ER_FLAGS + ["--step-cap", 0], "step_cap"),
         (["generate", "cm", "--degrees-file", "{tmp}/degrees.txt"], "degrees.txt"),
         (["ingest", "{tmp}/latin1.txt"], "latin1.txt"),
@@ -318,7 +323,7 @@ ER_FLAGS = ["run", "--model", "er", "--n", 60, "--k", 5, "--reps", 1]
         (["run", "--config", "{tmp}/beyond-target.json"], "beyond target_fraction"),
     ],
     ids=[
-        "start", "policies", "thresholds", "step-cap", "degrees-file", "non-utf8", "directory",
+        "start", "policies", "thresholds", "thresholds-empty", "policies-list", "step-cap", "degrees-file", "non-utf8", "directory",
         "config-type", "policies-int", "policies-str", "start-kind-list", "edge-list-int",
         "edge-list-and-model", "stride-0", "reps-0", "percentile", "sweep-values",
         "config-and-reps", "config-and-policies", "config-and-model", "workers-0", "workers-negative",

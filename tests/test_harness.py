@@ -11,12 +11,14 @@ from netbrain import (
     BetweennessPercentile,
     ConfigError,
     DegreeRankedStride,
+    DiscoveryStallError,
     ExperimentConfig,
     ExplicitStarts,
     GeneratorSpec,
     TopHubs,
     WalkPolicy,
     aggregate,
+    build_graph,
     derive_seed,
     generate,
     run_discovery,
@@ -25,7 +27,7 @@ from netbrain import (
     select_starts,
     sweep,
 )
-from netbrain import harness
+from netbrain import _native, harness
 from netbrain.harness import TaggedCurve
 
 
@@ -178,11 +180,28 @@ def test_cells_are_independent_of_each_other():
         assert key in ext_cells_twice
 
 
-def test_parallel_workers_match_serial_results():
+def engines(monkeypatch, tmp_path):
+    """Select each walk engine in turn and yield its name: the kernel, then the
+    Python engine of a host without a compiler."""
+    yield "native"
+    monkeypatch.setattr(_native, "LOADER", _native.Loader(cc="false", cache_dir=tmp_path))
+    yield "python"
+
+
+def test_parallel_workers_match_serial_results(monkeypatch, tmp_path):
+    # More workers than cores, and threads switched often, so that cells
+    # sharing a graph in a thread pool would show any interference.
     cfg = small_config(repetitions_per_start=3)
-    serial = run_experiment(cfg, workers=1)
-    parallel = run_experiment(cfg, workers=2)
-    assert serial == parallel
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for engine in engines(monkeypatch, tmp_path):
+            assert harness._engine() == engine
+            serial = run_experiment(cfg, workers=1)
+            for workers in (2, 5):
+                assert run_experiment(cfg, workers=workers) == serial
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_netbrain_threads_env_bounds_workers(monkeypatch):
@@ -203,21 +222,39 @@ class _PoolStarted(Exception):
     pass
 
 
-def test_pool_never_has_more_processes_than_cells(monkeypatch):
-    sizes = []
+def test_pool_never_has_more_workers_than_cells(monkeypatch, tmp_path):
+    started = []
 
-    def recorder(max_workers, **kwargs):
-        sizes.append(max_workers)
-        raise _PoolStarted
+    def recorder(kind):
+        def start(max_workers, **kwargs):
+            started.append((kind, max_workers))
+            raise _PoolStarted
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", recorder)
+        return start
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", recorder("threads"))
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", recorder("processes"))
     two_cells = small_config(repetitions_per_start=1, start=ExplicitStarts(nodes=(0, 1)))
-    with pytest.raises(_PoolStarted):
-        run_experiment(two_cells, workers=5000)
-    # One cell runs in this process, whatever the worker count.
     one_cell = small_config(repetitions_per_start=1, start=ExplicitStarts(nodes=(0,)))
-    assert len(run_experiment(one_cell, workers=5000)) == 1
-    assert sizes == [2]
+    for _ in engines(monkeypatch, tmp_path):
+        with pytest.raises(_PoolStarted):
+            run_experiment(two_cells, workers=5000)
+        # One cell runs in this process, whatever the worker count.
+        assert len(run_experiment(one_cell, workers=5000)) == 1
+    # The kernel's cells share the graph in threads; Python walks need processes.
+    assert started == [("threads", 2), ("processes", 2)]
+
+
+def test_a_cell_error_reaches_the_caller_from_either_pool(monkeypatch, tmp_path):
+    # A cap below the brain's degree ends every extended walk after one move,
+    # so the chain behind node 1 stays unknown and every cell stalls.
+    g = build_graph(13, [(0, i) for i in range(1, 11)] + [(1, 11), (11, 12)])
+    cfg = small_config(
+        policies=(WalkPolicy.EXTENDED,), start=ExplicitStarts(nodes=(0,)), step_cap=5, thresholds=(1.0,)
+    )
+    for _ in engines(monkeypatch, tmp_path):
+        with pytest.raises(DiscoveryStallError, match="no progress"):
+            run_experiment(cfg, graph=g, workers=2)
 
 
 def test_concurrent_serial_experiments_in_threads_do_not_mix():
