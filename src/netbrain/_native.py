@@ -6,7 +6,9 @@ hash of the source and the compile command, loads it, and returns the entry
 point `name`. One library holds all four entry points:
 
 - `netbrain_discover`: the walks of `dynamics.run_discovery`;
-- `netbrain_betweenness`: exact Brandes for `graph.betweenness`;
+- `netbrain_betweenness`: exact Brandes for `graph.betweenness`, one block
+  of sources per call, so that blocks run in threads on every CPU the
+  process may use and their per-source rows are added in source order;
 - `netbrain_shuffle`: `random.Random.shuffle` for the stubs of
   `generators.gen_cm`;
 - `netbrain_parse_edges`: the edge lines of `fileio.ingest_edge_list`.
@@ -25,6 +27,9 @@ import os
 import subprocess
 import tempfile
 import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -37,6 +42,10 @@ logger = logging.getLogger(__name__)
 
 SOURCE = Path(__file__).with_name("_walk.c")
 CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+# The bytes of one block of betweenness rows (n doubles per source). Each
+# thread has at most two blocks in flight, so the rows in memory stay near
+# 512 KiB per thread whatever n is, where all n rows would take 8n^2 bytes.
+_BLOCK_BYTES = 2**18
 
 _i32 = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
 _i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
@@ -55,8 +64,8 @@ _ENTRY_POINTS = {
     ),
     "netbrain_betweenness": (
         _i32, _i32, ctypes.c_int32,  # indptr, indices, n
-        _f64,  # centrality
-        _i32, _i32, _i64, _f64,  # order, dist, sigma, delta
+        ctypes.c_int32, ctypes.c_int32, _f64,  # s0, s1, rows
+        _i32, _i32, _i64,  # order, dist, sigma
     ),
     "netbrain_shuffle": (_i64, ctypes.c_int64, _u32),  # x, len, mt
     "netbrain_parse_edges": (
@@ -123,18 +132,59 @@ class Loader:
 LOADER = Loader()
 
 
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _block_rows(n: int) -> int:
+    """Sources per betweenness block: their rows of n doubles fill about
+    `_BLOCK_BYTES`."""
+    return max(1, _BLOCK_BYTES // (8 * n))
+
+
 def betweenness(kernel, g: Graph) -> list[float] | None:
     """Exact betweenness of `g` by `netbrain_betweenness`, bit-identical to
     `graph._betweenness_python`, or None when a path count exceeds 2**53,
-    which Python counts exactly and a double does not."""
+    which Python counts exactly and a double does not.
+
+    Blocks of sources run in threads, one per CPU the process may use, and
+    the rows of each block are added in block order, so that every node's
+    score sums its per-source scores in ascending source order whatever the
+    thread count. At most two blocks per thread are in flight."""
     n = g.n
-    centrality = np.empty(n)
-    overflow = kernel(
-        g.indptr, g.indices, n, centrality,
-        np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int32),
-        np.empty(n, dtype=np.int64), np.empty(n),
-    )
-    return None if overflow else centrality.tolist()
+    if n == 0:
+        return []
+    rows = _block_rows(n)
+    starts = iter(range(0, n, rows))
+    threads = min(_cpu_count(), -(-n // rows))
+    centrality = np.zeros(n)
+
+    def block(s0: int) -> np.ndarray | None:
+        s1 = min(s0 + rows, n)
+        delta = np.empty((s1 - s0, n))
+        overflow = kernel(
+            g.indptr, g.indices, n, s0, s1, delta,
+            np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int64),
+        )
+        return None if overflow else delta
+
+    with ThreadPoolExecutor(threads) as pool:
+        pending = deque(pool.submit(block, s0) for s0 in islice(starts, 2 * threads))
+        while pending:
+            delta = pending.popleft().result()
+            if delta is None:
+                for future in pending:
+                    future.cancel()
+                return None
+            pending.extend(pool.submit(block, s0) for s0 in islice(starts, 1))
+            for row in delta:
+                centrality += row
+    # Each unordered pair was counted from both endpoints.
+    return (centrality / 2.0).tolist()
 
 
 def discover(kernel, walker, policy_code: int, stall_limit: int) -> bool:

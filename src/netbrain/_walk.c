@@ -11,9 +11,11 @@
  * Nishimura 1998) seeded from `random.Random.getstate()`. So curves, counters
  * and the generator's end state are bit-identical to the Python engine's.
  *
- * The betweenness kernel runs Brandes (2001) over the same CSR view, in the
- * operation order of `graph._betweenness_python`, so every value is
- * bit-identical to it.
+ * The betweenness kernel runs Brandes (2001) over the same CSR view for one
+ * block of sources, in the operation order of `graph._betweenness_python`,
+ * and writes each source's scores as a row of its own. Blocks may run in
+ * threads at once; adding the rows in source order gives every value
+ * bit-identical to the Python loop's.
  *
  * The shuffle replays `random.Random.shuffle` on the same generator state.
  * The parse takes only plain ASCII edge lists and refuses anything else, which
@@ -224,37 +226,45 @@ int netbrain_discover(
 /* Path counts above 2^53 are not exact as doubles, where Python's are. */
 #define SIGMA_EXACT ((int64_t)1 << 53)
 
-/* Exact shortest-path betweenness of the `n` nodes into `centrality`, with
- * unordered source-target pairs and path endpoints excluded. Returns 0, or
- * 1 as soon as a path count exceeds 2^53; `centrality` is then incomplete.
+/* The per-source scores of the sources `s0` to `s1 - 1`: row `s - s0` of
+ * `rows` (n doubles each) receives, for every node `w`, what source `s` adds
+ * to the betweenness of `w` under `graph._betweenness_python`, with
+ * unordered source-target pairs and path endpoints excluded. The source's
+ * own entry and the nodes it does not reach get +0.0, which leaves a
+ * non-negative sum's bits unchanged. The caller adds the rows into the
+ * scores in ascending source order and halves them, so that every value is
+ * bit-identical to the Python loop's whichever thread ran which block.
+ * Returns 0, or 1 as soon as a path count exceeds 2^53; `rows` is then
+ * incomplete.
  *
  * For each source it repeats `graph._betweenness_python` step for step: the
  * BFS order (kept in `order`, which is the queue and the stack), the path
- * counts as exact integers, `coeff = (1 + delta[w]) / sigma[w]` and
- * `delta[v] += sigma[v] * coeff` in stack-pop order, and the halving at the
- * end. The predecessors of `w` are its neighbours one level closer to the
- * source; each `delta[v]` gets one addition per successor `w`, in the pop
- * order of `w`, so the order within a predecessor list does not matter.
+ * counts as exact integers, and `coeff = (1 + delta[w]) / sigma[w]` and
+ * `delta[v] += sigma[v] * coeff` in stack-pop order. The predecessors of `w`
+ * are its neighbours one level closer to the source; each `delta[v]` gets
+ * one addition per successor `w`, in the pop order of `w`, so the order
+ * within a predecessor list does not matter.
  *
- * centrality       output, n doubles
+ * rows             output, (s1 - s0) * n doubles
  * order, dist      scratch of one int per node each
- * sigma, delta     scratch of one int64 and one double per node
+ * sigma            scratch of one int64 per node
  */
 int netbrain_betweenness(
-    const int32_t *indptr, const int32_t *indices, int32_t n,
-    double *centrality, int32_t *order, int32_t *dist, int64_t *sigma, double *delta)
+    const int32_t *indptr, const int32_t *indices, int32_t n, int32_t s0, int32_t s1,
+    double *rows, int32_t *order, int32_t *dist, int64_t *sigma)
 {
     int32_t s, v;
 
     for (v = 0; v < n; v++) {
-        centrality[v] = 0.0;
         dist[v] = -1;
         sigma[v] = 0;
-        delta[v] = 0.0;
     }
-    for (s = 0; s < n; s++) {
+    for (s = s0; s < s1; s++) {
+        double *delta = rows + (int64_t)(s - s0) * n;
         int32_t head = 0, tail = 0, i;
 
+        for (v = 0; v < n; v++)
+            delta[v] = 0.0;
         dist[s] = 0;
         sigma[s] = 1;
         order[tail++] = s;
@@ -277,7 +287,7 @@ int netbrain_betweenness(
                 }
             }
         }
-        /* order[0] is the source, which has no predecessors and no score. */
+        /* order[0] is the source, which has no predecessors. */
         for (i = tail - 1; i > 0; i--) {
             const int32_t *u, *end;
             int32_t w = order[i];
@@ -288,18 +298,14 @@ int netbrain_betweenness(
             for (u = indices + indptr[w]; u < end; u++)
                 if (dist[*u] == pred)
                     delta[*u] += (double)sigma[*u] * coeff;
-            centrality[w] += delta[w];
         }
+        delta[s] = 0.0; /* the source scores nothing */
         for (i = 0; i < tail; i++) {
             v = order[i];
             dist[v] = -1;
             sigma[v] = 0;
-            delta[v] = 0.0;
         }
     }
-    /* Each unordered pair was counted from both endpoints. */
-    for (v = 0; v < n; v++)
-        centrality[v] /= 2.0;
     return 0;
 }
 

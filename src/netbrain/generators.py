@@ -127,16 +127,27 @@ def _check_ws(n: int, k_avg: float, p_rewire: float) -> None:
     _check_unit("p_rewire", p_rewire)
 
 
-def _check_waxman(n: int, k_avg: float, alpha: float) -> None:
-    _check_n_k(n, k_avg)
-    _check_unit("alpha", alpha, open_below=True)
-
+# The most node pairs gen_waxman may weigh. It draws once for every pair, so
+# its time grows with n(n-1)/2: on a 2-CPU Xeon it took 15 s at n=20,000,
+# just under this bound, and 403 s at n=100,000.
+_WAXMAN_MAX_PAIRS = 200_000_000
 
 # The most edges an sbm may expect to draw. gen_sbm keeps each drawn edge as
 # a tuple in a list, about 128 bytes per edge before build_graph packs them
 # into arrays, so this is over half a gigabyte; the clamp of a negative
 # intra-block probability can ask for far more edges than k_avg does (README).
 _SBM_MAX_EDGES = 5_000_000
+
+
+def _check_waxman(n: int, k_avg: float, alpha: float) -> None:
+    _check_n_k(n, k_avg)
+    _check_unit("alpha", alpha, open_below=True)
+    pairs = n * (n - 1) // 2
+    if pairs > _WAXMAN_MAX_PAIRS:
+        raise ParameterError(
+            f"waxman would weigh {pairs:,} node pairs for n={n}, above the bound of "
+            f"{_WAXMAN_MAX_PAIRS:,}; lower n"
+        )
 
 
 def _sbm_sizes(n: int, blocks: int) -> list[int]:

@@ -209,8 +209,9 @@ def betweenness(g: Graph) -> list[float]:
 
     Source-target pairs are unordered and path endpoints are excluded, so a
     path middle node of P3 scores 1.0. Runs in the native kernel when it
-    loads, with every value bit-identical to the Python loop, which runs
-    otherwise and whenever a path count exceeds 2**53.
+    loads, on every CPU the process may use, with every value bit-identical
+    to the Python loop, which runs otherwise and whenever a path count
+    exceeds 2**53.
     """
     kernel = _native.LOADER.kernel("netbrain_betweenness")
     if kernel is not None:

@@ -205,6 +205,16 @@ def test_waxman_infeasible_k_suggests_larger_alpha():
         gen_waxman(100, 80, 0.01, seed=0)
 
 
+def test_waxman_refuses_pair_loops_above_the_bound():
+    # n=20,000 weighs 199,990,000 pairs, n=20,001 weighs 200,010,000; the
+    # check runs before any point is drawn, so no graph is built here.
+    generators._check_waxman(20_000, 8, 0.1)
+    with pytest.raises(ParameterError, match=r"200,010,000 node pairs for n=20001, above the bound of 200,000,000"):
+        generators._check_waxman(20_001, 8, 0.1)
+    with pytest.raises(ParameterError, match="above the bound"):
+        GeneratorSpec(model="waxman", n=100_000, k_avg=8, seed=0).validate()
+
+
 # --- SBM -----------------------------------------------------------------
 
 

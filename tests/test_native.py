@@ -205,6 +205,7 @@ BETWEENNESS_GRAPHS = {
     "ba": generate(GeneratorSpec(model="ba", n=400, k_avg=4, seed=5)).graph,
     "ws": generate(GeneratorSpec(model="ws", n=300, k_avg=6, seed=6, p_rewire=0.1)).graph,
     "waxman": generate(GeneratorSpec(model="waxman", n=300, k_avg=6, seed=7)).graph,
+    "blocks": generate(GeneratorSpec(model="ba", n=700, k_avg=4, seed=10)).graph,
     "star": star_graph(9),
     "path": path_graph(7),
     "c5": cycle_graph(5),
@@ -212,6 +213,7 @@ BETWEENNESS_GRAPHS = {
     "one-node": build_graph(1, []),
     "empty": build_graph(0, []),
 }
+THREADS = (1, 2, 3)
 
 
 def native_betweenness(g):
@@ -222,13 +224,22 @@ def native_betweenness(g):
     return values
 
 
+def test_block_graph_spans_several_blocks_with_a_partial_last_block():
+    n = BETWEENNESS_GRAPHS["blocks"].n
+    rows = _native._block_rows(n)
+    assert n // rows > 2 * max(THREADS) and n % rows  # more blocks than are ever in flight
+
+
 @pytest.mark.parametrize("name", BETWEENNESS_GRAPHS)
-def test_betweenness_kernel_is_bit_identical_to_python(name):
+def test_betweenness_kernel_is_bit_identical_to_python(name, monkeypatch):
     g = BETWEENNESS_GRAPHS[name]
-    values = native_betweenness(g)
-    assert values == graph._betweenness_python(g)  # == on floats: every bit
-    assert all(type(v) is float for v in values)
-    assert betweenness(g) == values
+    expected = graph._betweenness_python(g)
+    for threads in THREADS:
+        monkeypatch.setattr(_native, "_cpu_count", lambda: threads)
+        values = native_betweenness(g)
+        assert values == expected, threads  # == on floats: every bit
+        assert all(type(v) is float for v in values)
+        assert betweenness(g) == values
 
 
 @pytest.mark.parametrize("name", ["star", "path", "c5", "disconnected", "one-node", "empty"])
@@ -258,8 +269,8 @@ def diamond_chain(k: int):
     return build_graph(3 * k + 1, edges)
 
 
-def test_betweenness_falls_back_to_python_above_2_to_the_53_paths(monkeypatch):
-    g = diamond_chain(54)
+def count_betweenness_calls(monkeypatch):
+    """Record what each native call returns and count the Python loop's runs."""
     calls = {"native": [], "python": 0}
     native, python = _native.betweenness, graph._betweenness_python
 
@@ -273,6 +284,12 @@ def test_betweenness_falls_back_to_python_above_2_to_the_53_paths(monkeypatch):
 
     monkeypatch.setattr(_native, "betweenness", counted_native)
     monkeypatch.setattr(graph, "_betweenness_python", counted_python)
+    return calls, python
+
+
+def test_betweenness_falls_back_to_python_above_2_to_the_53_paths(monkeypatch):
+    g = diamond_chain(54)
+    calls, python = count_betweenness_calls(monkeypatch)
     values = betweenness(g)
     assert calls == {"native": [None], "python": 1}  # overflow reported, Python recomputed
     assert values == python(g)
@@ -282,6 +299,23 @@ def test_betweenness_falls_back_to_python_above_2_to_the_53_paths(monkeypatch):
     calls["python"] = 0
     assert betweenness(g) == python(g)
     assert calls["python"] == 0 and calls["native"][0] is not None
+
+
+@pytest.mark.parametrize("threads", THREADS)
+def test_overflow_in_a_later_block_falls_back_to_python(threads, monkeypatch):
+    # A path on nodes 0..lead-1 fills the first blocks; only the two ends of
+    # the 54-diamond chain that follows see more than 2**53 paths.
+    lead = 200
+    chain = diamond_chain(54)
+    g = build_graph(lead + chain.n, [(i, i + 1) for i in range(lead - 1)] + [
+        (lead + u, lead + v) for u, v in chain.edges()
+    ])
+    assert _native._block_rows(g.n) <= lead  # the chain starts after the first block
+    monkeypatch.setattr(_native, "_cpu_count", lambda: threads)
+    calls, python = count_betweenness_calls(monkeypatch)
+    values = betweenness(g)
+    assert calls == {"native": [None], "python": 1}
+    assert values == python(g)
 
 
 # --- set-up: the configuration model's shuffle ---------------------------------
@@ -433,8 +467,12 @@ def test_threads_build_once_and_match_serial_runs(tmp_path, monkeypatch):
     assert loader.kernel("netbrain_discover") is not None
     assert loader.kernel("netbrain_betweenness") is not None
     assert [p.suffix for p in tmp_path.iterdir()] == [".so"]
+    # The references score each graph on one thread;
+    # test_betweenness_kernel_is_bit_identical_to_python holds every thread
+    # count to the Python loop.
+    monkeypatch.setattr(_native, "_cpu_count", lambda: 1)
     for i, (g, policy) in enumerate(jobs):
-        serial = discover(g, 0, policy, random.Random(i)), graph._betweenness_python(g)
+        serial = discover(g, 0, policy, random.Random(i)), native_betweenness(g)
         assert results[i] == (serial[::-1] if i % 2 else serial)
 
 
