@@ -1,21 +1,26 @@
 """The native kernels: `_walk.c`, compiled on first use and loaded with ctypes.
 
-`LOADER.kernel(name)` compiles the shipped source with the system C compiler
-into ``${XDG_CACHE_HOME:-~/.cache}/netbrain/``, under a name keyed by the
-hash of the source and the compile command, loads it, and returns the entry
-point `name`. One library holds all four entry points:
+`LOADER` compiles the shipped source with the system C compiler into
+``${XDG_CACHE_HOME:-~/.cache}/netbrain/``, under a name keyed by the hash of
+the source and the compile command, and loads it. One library holds four
+entry points, and one routine here calls each:
 
-- `netbrain_discover`: the walks of `dynamics.run_discovery`;
-- `netbrain_betweenness`: exact Brandes for `graph.betweenness`, one block
-  of sources per call, so that blocks run in threads on every CPU the
-  process may use and their per-source rows are added in source order;
-- `netbrain_shuffle`: `random.Random.shuffle` for the stubs of
-  `generators.gen_cm`;
-- `netbrain_parse_edges`: the edge lines of `fileio.ingest_edge_list`.
+- `discover`: the walks of `dynamics.run_discovery`;
+- `betweenness`: exact Brandes for `graph.betweenness`, in blocks of
+  sources that run in threads on every CPU the process may use, their
+  per-source rows added in source order;
+- `shuffle`: `random.Random.shuffle` for the stubs of `generators.gen_cm`;
+- `parse_edges`: the edge lines of `fileio.ingest_edge_list`.
+
+Each routine decides alone whether it can serve a call. It declines, with
+None (`shuffle`: False), when the library did not load or the input lies
+outside what its kernel reproduces bit for bit, and its caller then runs
+its Python code, with the same result. No routine raises to decline.
+`available` tells whether the library loaded.
 
 Importing this module compiles nothing. Any failure (no compiler, an
 unwritable cache, a library that does not load) leaves the kernels
-unavailable, and each caller runs its Python code, with the same result.
+unavailable.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import ctypes
 import hashlib
 import logging
 import os
+import random
 import subprocess
 import tempfile
 import threading
@@ -131,6 +137,15 @@ class Loader:
 
 LOADER = Loader()
 
+# The policy numbers of `_walk.c`, by `WalkPolicy` value.
+_POLICY_CODES = {"standard": 0, "extended": 1, "look_ahead": 2}
+
+
+def available() -> bool:
+    """Whether the library loaded, so that discoveries with a plain
+    `random.Random` run natively ("native" in the `run` manifest)."""
+    return LOADER.kernel("netbrain_discover") is not None
+
 
 def _cpu_count() -> int:
     """The CPUs this process may run on."""
@@ -146,15 +161,19 @@ def _block_rows(n: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * n))
 
 
-def betweenness(kernel, g: Graph) -> list[float] | None:
+def betweenness(g: Graph) -> list[float] | None:
     """Exact betweenness of `g` by `netbrain_betweenness`, bit-identical to
-    `graph._betweenness_python`, or None when a path count exceeds 2**53,
-    which Python counts exactly and a double does not.
+    `graph._betweenness_python`; None when the library did not load or a
+    path count exceeds 2**53, which Python counts exactly and a double does
+    not.
 
     Blocks of sources run in threads, one per CPU the process may use, and
     the rows of each block are added in block order, so that every node's
     score sums its per-source scores in ascending source order whatever the
     thread count. At most two blocks per thread are in flight."""
+    kernel = LOADER.kernel("netbrain_betweenness")
+    if kernel is None:
+        return None
     n = g.n
     if n == 0:
         return []
@@ -187,10 +206,17 @@ def betweenness(kernel, g: Graph) -> list[float] | None:
     return (centrality / 2.0).tolist()
 
 
-def discover(kernel, walker, policy_code: int, stall_limit: int) -> bool:
+def discover(walker, stall_limit: int) -> bool | None:
     """`dynamics._Walker.discover` run by `netbrain_discover` on the walker's
     own `known` and `reported` buffers; the counters, the crossed targets and
-    the generator's state go back into the walker and its `rng`."""
+    the generator's state go back into the walker and its `rng`.
+
+    None when the library did not load or `walker.rng` is not exactly a
+    `random.Random`: the kernel replays the Mersenne Twister from its
+    state, and a subclass may override `random()`."""
+    kernel = LOADER.kernel("netbrain_discover")
+    if kernel is None or type(walker.rng) is not random.Random:
+        return None
     g = walker.g
     version, words, gauss_next = walker.rng.getstate()
     mt = np.array(words, dtype=np.uint32)
@@ -203,7 +229,7 @@ def discover(kernel, walker, policy_code: int, stall_limit: int) -> bool:
     )
     stalled = kernel(
         g.indptr, g.indices,
-        walker.brain, policy_code, walker.cap, walker.stop_count,
+        walker.brain, _POLICY_CODES[walker.policy.value], walker.cap, walker.stop_count,
         targets, len(targets), crossed_steps,
         np.frombuffer(walker.known, dtype=np.uint8), np.frombuffer(walker.reported, dtype=np.uint8),
         np.zeros(g.n, dtype=np.uint8),  # state
@@ -216,22 +242,31 @@ def discover(kernel, walker, policy_code: int, stall_limit: int) -> bool:
     return bool(stalled)
 
 
-def shuffle(kernel, rng, x: np.ndarray) -> None:
+def shuffle(rng, x: np.ndarray) -> bool:
     """`rng.shuffle(x)` on the int64 array `x` by `netbrain_shuffle`: the same
-    permutation, and the generator's state goes back into `rng`."""
-    if len(x) >= 2**32:  # the kernel draws at most 32 bits per index
-        raise ValueError(f"cannot shuffle {len(x)} items natively")
+    permutation, and the generator's state goes back into `rng`. False, with
+    `x` and `rng` untouched, when the library did not load or `x` holds
+    2**32 items or more, as the kernel draws at most 32 bits per index."""
+    kernel = LOADER.kernel("netbrain_shuffle")
+    if kernel is None or len(x) >= 2**32:
+        return False
     version, words, gauss_next = rng.getstate()
     mt = np.array(words, dtype=np.uint32)
     kernel(x, len(x), mt)
     rng.setstate((version, tuple(mt.tolist()), gauss_next))
+    return True
 
 
-def parse_edges(kernel, data: bytes) -> np.ndarray | None:
-    """The (k, 2) int64 labels of the edge lines in `data` by
-    `netbrain_parse_edges`, or None when some line falls outside the
-    kernel's grammar (ASCII only, blanks and tabs, "#" comments, two labels
-    of at most 18 digits a line)."""
+def parse_edges(path: Path) -> np.ndarray | None:
+    """The (k, 2) int64 labels of the edge lines of the file `path` by
+    `netbrain_parse_edges`; None, without reading the file, when the library
+    did not load, and None when some line falls outside the kernel's
+    grammar (ASCII only, blanks and tabs, "#" comments, two labels of at
+    most 18 digits a line)."""
+    kernel = LOADER.kernel("netbrain_parse_edges")
+    if kernel is None:
+        return None
+    data = path.read_bytes()
     cap = data.count(b"\n") + 1  # no more edges than lines
     labels = np.empty((cap, 2), dtype=np.int64)
     nedges = np.zeros(1, dtype=np.int64)

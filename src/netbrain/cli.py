@@ -8,8 +8,7 @@ import time
 from dataclasses import fields
 from pathlib import Path
 
-from . import __version__
-from .dynamics import _engine
+from . import __version__, _native
 from .errors import ConfigError, NetbrainError, ParseError
 from .fileio import (
     _generator_from_dict,
@@ -203,7 +202,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         total_walks=sum(c.walk_count for c in curves),
         total_moves=sum(c.moves for c in curves),
         cap_hits=sum(c.cap_hits for c in curves),
-        engine=_engine(),
+        engine="native" if _native.available() else "python",
     )
     print(f"{len(curves)} curves -> {args.out}")
     return 0

@@ -25,6 +25,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
+from operator import ne
 from typing import Iterable, Sequence
 
 from . import _native
@@ -113,7 +114,6 @@ def validate_step_cap(step_cap: int | None) -> None:
 # A step count no walk reaches: a walk's steps are at most 2m < 2**31, so any
 # larger cap runs as this one, and it fits the kernel's int64.
 _NO_CAP = 1 << 62
-_POLICY_CODES = {WalkPolicy.STANDARD: 0, WalkPolicy.EXTENDED: 1, WalkPolicy.LOOK_AHEAD: 2}  # as in _walk.c
 
 
 class _Walker:
@@ -124,9 +124,9 @@ class _Walker:
     `steps`, the knowledge counts `targets` of the thresholds, the steps at
     each target crossed so far (`crossed`), and the counters `walks`,
     `moves`, `cap_hits` and `stalled` (walks in a row that made nothing
-    known). `discover` runs the walks here or, given a kernel, in
-    `netbrain_discover` on the same buffers; `walk` follows that kernel line
-    for line. Counting draws nothing from the rng.
+    known). `discover` runs the walks natively on the same buffers when
+    `_native.discover` can, and here otherwise; `walk` follows the kernel
+    line for line. Counting draws nothing from the rng.
 
     Both report policies report a node's neighbourhood on the first
     departure from it in a discovery: knowledge only grows, so a later
@@ -265,12 +265,13 @@ class _Walker:
         self.cap_hits += reason is Termination.STEP_CAP
         return path, steps, reason
 
-    def discover(self, stall_limit: int, kernel=None) -> bool:
+    def discover(self, stall_limit: int) -> bool:
         """Walk until the brain knows `stop_count` nodes (False), or until
-        `stall_limit` walks in a row have made nothing known (True); in
-        `netbrain_discover` when a kernel is given."""
-        if kernel is not None:
-            return _native.discover(kernel, self, _POLICY_CODES[self.policy], stall_limit)
+        `stall_limit` walks in a row have made nothing known (True);
+        natively unless `_native.discover` declines."""
+        stalled = _native.discover(self, stall_limit)
+        if stalled is not None:
+            return stalled
         while self.count < self.stop_count:
             before = self.count
             self.walk()
@@ -297,14 +298,12 @@ def run_walk(
     affects the full-coverage early exit and which reports count as new.
     Every departure reports its neighbourhood afresh.
     """
-    known = frozenset(known or ())
     walker = _Walker(g, brain, policy, rng, step_cap, known)
+    before = bytes(walker.known)
     path, steps, reason = walker.walk(collect_path=True)
+    # Positional arguments: keywords double the cost of a frozen dataclass.
     return WalkOutcome(
-        visited_path=tuple(path),
-        newly_known=frozenset(compress(range(g.n), walker.known)) - known,
-        steps=steps,
-        terminated_by=reason,
+        tuple(path), frozenset(compress(range(g.n), map(ne, walker.known, before))), steps, reason
     )
 
 
@@ -331,9 +330,8 @@ def run_discovery(
     of 1.0 runs to full coverage. Thresholds above the target are then never
     crossed.
 
-    The native kernel runs the walks for a plain `random.Random`, which it
-    replays itself; a subclass, which may override `random()`, gets the
-    Python engine.
+    The walks run natively when `_native.discover` can replay `rng` (see
+    there), and in Python otherwise, with the same result.
     """
     grid = validate_thresholds(thresholds if thresholds is not None else default_thresholds())
     if not 0.0 < target_fraction <= 1.0:
@@ -344,8 +342,7 @@ def run_discovery(
         stop_count=math.ceil(target_fraction * n - 1e-9),
         targets=[math.ceil(t * n - 1e-9) for t in grid],
     )
-    kernel = _native.LOADER.kernel("netbrain_discover") if type(rng) is random.Random else None
-    while walker.discover(10 * n, kernel):
+    while walker.discover(10 * n):
         if walker.cap == _NO_CAP and is_connected(g):
             walker.stalled = 0
             continue
@@ -364,8 +361,3 @@ def run_discovery(
         moves=walker.moves,
     )
     return curve, brain_state
-
-
-def _engine() -> str:
-    """The engine `run_discovery` runs for a `random.Random`: "native" or "python"."""
-    return "python" if _native.LOADER.kernel("netbrain_discover") is None else "native"

@@ -41,13 +41,12 @@ def ingest_edge_list(path: str | Path) -> tuple[Graph, dict[int, int], IngestRep
     One edge per line, two whitespace-separated non-negative integer labels;
     lines starting with '#' are ignored. Labels need not be dense; the
     returned map sends original labels of retained nodes to their dense ids.
-    Plain ASCII files are parsed by the native kernel when it loads; any
-    other file, or any file without the kernel, by the line loop
+    Plain ASCII files are parsed natively when `_native.parse_edges` can;
+    any other file, or any file without the library, by the line loop
     `_parse_lines`, which gives the same result and every error.
     """
     path = Path(path)
-    kernel = _native.LOADER.kernel("netbrain_parse_edges")
-    pairs = None if kernel is None else _native.parse_edges(kernel, path.read_bytes())
+    pairs = _native.parse_edges(path)
     if pairs is None:
         pairs = _parse_lines(path)
     if not len(pairs):

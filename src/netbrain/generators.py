@@ -96,11 +96,23 @@ def _gnp_pairs(n: int, p: float, rng: random.Random) -> Iterator[tuple[int, int]
 # --- range rules, shared by GeneratorSpec.validate and the gen_* functions ---
 
 
+# The most edges a model may expect to draw: n * k_avg / 2, or for an sbm
+# its clamp-aware count. Every model but cm keeps each drawn edge as a tuple
+# in a list, about 128 bytes per edge before build_graph packs them into
+# arrays, so this is over half a gigabyte.
+_MAX_EDGES = 5_000_000
+
+
 def _check_n_k(n: int, k_avg: float) -> None:
     if n < 2:
         raise ParameterError(f"need n >= 2, got {n}")
     if not 0 < k_avg < n:
         raise ParameterError(f"need 0 < k_avg < n, got k_avg={k_avg}, n={n}")
+    if n * k_avg / 2 > _MAX_EDGES:
+        raise ParameterError(
+            f"n={n} and k_avg={k_avg} expect {n * k_avg / 2:.3g} edges, above the bound of "
+            f"{_MAX_EDGES:,}; lower n or k_avg"
+        )
 
 
 def _check_unit(name: str, value: float, open_below: bool = False) -> None:
@@ -132,12 +144,6 @@ def _check_ws(n: int, k_avg: float, p_rewire: float) -> None:
 # just under this bound, and 403 s at n=100,000.
 _WAXMAN_MAX_PAIRS = 200_000_000
 
-# The most edges an sbm may expect to draw. gen_sbm keeps each drawn edge as
-# a tuple in a list, about 128 bytes per edge before build_graph packs them
-# into arrays, so this is over half a gigabyte; the clamp of a negative
-# intra-block probability can ask for far more edges than k_avg does (README).
-_SBM_MAX_EDGES = 5_000_000
-
 
 def _check_waxman(n: int, k_avg: float, alpha: float) -> None:
     _check_n_k(n, k_avg)
@@ -168,10 +174,12 @@ def _check_sbm(n: int, blocks: int, mu: float, k_avg: float) -> None:
         )
     pairs_in = sum(s * (s - 1) // 2 for s in _sbm_sizes(n, blocks))
     expected = max(p_in, 0.0) * pairs_in + mu * (n * (n - 1) // 2 - pairs_in)
-    if expected > _SBM_MAX_EDGES:
+    # The clamp of a negative intra-block probability can ask for far more
+    # edges than k_avg does (README).
+    if expected > _MAX_EDGES:
         raise ParameterError(
             f"sbm would draw about {expected:.3g} edges (mean degree {2 * expected / n:.3g} "
-            f"for k_avg={k_avg}), above the bound of {_SBM_MAX_EDGES:,}; lower mu or n"
+            f"for k_avg={k_avg}), above the bound of {_MAX_EDGES:,}; lower mu or n"
         )
 
 
@@ -192,6 +200,11 @@ def gen_ba(n: int, m_attach: int, seed: int) -> Graph:
     """
     if not 1 <= m_attach < n:
         raise ParameterError(f"need 1 <= m_attach < n, got m_attach={m_attach}, n={n}")
+    if n * m_attach > _MAX_EDGES:
+        raise ParameterError(
+            f"n={n} and m_attach={m_attach} give {n * m_attach:,} edges, above the bound of "
+            f"{_MAX_EDGES:,}; lower n or m_attach"
+        )
     rng = random.Random(seed)
     clique = m_attach + 1
     edges = [(i, j) for i in range(clique) for j in range(i + 1, clique)]
@@ -218,13 +231,10 @@ def gen_cm(degree_sequence: Sequence[int], seed: int) -> Graph:
     n = len(degree_sequence)
     rng = random.Random(seed)
     stubs = np.repeat(np.arange(n, dtype=np.int64), degree_sequence)
-    kernel = _native.LOADER.kernel("netbrain_shuffle")
-    if kernel is None:
+    if not _native.shuffle(rng, stubs):
         shuffled = stubs.tolist()
         rng.shuffle(shuffled)
         stubs = np.array(shuffled, dtype=np.int64)
-    else:
-        _native.shuffle(kernel, rng, stubs)
     g, drops = build_graph_reported(n, stubs.reshape(-1, 2))
     if drops.self_loops or drops.duplicates:
         logger.info(

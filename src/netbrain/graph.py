@@ -6,6 +6,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from operator import index
 from typing import Iterable
 
 import numpy as np
@@ -106,18 +107,29 @@ def build_graph_reported(
     array. Returns the graph together with the counts of dropped edges.
     Endpoints outside [0, n) raise :class:`ConstructionError` naming the first
     offending edge, and so does a graph whose arcs (2 * m) or nodes do not
-    fit the int32 arrays of :class:`Graph`.
+    fit the int32 arrays of :class:`Graph`. Anything but integer pairs
+    (floats, strings, triples) raises ValueError; nothing is cast.
     """
     if not 0 <= n < _INT32:
         raise ConstructionError(f"node count must be in [0, 2**31), got {n}")
-    if not isinstance(edges, np.ndarray):
+    if isinstance(edges, np.ndarray):
+        if edges.dtype.kind not in "iu" or edges.ndim != 2 or edges.shape[1] != 2:
+            raise ValueError("edges must be pairs of integers")
+    else:
         edges = list(edges)
         try:
-            flat = np.fromiter(chain.from_iterable(edges), dtype=np.int64)
-        except OverflowError:  # an endpoint beyond int64, so outside [0, n)
-            flat = None
-        if flat is None or flat.size != 2 * len(edges):
-            for u, v in edges:
+            # `index` takes Python and numpy integers only, where a cast to
+            # int64 would also take floats and digit strings.
+            flat = np.fromiter(map(index, chain.from_iterable(edges)), dtype=np.int64)
+            pairs = flat.size == 2 * len(edges) and set(map(len, edges)) <= {2}
+        except (TypeError, OverflowError):  # not integers, or an endpoint beyond int64
+            pairs = False
+        if not pairs:
+            for edge in edges:
+                try:
+                    u, v = map(index, edge)
+                except (TypeError, ValueError):
+                    break
                 if not (0 <= u < n and 0 <= v < n):
                     raise ConstructionError(f"edge ({u}, {v}) has an endpoint outside [0, {n})")
             raise ValueError("edges must be pairs of integers")
@@ -213,12 +225,8 @@ def betweenness(g: Graph) -> list[float]:
     to the Python loop, which runs otherwise and whenever a path count
     exceeds 2**53.
     """
-    kernel = _native.LOADER.kernel("netbrain_betweenness")
-    if kernel is not None:
-        values = _native.betweenness(kernel, g)
-        if values is not None:
-            return values
-    return _betweenness_python(g)
+    values = _native.betweenness(g)
+    return _betweenness_python(g) if values is None else values
 
 
 def _betweenness_python(g: Graph) -> list[float]:

@@ -12,10 +12,10 @@ from functools import partial
 from statistics import fmean, pstdev
 from typing import Callable, Sequence, Union
 
+from . import _native
 from .dynamics import (
     LearningCurve,
     WalkPolicy,
-    _engine,
     default_thresholds,
     run_discovery,
     validate_step_cap,
@@ -300,7 +300,7 @@ def run_experiment(
     if nworkers <= 1:
         return [run_cell(c) for c in cells]
     # The kernel releases the GIL, so threads share the graph; Python walks need processes.
-    executor = ThreadPoolExecutor if _engine() == "native" else ProcessPoolExecutor
+    executor = ThreadPoolExecutor if _native.available() else ProcessPoolExecutor
     with executor(max_workers=nworkers) as pool:
         chunksize = max(1, len(cells) // (4 * nworkers))  # processes only; threads ignore it
         return list(pool.map(run_cell, cells, chunksize=chunksize))

@@ -215,6 +215,21 @@ def test_waxman_refuses_pair_loops_above_the_bound():
         GeneratorSpec(model="waxman", n=100_000, k_avg=8, seed=0).validate()
 
 
+@pytest.mark.parametrize("model", ["er", "ba", "ws", "waxman", "sbm"])
+def test_models_refuse_expected_edges_above_the_bound(model):
+    # n * k_avg / 2 against the bound of 5,000,000 edges; only the checks run.
+    GeneratorSpec(model=model, n=20_000, k_avg=498, seed=0).validate()
+    with pytest.raises(ParameterError, match=r"expect 5\.02e\+06 edges, above the bound of 5,000,000"):
+        GeneratorSpec(model=model, n=20_000, k_avg=502, seed=0).validate()
+    with pytest.raises(ParameterError, match="above the bound"):
+        GeneratorSpec(model=model, n=10**6, k_avg=10**5, seed=0).validate()
+
+
+def test_ba_refuses_attachments_above_the_edge_bound():
+    with pytest.raises(ParameterError, match="give 5,000,001 edges, above the bound of 5,000,000"):
+        gen_ba(5_000_001, 1, seed=0)  # refused before the seed clique is built
+
+
 # --- SBM -----------------------------------------------------------------
 
 

@@ -103,6 +103,31 @@ def test_array_build_names_the_first_edge_outside_the_range(n, edges):
         assert str(got.value) == str(expected.value)
 
 
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [(0, 1.5)],
+        [(0, "1")],
+        [(0.0, 1.0)],
+        [(0, np.float64(1))],
+        [(0, 1, 2)],
+        [(0, 1, 2), (2,)],
+        [(0,)],
+        [(0, None)],
+        np.array([[0.0, 1.0]]),
+        np.array([0, 1]),
+    ],
+    ids=["float", "str", "whole-floats", "numpy-float", "triple", "triple-and-single", "single", "none",
+         "float-array", "flat-array"],
+)
+def test_build_refuses_anything_but_integer_pairs(edges):
+    # No endpoint is cast: int64 would take 1.5, "1" and 1.0 as 1.
+    for given in (edges, iter(edges)):
+        with pytest.raises(ValueError, match="^edges must be pairs of integers$"):
+            build_graph(3, given)
+    assert build_graph(3, [(np.int32(0), np.int64(1)), (np.uint8(2), 1)]).edges() == [(0, 1), (1, 2)]
+
+
 def test_build_refuses_graphs_beyond_int32(monkeypatch):
     with pytest.raises(ConstructionError, match="node count"):
         build_graph(2**31, [])

@@ -45,7 +45,7 @@ from netbrain import (
     run_discovery,
     select_starts,
 )
-from netbrain import _native, graph
+from netbrain import _native, dynamics, graph
 from netbrain.cli import main as cli_main
 from netbrain.generators import gen_cm
 
@@ -217,9 +217,8 @@ THREADS = (1, 2, 3)
 
 
 def native_betweenness(g):
-    kernel = _native.LOADER.kernel("netbrain_betweenness")
-    assert kernel is not None
-    values = _native.betweenness(kernel, g)
+    assert _native.LOADER.kernel("netbrain_betweenness") is not None
+    values = _native.betweenness(g)
     assert values is not None  # no path count above 2**53
     return values
 
@@ -274,8 +273,8 @@ def count_betweenness_calls(monkeypatch):
     calls = {"native": [], "python": 0}
     native, python = _native.betweenness, graph._betweenness_python
 
-    def counted_native(kernel, g):
-        calls["native"].append(native(kernel, g))
+    def counted_native(g):
+        calls["native"].append(native(g))
         return calls["native"][-1]
 
     def counted_python(g):
@@ -323,23 +322,14 @@ def test_overflow_in_a_later_block_falls_back_to_python(threads, monkeypatch):
 
 @pytest.mark.parametrize("length", [0, 1, 2, 3, 1000, 193_494])
 def test_shuffle_kernel_matches_random_shuffle(length):
-    kernel = _native.LOADER.kernel("netbrain_shuffle")
-    assert kernel is not None
+    assert _native.LOADER.kernel("netbrain_shuffle") is not None
     for seed in (0, 1, 6, 2**40 + 3):
         expected, reference = list(range(length)), random.Random(seed)
         reference.shuffle(expected)
         got, rng = np.arange(length, dtype=np.int64), random.Random(seed)
-        _native.shuffle(kernel, rng, got)
+        assert _native.shuffle(rng, got)
         assert got.tolist() == expected
         assert rng.getstate() == reference.getstate()
-
-
-def test_configuration_model_is_the_same_without_the_kernel(tmp_path, monkeypatch):
-    sequence = wos_scale_degree_sequence(2000, 5)
-    native = gen_cm(sequence, seed=6)
-    monkeypatch.setattr(_native, "LOADER", _native.Loader(cc="false", cache_dir=tmp_path))
-    assert gen_cm(sequence, seed=6) == native
-    assert _native.LOADER.kernel("netbrain_shuffle") is None  # the Python path ran
 
 
 # --- set-up: the edge-list parse ----------------------------------------------
@@ -390,9 +380,8 @@ def test_parse_kernel_matches_the_line_loop(name, tmp_path, monkeypatch):
     data, accepted = EDGE_FILES[name]
     path = tmp_path / "edges.txt"
     path.write_bytes(data)
-    kernel = _native.LOADER.kernel("netbrain_parse_edges")
-    assert kernel is not None
-    assert (_native.parse_edges(kernel, data) is not None) == accepted
+    assert _native.LOADER.kernel("netbrain_parse_edges") is not None
+    assert (_native.parse_edges(path) is not None) == accepted
     native = ingest_outcome(path)
     monkeypatch.setattr(_native, "LOADER", _native.Loader(cc="false", cache_dir=tmp_path / "cache"))
     python = ingest_outcome(path)
@@ -400,6 +389,60 @@ def test_parse_kernel_matches_the_line_loop(name, tmp_path, monkeypatch):
     assert native == python
     if not isinstance(native, str):
         assert list(native[1].items()) == list(python[1].items())  # same order too
+
+
+# --- the decline rule ----------------------------------------------------------
+
+
+def extended_walker(rng):
+    return dynamics._Walker(GRAPHS["er"], 0, WalkPolicy.EXTENDED, rng)
+
+
+def edge_file(tmp_path, name):
+    path = tmp_path / f"{name}.txt"
+    path.write_bytes(EDGE_FILES[name][0])
+    return path
+
+
+# routine -> (a call it serves, a call outside its kernel's domain, its public caller)
+DECLINES = {
+    "discover": (
+        lambda tmp: _native.discover(extended_walker(random.Random(1)), 600),
+        lambda tmp: _native.discover(extended_walker(Reference(1)), 600),
+        lambda tmp: discover(GRAPHS["er"], 0, WalkPolicy.EXTENDED, random.Random(1)),
+    ),
+    "betweenness": (
+        lambda tmp: _native.betweenness(BETWEENNESS_GRAPHS["waxman"]),
+        lambda tmp: _native.betweenness(diamond_chain(54)),
+        lambda tmp: betweenness(BETWEENNESS_GRAPHS["waxman"]),
+    ),
+    "shuffle": (
+        lambda tmp: _native.shuffle(random.Random(6), np.arange(1000, dtype=np.int64)),
+        # A zero-stride view: 2**32 items in 8 bytes, which no kernel may touch.
+        lambda tmp: _native.shuffle(random.Random(6), np.broadcast_to(np.int64(0), (2**32,))),
+        lambda tmp: gen_cm(wos_scale_degree_sequence(2000, 5), seed=6),
+    ),
+    "parse_edges": (
+        lambda tmp: _native.parse_edges(edge_file(tmp, "plain")),
+        lambda tmp: _native.parse_edges(edge_file(tmp, "plus")),
+        lambda tmp: ingest_outcome(edge_file(tmp, "loops-duplicates-two-components")),
+    ),
+}
+
+
+@pytest.mark.parametrize("routine", DECLINES)
+def test_each_routine_declines_alone(routine, tmp_path, monkeypatch):
+    # A routine declines with None (shuffle: False), never by raising, and
+    # its caller then runs the Python code to the same result.
+    serve, outside, caller = DECLINES[routine]
+    declined = False if routine == "shuffle" else None
+    assert serve(tmp_path) is not declined
+    assert outside(tmp_path) is declined
+    expected = caller(tmp_path)
+    monkeypatch.setattr(_native, "LOADER", _native.Loader(cc="false", cache_dir=tmp_path / "cache"))
+    assert not _native.available()
+    assert serve(tmp_path) is declined
+    assert caller(tmp_path) == expected
 
 
 # --- building and loading ------------------------------------------------------
