@@ -12,6 +12,7 @@ from .dynamics import (
     BrainState,
     LearningCurve,
     Termination,
+    WalkCounts,
     WalkOutcome,
     WalkPolicy,
     default_thresholds,
@@ -92,6 +93,7 @@ __all__ = [
     "TaggedCurve",
     "Termination",
     "TopHubs",
+    "WalkCounts",
     "WalkOutcome",
     "WalkPolicy",
     "aggregate",

@@ -102,8 +102,9 @@ class Loader:
         if lib.exists():
             return lib
         root.mkdir(parents=True, exist_ok=True)
-        # Pool workers may build at once: each writes its own file, and the
-        # rename makes the finished library appear whole.
+        # Separate processes (two CLI runs, say) may build at once, while
+        # threads share this loader and its lock: each process writes its
+        # own file, and the rename makes the finished library appear whole.
         fd, tmp = tempfile.mkstemp(prefix=lib.stem + "-", suffix=".tmp", dir=root)
         os.close(fd)
         try:
@@ -139,6 +140,10 @@ LOADER = Loader()
 
 # The policy numbers of `_walk.c`, by `WalkPolicy` value.
 _POLICY_CODES = {"standard": 0, "extended": 1, "look_ahead": 2}
+# The slots of `netbrain_discover`'s `ctr`, in the order of `_walk.c`'s
+# `enum { KNOWN, ... }`, by the `dynamics._Walker` attribute each one
+# carries; the last, CROSSED, carries the length of `_Walker.crossed`.
+_CTR_SLOTS = ("count", "cumulative_steps", "walk_count", "moves", "cap_hits", "stalled", "crossed")
 
 
 def available() -> bool:
@@ -223,10 +228,7 @@ def discover(walker, stall_limit: int) -> bool | None:
     targets = np.array(walker.targets, dtype=np.int64)
     crossed_steps = np.empty(len(targets), dtype=np.int64)
     crossed = len(walker.crossed)
-    ctr = np.array(
-        [walker.count, walker.steps, walker.walks, walker.moves, walker.cap_hits, walker.stalled, crossed],
-        dtype=np.int64,
-    )
+    ctr = np.array([getattr(walker, name) for name in _CTR_SLOTS[:-1]] + [crossed], dtype=np.int64)
     stalled = kernel(
         g.indptr, g.indices,
         walker.brain, _POLICY_CODES[walker.policy.value], walker.cap, walker.stop_count,
@@ -237,7 +239,9 @@ def discover(walker, stall_limit: int) -> bool | None:
         mt, ctr, stall_limit,
     )
     walker.rng.setstate((version, tuple(mt.tolist()), gauss_next))
-    walker.count, walker.steps, walker.walks, walker.moves, walker.cap_hits, walker.stalled, now = ctr.tolist()
+    *counts, now = ctr.tolist()
+    for name, value in zip(_CTR_SLOTS, counts):
+        setattr(walker, name, value)
     walker.crossed += crossed_steps[crossed:now].tolist()
     return bool(stalled)
 

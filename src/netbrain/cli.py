@@ -9,6 +9,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import __version__, _native
+from .dynamics import _walk_counts
 from .errors import ConfigError, NetbrainError, ParseError
 from .fileio import (
     _generator_from_dict,
@@ -157,8 +158,13 @@ def _config_from_flags(args: argparse.Namespace) -> dict:
     return d
 
 
-def _write_manifest(out_dir: Path, elapsed: float, **payload) -> None:
+def _write_manifest(out_dir: Path, elapsed: float, aggregates: list, **payload) -> None:
+    """`manifest.json`: `payload`, the cells and counter totals of
+    `aggregates`, the walk engine, the version and the times."""
     payload.update(
+        cells=sum(a.n_samples for a in aggregates),
+        totals=_walk_counts(*aggregates),
+        engine="native" if _native.available() else "python",
         netbrain_version=__version__,
         wall_time_s=round(elapsed, 3),
         created=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -192,17 +198,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_curves_csv(curves, out_dir / "curves.csv")
-    write_aggregate_csv(aggregate(curves), out_dir / "aggregate.csv")
+    aggregates = aggregate(curves)
+    write_aggregate_csv(aggregates, out_dir / "aggregate.csv")
     _write_manifest(
         out_dir,
         elapsed,
+        aggregates,
         config=config_to_dict(cfg),
         graph_stats=None if stats is None else stats.__dict__,
-        cells=len(curves),
-        total_walks=sum(c.walk_count for c in curves),
-        total_moves=sum(c.moves for c in curves),
-        cap_hits=sum(c.cap_hits for c in curves),
-        engine="native" if _native.available() else "python",
     )
     print(f"{len(curves)} curves -> {args.out}")
     return 0
@@ -227,6 +230,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     _write_manifest(
         out_dir,
         time.monotonic() - started,
+        combined,
         config=config_to_dict(cfg, sweep_block),
         axis=axis,
         values=[str(v) for v in keyed],

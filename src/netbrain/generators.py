@@ -115,6 +115,26 @@ def _check_n_k(n: int, k_avg: float) -> None:
         )
 
 
+def _ba_attachments(k_avg: float) -> int:
+    """The edges each arriving node attaches in `ba`: half the mean degree, at least one."""
+    return max(1, round(k_avg / 2.0))
+
+
+def _check_attachments(n: int, m_attach: int) -> None:
+    if not 1 <= m_attach < n:
+        raise ParameterError(f"need 1 <= m_attach < n, got m_attach={m_attach}, n={n}")
+    if n * m_attach > _MAX_EDGES:
+        raise ParameterError(
+            f"n={n} and m_attach={m_attach} give {n * m_attach:,} edges, above the bound of "
+            f"{_MAX_EDGES:,}; lower n or m_attach"
+        )
+
+
+def _check_ba(n: int, k_avg: float) -> None:
+    _check_n_k(n, k_avg)
+    _check_attachments(n, _ba_attachments(k_avg))
+
+
 def _check_unit(name: str, value: float, open_below: bool = False) -> None:
     """`value` must lie in [0, 1], or in (0, 1] when `open_below`."""
     if not (0.0 < value if open_below else 0.0 <= value) or value > 1.0:
@@ -198,13 +218,7 @@ def gen_ba(n: int, m_attach: int, seed: int) -> Graph:
     with probability proportional to current degree, so the mean degree
     approaches 2 * m_attach.
     """
-    if not 1 <= m_attach < n:
-        raise ParameterError(f"need 1 <= m_attach < n, got m_attach={m_attach}, n={n}")
-    if n * m_attach > _MAX_EDGES:
-        raise ParameterError(
-            f"n={n} and m_attach={m_attach} give {n * m_attach:,} edges, above the bound of "
-            f"{_MAX_EDGES:,}; lower n or m_attach"
-        )
+    _check_attachments(n, m_attach)
     rng = random.Random(seed)
     clique = m_attach + 1
     edges = [(i, j) for i in range(clique) for j in range(i + 1, clique)]
@@ -388,8 +402,8 @@ _MODELS = {
     "er": _Model(("n", "k_avg"), _check_n_k, gen_er),
     "ba": _Model(
         ("n", "k_avg"),
-        _check_n_k,
-        lambda n, k_avg, seed: gen_ba(n, max(1, round(k_avg / 2.0)), seed),
+        _check_ba,
+        lambda n, k_avg, seed: gen_ba(n, _ba_attachments(k_avg), seed),
     ),
     "cm": _Model(
         ("degree_sequence",),

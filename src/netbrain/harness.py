@@ -15,7 +15,9 @@ from typing import Callable, Sequence, Union
 from . import _native
 from .dynamics import (
     LearningCurve,
+    WalkCounts,
     WalkPolicy,
+    _walk_counts,
     default_thresholds,
     run_discovery,
     validate_step_cap,
@@ -26,6 +28,9 @@ from .generators import _MODELS, GeneratorSpec, RealizedStats, generate
 from .graph import Graph, betweenness, degree_ranked_nodes
 
 PERCENTILE_START_CAP = 100  # starts drawn above a betweenness percentile
+# The crossings an experiment may keep (cells times thresholds). Each kept
+# crossing costs about 88 bytes, so this is near 0.9 GB.
+_MAX_CROSSINGS = 10_000_000
 
 _MASK64 = (1 << 64) - 1
 
@@ -177,8 +182,8 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class TaggedCurve:
-    """One learning curve with full provenance."""
+class TaggedCurve(WalkCounts):
+    """One learning curve with full provenance, and the counters of its discovery."""
 
     group: str
     policy: WalkPolicy
@@ -186,14 +191,12 @@ class TaggedCurve:
     start_degree: int
     repetition: int
     curve: LearningCurve
-    walk_count: int = 0
-    cap_hits: int = 0
-    moves: int = 0
 
 
 @dataclass(frozen=True)
-class AggregateCurve:
-    """Per-threshold mean and standard deviation over a group of curves."""
+class AggregateCurve(WalkCounts):
+    """Per-threshold mean and standard deviation over a group of curves, and
+    the sum of their counters."""
 
     group: str
     policy: WalkPolicy
@@ -246,9 +249,7 @@ def _run_cell(
         start_degree=g.degree(start),
         repetition=ri,
         curve=curve,
-        walk_count=brain.walk_count,
-        cap_hits=brain.cap_hits,
-        moves=brain.moves,
+        **_walk_counts(brain),
     )
 
 
@@ -281,7 +282,9 @@ def run_experiment(
     cells are independent and the result is the same at any parallelism.
     `workers` defaults to NETBRAIN_THREADS or 1, and never exceeds the cell
     count. With the native kernel the cells run in threads that share the
-    graph; with the Python engine, in worker processes.
+    graph; with the Python engine, in worker processes. A run whose curves
+    would keep more than `_MAX_CROSSINGS` crossings (cells times thresholds)
+    raises `ConfigError` before any walk.
     """
     cfg.validate()
     if graph is None:
@@ -289,6 +292,13 @@ def run_experiment(
     starts = select_starts(
         graph, cfg.start, random.Random(derive_seed(cfg.master_seed, "starts"))
     )
+    ncells = len(cfg.policies) * len(starts) * cfg.repetitions_per_start
+    if ncells * len(cfg.thresholds) > _MAX_CROSSINGS:
+        raise ConfigError(
+            f"{ncells:,} cells of {len(cfg.thresholds)} thresholds would keep "
+            f"{ncells * len(cfg.thresholds):,} crossings, above the bound of {_MAX_CROSSINGS:,}; "
+            "lower the repetitions, starts or thresholds"
+        )
     cells = [
         (pi, si, ri)
         for pi in range(len(cfg.policies))
@@ -310,7 +320,7 @@ def aggregate(curves: Sequence[TaggedCurve]) -> list[AggregateCurve]:
     """Per-(group tag, policy), per-threshold mean and standard deviation of steps.
 
     All curves must share one threshold grid. Duplicated inputs count as
-    extra samples (the sd shrinks accordingly).
+    extra samples, in `n_samples` and in the group's counter sums.
     """
     if not curves:
         return []
@@ -335,6 +345,7 @@ def aggregate(curves: Sequence[TaggedCurve]) -> list[AggregateCurve]:
                 mean_steps=means,
                 sd_steps=sds,
                 n_samples=len(members),
+                **_walk_counts(*members),
             )
         )
     return out

@@ -157,7 +157,8 @@ def test_run_p3_explicit_brain(tmp_path):
     lines = (out / "curves.csv").read_text().splitlines()
     assert lines[1].endswith("1.0000,2")  # both leaves need their own walk
     manifest = json.loads((out / "manifest.json").read_text())
-    assert (manifest["total_walks"], manifest["total_moves"], manifest["engine"]) == (2, 2, "native")
+    totals = manifest["totals"]
+    assert (totals["walk_count"], totals["moves"], manifest["engine"]) == (2, 2, "native")
     flags = ["--policies", "standard", "--start", "explicit:1", "--reps", 1, "--thresholds", "1.0"]
     assert run_cli("run", "--edge-list", net, *flags, "--master-seed", 0, "--out", tmp_path / "flags") == 0
     assert read_run(tmp_path / "flags") == read_run(out)
@@ -186,7 +187,7 @@ def test_run_with_step_cap_records_cap_hits(tmp_path):
     out = tmp_path / "res"
     assert run_cli("run", "--config", cfg, "--out", out) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["cap_hits"] > 0
+    assert manifest["totals"]["cap_hits"] > 0
     assert manifest["config"]["step_cap"] == 100
 
 
@@ -278,6 +279,33 @@ def test_sweep_writes_per_value_and_combined_files(tmp_path):
     combined = (out / "aggregate_combined.csv").read_text().splitlines()
     assert len(combined) == 1 + 2 * 2  # two axis values x two thresholds
     assert any(line.startswith("k_avg=4,") for line in combined[1:])
+
+
+def test_hub_degree_sweep_manifest_totals_match_run(tmp_path):
+    run_cfg = write_config(tmp_path, "run.json", step_cap=10)
+    sweep_cfg = write_config(tmp_path, "sweep.json", step_cap=10, sweep={"axis": "hub_degree"})
+    assert run_cli("run", "--config", run_cfg, "--out", tmp_path / "run") == 0
+    assert run_cli("sweep", "--config", sweep_cfg, "--out", tmp_path / "sw") == 0
+    ran = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    swept = json.loads((tmp_path / "sw" / "manifest.json").read_text())
+    assert sorted(ran["totals"]) == ["cap_hits", "cumulative_steps", "moves", "walk_count"]
+    assert ran["totals"]["cap_hits"] > 0
+    assert (swept["cells"], swept["totals"], swept["engine"]) == (ran["cells"], ran["totals"], ran["engine"])
+    assert ran["cells"] == 4
+
+
+def test_oversize_run_exits_2_before_any_walk(tmp_path, capsys, monkeypatch):
+    # Two starts x two repetitions x two thresholds keep 8 crossings.
+    flags = ["run", "--model", "er", "--n", 60, "--k", 5, "--start", "explicit:0,1", "--reps", 2]
+    flags += ["--thresholds", "0.5,1.0"]
+    monkeypatch.setattr(netbrain.harness, "_MAX_CROSSINGS", 8)
+    assert run_cli(*flags, "--out", tmp_path / "at-bound") == 0
+    monkeypatch.setattr(netbrain.harness, "_MAX_CROSSINGS", 7)
+    monkeypatch.setattr(netbrain.harness, "run_discovery", lambda *a, **k: pytest.fail("a walk ran"))
+    assert run_cli(*flags, "--out", tmp_path / "over") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "8 crossings, above the bound of 7" in err[0]
 
 
 # --- bad values -------------------------------------------------------------------

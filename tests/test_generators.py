@@ -228,6 +228,9 @@ def test_models_refuse_expected_edges_above_the_bound(model):
 def test_ba_refuses_attachments_above_the_edge_bound():
     with pytest.raises(ParameterError, match="give 5,000,001 edges, above the bound of 5,000,000"):
         gen_ba(5_000_001, 1, seed=0)  # refused before the seed clique is built
+    # k_avg=3 expects 4.5M edges, but ba attaches round(1.5) = 2 per node: 6M.
+    with pytest.raises(ParameterError, match="give 6,000,000 edges, above the bound of 5,000,000"):
+        GeneratorSpec(model="ba", n=3_000_000, k_avg=3, seed=0).validate()
 
 
 # --- SBM -----------------------------------------------------------------

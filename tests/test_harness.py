@@ -2,6 +2,7 @@ import random
 import statistics
 import sys
 import threading
+from dataclasses import fields
 
 import pytest
 
@@ -16,6 +17,7 @@ from netbrain import (
     ExplicitStarts,
     GeneratorSpec,
     TopHubs,
+    WalkCounts,
     WalkPolicy,
     aggregate,
     build_graph,
@@ -334,6 +336,17 @@ def test_aggregate_duplicates_shrink_sd_but_keep_mean():
     assert doubled.mean_steps == base.mean_steps
     assert doubled.n_samples == 4
     assert doubled.sd_steps == base.sd_steps  # population sd is duplication-invariant
+
+
+def test_aggregate_sums_every_counter_per_group():
+    a = _curve_with({1.0: 10}, cumulative_steps=10, walk_count=2, moves=5, cap_hits=1)
+    b = _curve_with({1.0: 30}, repetition=1, cumulative_steps=30, walk_count=3, moves=7)
+    c = _curve_with({1.0: 4}, group="other", cumulative_steps=4, walk_count=1, moves=4)
+    by_group = {agg.group: agg for agg in aggregate([a, b, c, a])}  # `a` counts twice
+    counters = [f.name for f in fields(WalkCounts)]
+    assert [getattr(by_group[""], name) for name in counters] == [50, 7, 17, 2]
+    assert [getattr(by_group["other"], name) for name in counters] == [4, 1, 4, 0]
+    assert (by_group[""].n_samples, by_group["other"].n_samples) == (3, 1)
 
 
 def test_aggregate_rejects_mixed_grids():

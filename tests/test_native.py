@@ -466,7 +466,7 @@ def test_compile_failure_falls_back_to_python(tmp_path, monkeypatch):
         native = json.loads((native_out / "manifest.json").read_text())
         python = json.loads((python_out / "manifest.json").read_text())
         assert (native["engine"], python["engine"]) == ("native", "python")
-        assert native["total_moves"] == python["total_moves"] > 0
+        assert native["totals"]["moves"] == python["totals"]["moves"] > 0
     assert list(cache.iterdir()) == []  # the failed build left no file
 
 
