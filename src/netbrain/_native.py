@@ -2,7 +2,7 @@
 
 `LOADER` compiles the shipped source with the system C compiler into
 ``${XDG_CACHE_HOME:-~/.cache}/netbrain/``, under a name keyed by the hash of
-the source and the compile command, and loads it. One library holds four
+the source and the compile command, and loads it. One library holds seven
 entry points, and one routine here calls each:
 
 - `discover`: the walks of `dynamics.run_discovery`;
@@ -10,7 +10,10 @@ entry points, and one routine here calls each:
   sources that run in threads on every CPU the process may use, their
   per-source rows added in source order;
 - `shuffle`: `random.Random.shuffle` for the stubs of `generators.gen_cm`;
-- `parse_edges`: the edge lines of `fileio.ingest_edge_list`.
+- `parse_edges`: the edge lines of `fileio.ingest_edge_list`;
+- `build_csr`: the arrays and drop counts of `graph.build_graph_reported`;
+- `components`: the component labels of `graph`'s component queries;
+- `format_edges`: the edge lines of `fileio.write_edge_list`.
 
 Each routine decides alone whether it can serve a call. It declines, with
 None (`shuffle`: False), when the library did not load or the input lies
@@ -78,6 +81,12 @@ _ENTRY_POINTS = {
         ctypes.c_char_p, ctypes.c_int64,  # buf, len
         _i64, ctypes.c_int64, _i64,  # labels, cap, nedges
     ),
+    "netbrain_build_csr": (
+        _i64, ctypes.c_int64, ctypes.c_int32,  # edges, k, n
+        _i32, _i32, _i32, _i32, _i64,  # indptr, indices, bucket, next, counts
+    ),
+    "netbrain_components": (_i32, _i32, ctypes.c_int32, _i32, _i32),  # indptr, indices, n, labels, queue
+    "netbrain_format_edges": (_i32, _i32, ctypes.c_int32, _u8, _i64),  # indptr, indices, n, buf, len
 }
 
 
@@ -277,3 +286,49 @@ def parse_edges(path: Path) -> np.ndarray | None:
     if kernel(data, len(data), labels, cap, nedges):
         return None
     return labels[: nedges[0]]
+
+
+def build_csr(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int] | None:
+    """The int32 `indptr` and `indices` of the simple graph on `n` nodes with
+    the (k, 2) integer `edges`, all in [0, n), by `netbrain_build_csr`, and
+    the self-loops and repeated pairs it dropped: what the numpy build of
+    `graph.build_graph_reported` gives. None when the library did not load
+    or the 2k arcs reach 2**31, which its int32 scratch cannot index."""
+    kernel = LOADER.kernel("netbrain_build_csr")
+    k = len(edges)
+    if kernel is None or 2 * k >= 2**31:
+        return None
+    edges = np.ascontiguousarray(edges, dtype=np.int64)
+    indptr = np.empty(n + 1, dtype=np.int32)
+    indices = np.empty(2 * k, dtype=np.int32)
+    counts = np.empty(3, dtype=np.int64)
+    kernel(
+        edges, k, n, indptr, indices,
+        np.empty(2 * k, dtype=np.int32), np.empty(n, dtype=np.int32),  # bucket, next
+        counts,
+    )
+    arcs, loops, duplicates = counts.tolist()
+    return indptr, indices[:arcs], loops, duplicates
+
+
+def components(g: Graph) -> np.ndarray | None:
+    """Each node's component label, the smallest node id in its component,
+    by `netbrain_components`; None when the library did not load."""
+    kernel = LOADER.kernel("netbrain_components")
+    if kernel is None:
+        return None
+    labels = np.empty(g.n, dtype=np.int32)
+    kernel(g.indptr, g.indices, g.n, labels, np.empty(g.n, dtype=np.int32))
+    return labels
+
+
+def format_edges(g: Graph) -> str | None:
+    """The "u v" lines of the edges of `g`, u < v, ascending, by
+    `netbrain_format_edges`; None when the library did not load."""
+    kernel = LOADER.kernel("netbrain_format_edges")
+    if kernel is None:
+        return None
+    buf = np.empty(22 * g.m, dtype=np.uint8)  # at most 22 bytes a line
+    length = np.empty(1, dtype=np.int64)
+    kernel(g.indptr, g.indices, g.n, buf, length)
+    return buf[: length[0]].tobytes().decode("ascii")

@@ -1,7 +1,9 @@
 /* Native kernels of netbrain: the walks of `netbrain.dynamics.run_discovery`,
- * the exact betweenness of `netbrain.graph.betweenness`, and two set-up
- * steps: the stub shuffle of `netbrain.generators.gen_cm` and the edge-list
- * parse of `netbrain.fileio.ingest_edge_list`.
+ * the exact betweenness of `netbrain.graph.betweenness`, and five set-up
+ * steps: the stub shuffle of `netbrain.generators.gen_cm`, the edge-list
+ * parse of `netbrain.fileio.ingest_edge_list`, the CSR build of
+ * `netbrain.graph.build_graph_reported`, the component labels of
+ * `netbrain.graph` and the edge lines of `netbrain.fileio.write_edge_list`.
  *
  * The discovery kernel repeats self-avoiding walks from the brain over an
  * int32 CSR adjacency (`indptr`/`indices`) until the brain knows `stop_count`
@@ -19,7 +21,8 @@
  *
  * The shuffle replays `random.Random.shuffle` on the same generator state.
  * The parse takes only plain ASCII edge lists and refuses anything else, which
- * the caller then reads with its Python line loop.
+ * the caller then reads with its Python line loop. The build, the labels and
+ * the edge lines give the arrays and bytes of the numpy code they replace.
  *
  * Built on first use by `netbrain._native` with `cc -O2 -ffp-contract=off
  * -fPIC -shared`; the contraction flag keeps the compiler from fusing a
@@ -415,5 +418,173 @@ int netbrain_parse_edges(const uint8_t *buf, int64_t len, int64_t *labels, int64
         p = next;
     }
     *nedges = count;
+    return 0;
+}
+
+/* ---- set-up: the CSR build -------------------------------------------- */
+
+/* The CSR arrays of the simple graph on nodes 0..n-1 with the `k` edges
+ * `edges` (pairs of int64 endpoints, all in [0, n), which the caller has
+ * checked), as `graph.build_graph_reported` builds them: each row ascending,
+ * self-loops and repeated pairs dropped. Two counting passes place the arcs
+ * without a comparison sort: the sources go into buckets by target, and
+ * the buckets, read in ascending target order, scatter each target into its
+ * source's row, which so comes out sorted. Repeats are then adjacent in a
+ * row, and one pass drops them. Requires 2 * k < 2^31.
+ *
+ * indptr           output, n + 1 offsets
+ * indices          output, the 2 * m kept arcs at its front (2 * k room)
+ * bucket           scratch of 2 * k ints
+ * next             scratch of n ints
+ * counts           output: the arcs kept, the self-loops, the repeated pairs
+ */
+int netbrain_build_csr(const int64_t *edges, int64_t k, int32_t n, int32_t *indptr,
+                       int32_t *indices, int32_t *bucket, int32_t *next, int64_t *counts)
+{
+    int64_t i, loops = 0;
+    int32_t v, lo, kept = 0;
+
+    for (v = 0; v <= n; v++)
+        indptr[v] = 0;
+    for (i = 0; i < k; i++) {
+        int32_t a = (int32_t)edges[2 * i], b = (int32_t)edges[2 * i + 1];
+
+        if (a == b) {
+            loops++;
+        } else {
+            indptr[a + 1]++;
+            indptr[b + 1]++;
+        }
+    }
+    for (v = 0; v < n; v++) {
+        indptr[v + 1] += indptr[v];
+        next[v] = indptr[v];
+    }
+    for (i = 0; i < k; i++) {
+        int32_t a = (int32_t)edges[2 * i], b = (int32_t)edges[2 * i + 1];
+
+        if (a != b) {
+            bucket[next[b]++] = a;
+            bucket[next[a]++] = b;
+        }
+    }
+    for (v = 0; v < n; v++)
+        next[v] = indptr[v];
+    for (v = 0; v < n; v++) {
+        int32_t j;
+
+        for (j = indptr[v]; j < indptr[v + 1]; j++)
+            indices[next[bucket[j]]++] = v;
+    }
+    /* Compact the rows in place; row v's old start is kept in `lo`, since
+     * indptr[v] takes its new start before row v + 1 is read. */
+    lo = 0;
+    for (v = 0; v < n; v++) {
+        int32_t hi = indptr[v + 1], j, last = -1;
+
+        indptr[v] = kept;
+        for (j = lo; j < hi; j++) {
+            if (indices[j] != last) {
+                last = indices[j];
+                indices[kept++] = last;
+            }
+        }
+        lo = hi;
+    }
+    indptr[n] = kept;
+    counts[0] = kept;
+    counts[1] = loops;
+    counts[2] = (2 * (k - loops) - kept) / 2;
+    return 0;
+}
+
+/* ---- set-up: component labels ----------------------------------------- */
+
+/* Each node's component label, the smallest node id in its component: a
+ * breadth-first search from each unlabelled node in ascending id order,
+ * which labels its whole component with its own id.
+ *
+ * labels           output, n ints
+ * queue            scratch of n ints
+ */
+int netbrain_components(const int32_t *indptr, const int32_t *indices, int32_t n,
+                        int32_t *labels, int32_t *queue)
+{
+    int32_t s, v;
+
+    for (v = 0; v < n; v++)
+        labels[v] = -1;
+    for (s = 0; s < n; s++) {
+        int32_t head = 0, tail = 0;
+
+        if (labels[s] >= 0)
+            continue;
+        labels[s] = s;
+        queue[tail++] = s;
+        while (head < tail) {
+            const int32_t *w, *end;
+
+            v = queue[head++];
+            end = indices + indptr[v + 1];
+            for (w = indices + indptr[v]; w < end; w++) {
+                if (labels[*w] < 0) {
+                    labels[*w] = s;
+                    queue[tail++] = *w;
+                }
+            }
+        }
+    }
+    return 0;
+}
+
+/* ---- set-up: the edge-list text --------------------------------------- */
+
+/* Write the decimal digits of `x` (below 2^31) at `out`; returns their count. */
+static int32_t decimal(int32_t x, char *out)
+{
+    char digits[10];
+    int32_t count = 0, i;
+
+    do {
+        digits[count++] = (char)('0' + x % 10);
+        x /= 10;
+    } while (x > 0);
+    for (i = 0; i < count; i++)
+        out[i] = digits[count - 1 - i];
+    return count;
+}
+
+/* The edge lines of `fileio.write_edge_list`: "u v\n" for every edge with
+ * u < v, in ascending (u, v) order, at `buf`, and their byte count in
+ * `*len`. A line takes at most 22 bytes (two ids of at most 10 digits), so
+ * 22 * m bytes always suffice. */
+int netbrain_format_edges(const int32_t *indptr, const int32_t *indices, int32_t n,
+                          char *buf, int64_t *len)
+{
+    char *p = buf;
+    int32_t u;
+
+    for (u = 0; u < n; u++) {
+        const int32_t *w = indices + indptr[u], *end = indices + indptr[u + 1];
+        char row[11];
+        int32_t width;
+
+        while (w < end && *w < u)
+            w++; /* rows ascend: skip to the first neighbour above u */
+        if (w == end)
+            continue;
+        width = decimal(u, row);
+        row[width++] = ' ';
+        for (; w < end; w++) {
+            int32_t i;
+
+            for (i = 0; i < width; i++)
+                p[i] = row[i];
+            p += width;
+            p += decimal(*w, p);
+            *p++ = '\n';
+        }
+    }
+    *len = p - buf;
     return 0;
 }

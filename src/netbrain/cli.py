@@ -23,7 +23,15 @@ from .fileio import (
     write_json,
 )
 from .generators import _MODELS, MODELS, GeneratorSpec, generate
-from .harness import _START_KINDS, _worker_count, aggregate, resolve_graph, run_experiment, sweep
+from .harness import (
+    _START_KINDS,
+    _pool_size,
+    _worker_count,
+    aggregate,
+    resolve_graph,
+    run_experiment,
+    sweep,
+)
 
 
 # GeneratorSpec field -> (flag, help). Types and defaults come from the
@@ -158,9 +166,11 @@ def _config_from_flags(args: argparse.Namespace) -> dict:
     return d
 
 
-def _write_manifest(out_dir: Path, elapsed: float, aggregates: list, **payload) -> None:
-    """`manifest.json`: `payload`, the cells and counter totals of
-    `aggregates`, the walk engine, the version and the times."""
+def _write_manifest(out_dir: Path, started: float, aggregates: list, **payload) -> None:
+    """`manifest.json`, written last: `payload`, the cells and counter totals
+    of `aggregates`, the walk engine, the version, and the times, where
+    `wall_time_s` runs from `started` to now, after every other output."""
+    elapsed = time.monotonic() - started
     payload.update(
         cells=sum(a.n_samples for a in aggregates),
         totals=_walk_counts(*aggregates),
@@ -194,7 +204,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     started = time.monotonic()
     graph, stats = resolve_graph(cfg)
     curves = run_experiment(cfg, graph=graph, workers=workers)
-    elapsed = time.monotonic() - started
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_curves_csv(curves, out_dir / "curves.csv")
@@ -202,10 +211,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     write_aggregate_csv(aggregates, out_dir / "aggregate.csv")
     _write_manifest(
         out_dir,
-        elapsed,
+        started,
         aggregates,
         config=config_to_dict(cfg),
         graph_stats=None if stats is None else stats.__dict__,
+        workers=_pool_size(workers, len(curves)),
     )
     print(f"{len(curves)} curves -> {args.out}")
     return 0
@@ -227,13 +237,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         write_aggregate_csv(aggs, out_dir / f"aggregate_{axis}_{value}.csv")
         combined.extend(aggs)
     write_aggregate_csv(combined, out_dir / "aggregate_combined.csv")
+    # A hub_degree sweep is one experiment; any other runs one per value.
+    runs = [combined] if axis == "hub_degree" else keyed.values()
     _write_manifest(
         out_dir,
-        time.monotonic() - started,
+        started,
         combined,
         config=config_to_dict(cfg, sweep_block),
         axis=axis,
         values=[str(v) for v in keyed],
+        workers=max(_pool_size(workers, sum(a.n_samples for a in aggs)) for aggs in runs),
     )
     print(f"{len(keyed)} axis values -> {args.out}")
     return 0

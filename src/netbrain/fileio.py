@@ -51,9 +51,8 @@ def ingest_edge_list(path: str | Path) -> tuple[Graph, dict[int, int], IngestRep
         pairs = _parse_lines(path)
     if not len(pairs):
         raise ParseError(f"{path}: no edges found")
-    # The sorted labels, and the pairs as their ranks; numpy versions differ in the shape of `dense`.
-    labels, dense = np.unique(pairs, return_inverse=True)
-    g, drops = build_graph_reported(len(labels), dense.reshape(-1, 2))
+    labels, dense = _rank_labels(pairs)
+    g, drops = build_graph_reported(len(labels), dense)
     lcc, lcc_map = largest_connected_component(g)
     labels = labels.tolist()
     label_map = {labels[old]: new for old, new in lcc_map.items()}
@@ -66,6 +65,22 @@ def ingest_edge_list(path: str | Path) -> tuple[Graph, dict[int, int], IngestRep
         lcc_edges=lcc.m,
     )
     return lcc, label_map, report
+
+
+def _rank_labels(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct labels of the non-negative `pairs`, and the pairs
+    as their ranks.
+
+    Labels below the pair array's size are ranked by a presence table over
+    0..size-1 and its running count, which costs no sort and never allocates
+    more than the pairs already take; larger labels by `np.unique`."""
+    if pairs.max() < pairs.size:
+        present = np.zeros(pairs.size, dtype=bool)
+        present[pairs] = True
+        return np.flatnonzero(present), np.cumsum(present)[pairs] - 1
+    # numpy versions differ in the shape of `dense`.
+    labels, dense = np.unique(pairs, return_inverse=True)
+    return labels, dense.reshape(-1, 2)
 
 
 def _parse_lines(path: Path) -> np.ndarray:
@@ -97,17 +112,29 @@ def _parse_lines(path: Path) -> np.ndarray:
 
 
 def write_edge_list(g: Graph, path: str | Path, header: Sequence[str] = ()) -> None:
-    """Write edges as 'u v' lines (u < v, ascending), with optional # header lines."""
-    names = [str(v) for v in range(g.n)]  # each id is formatted once
+    """Write edges as 'u v' lines (u < v, ascending), with optional # header lines.
+
+    The lines come from `_native.format_edges`, or from `_format_edges`
+    without the library; both give the same text."""
+    edges = _native.format_edges(g)
+    if edges is None:
+        edges = _format_edges(g)
+    Path(path).write_text("".join(f"# {line}\n" for line in header) + edges)
+
+
+def _format_edges(g: Graph) -> str:
+    """The edge lines of `write_edge_list` in Python, each id formatted once:
+    the reference that `_native.format_edges` reproduces."""
+    names = [str(v) for v in range(g.n)]
     source, target = _upper_arcs(g)
     ends = [names[v] for v in target.tolist()]
-    text = [f"# {line}\n" for line in header]
     nodes, counts = np.unique(source, return_counts=True)
     bounds = np.cumsum(counts).tolist()
+    text = []
     for u, start, stop in zip(nodes.tolist(), [0, *bounds], bounds):
         row = names[u] + " "
         text.append(row + ("\n" + row).join(ends[start:stop]) + "\n")  # node u's block
-    Path(path).write_text("".join(text))
+    return "".join(text)
 
 
 # --- experiment config files (JSON) -----------------------------------------

@@ -141,19 +141,33 @@ def build_graph_reported(
         raise ConstructionError(
             f"edge ({int(u[i])}, {int(v[i])}) has an endpoint outside [0, {n})"
         )
+    # Every endpoint is in [0, n), so the cast keeps each value, and the
+    # numpy keys below cannot overflow a narrow input type.
+    edges = np.ascontiguousarray(edges, dtype=np.int64)
+    built = _native.build_csr(n, edges)
+    if built is None:
+        built = _build_csr_numpy(n, edges)
+    indptr, indices, self_loops, duplicates = built
+    return Graph(n, indptr, indices), DropCounts(self_loops, duplicates)
+
+
+def _build_csr_numpy(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """The CSR arrays of the int64 (k, 2) `edges`, all in [0, n), by numpy
+    sorts, and the self-loops and repeated pairs dropped: the reference that
+    `_native.build_csr` reproduces, and the build without the library."""
+    u, v = edges[:, 0], edges[:, 1]
     loop = u == v
     u, v = u[~loop], v[~loop]
     keys = np.sort(np.minimum(u, v) * n + np.maximum(u, v))  # one per unordered pair
     keys = keys[_first_of_runs(keys)]
     if 2 * keys.size >= _INT32:
         raise ConstructionError(f"{keys.size} edges give 2 * m >= 2**31 arcs, too many for int32")
-    drops = DropCounts(int(loop.sum()), int(u.size - keys.size))
     lo, hi = np.divmod(keys, n)
     # Both directions of each pair, sorted by (source, target).
     arcs = np.sort(np.concatenate((keys, hi * n + lo)))
     source, target = np.divmod(arcs, n)
     indptr = np.concatenate(([0], np.cumsum(np.bincount(source, minlength=n))))
-    return Graph(n, indptr, target), drops
+    return indptr, target, int(loop.sum()), int(u.size - keys.size)
 
 
 def _first_of_runs(ranked: np.ndarray) -> np.ndarray:
@@ -165,7 +179,16 @@ def _first_of_runs(ranked: np.ndarray) -> np.ndarray:
 
 
 def _component_labels(g: Graph) -> np.ndarray:
-    """Each node's component label: the smallest node id in its component.
+    """Each node's component label: the smallest node id in its component,
+    by `_native.components`, or by `_component_labels_numpy` without the
+    library."""
+    labels = _native.components(g)
+    return _component_labels_numpy(g) if labels is None else labels
+
+
+def _component_labels_numpy(g: Graph) -> np.ndarray:
+    """The labels of `_component_labels` on arrays: the reference that
+    `_native.components` reproduces.
 
     Hook and compress after Shiloach & Vishkin (1982): labels start as the
     node ids; across each arc joining two trees the larger root hooks to the

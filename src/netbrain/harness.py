@@ -270,6 +270,13 @@ def _worker_count(workers: int | None) -> int:
     return workers
 
 
+def _pool_size(workers: int, ncells: int) -> int:
+    """The workers that a run of `ncells` cells starts when `workers` are
+    asked for: no more than its cells, nor than the CPUs the process may
+    use, since the results are the same at any count."""
+    return min(workers, ncells, _native._cpu_count())
+
+
 def run_experiment(
     cfg: ExperimentConfig,
     graph: Graph | None = None,
@@ -280,9 +287,10 @@ def run_experiment(
 
     Child seeds are derived statelessly from (master_seed, cell indices), so
     cells are independent and the result is the same at any parallelism.
-    `workers` defaults to NETBRAIN_THREADS or 1, and never exceeds the cell
-    count. With the native kernel the cells run in threads that share the
-    graph; with the Python engine, in worker processes. A run whose curves
+    `workers` defaults to NETBRAIN_THREADS or 1, and the pool never exceeds
+    the cell count or the CPUs the process may use (`_pool_size`). With the
+    native kernel the cells run in threads that share the graph; with the
+    Python engine, in worker processes. A run whose curves
     would keep more than `_MAX_CROSSINGS` crossings (cells times thresholds)
     raises `ConfigError` before any walk.
     """
@@ -306,7 +314,7 @@ def run_experiment(
         for ri in range(cfg.repetitions_per_start)
     ]
     run_cell = partial(_run_cell, graph, cfg, starts, group)
-    nworkers = min(_worker_count(workers), len(cells))  # a pool starts every worker up front
+    nworkers = _pool_size(_worker_count(workers), len(cells))  # a pool starts every worker up front
     if nworkers <= 1:
         return [run_cell(c) for c in cells]
     # The kernel releases the GIL, so threads share the graph; Python walks need processes.

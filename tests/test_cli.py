@@ -1,10 +1,13 @@
+import itertools
 import json
+import time
+from types import SimpleNamespace
 
 import pytest
 
 import netbrain.harness
 from helpers import ALL_SPECS
-from netbrain import generate, ingest_edge_list
+from netbrain import _native, cli, generate, ingest_edge_list
 from netbrain.cli import main
 
 
@@ -95,6 +98,31 @@ def test_generate_writes_the_library_graph(tmp_path, spec):
     assert run_cli(*args) == 0
     lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
     assert [tuple(map(int, line.split())) for line in lines] == generate(spec).graph.edges()
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.model)
+def test_generate_and_ingest_write_the_same_bytes_without_the_library(tmp_path, spec, monkeypatch):
+    args = ["generate", spec.model]
+    for field, flag in SPEC_FLAGS.items():
+        args += [flag, getattr(spec, field)]
+    if spec.degree_sequence:
+        degrees = tmp_path / "degs.txt"
+        degrees.write_text("\n".join(map(str, spec.degree_sequence)))
+        args += ["--degrees-file", degrees]
+    listing = tmp_path / "g.txt"
+    outputs = {}
+    for engine in ("native", "python"):
+        if engine == "python":
+            monkeypatch.setattr(_native, "LOADER", _native.Loader(cc="false", cache_dir=tmp_path / "cache"))
+        assert run_cli(*args, "--out", tmp_path / f"g-{engine}.txt") == 0
+        # Both ingest the same file, whose path their headers name.
+        (tmp_path / f"g-{engine}.txt").replace(listing)
+        assert run_cli("ingest", listing, "--out", tmp_path / engine) == 0
+        names = ("graph.txt", "label_map.json", "ingest_report.json")
+        outputs[engine] = [listing.read_bytes(), *((tmp_path / engine / name).read_bytes() for name in names)]
+        outputs[engine].append(generate(spec))
+    assert not _native.available()
+    assert outputs["native"] == outputs["python"]
 
 
 # --- ingest ------------------------------------------------------------------
@@ -292,6 +320,49 @@ def test_hub_degree_sweep_manifest_totals_match_run(tmp_path):
     assert ran["totals"]["cap_hits"] > 0
     assert (swept["cells"], swept["totals"], swept["engine"]) == (ran["cells"], ran["totals"], ran["engine"])
     assert ran["cells"] == 4
+
+
+def test_both_manifests_time_every_output_written_before_them(tmp_path, monkeypatch):
+    # A clock that advances by one at each reading, read again after each
+    # CSV write: a manifest whose clock stopped before a write reads less.
+    ticks = itertools.count()
+    monkeypatch.setattr(cli, "time", SimpleNamespace(monotonic=lambda: next(ticks), strftime=time.strftime))
+    written = []
+    for name in ("write_curves_csv", "write_aggregate_csv"):
+
+        def timed(*args, write=getattr(cli, name)):
+            write(*args)
+            written.append(cli.time.monotonic())
+
+        monkeypatch.setattr(cli, name, timed)
+    configs = {
+        "run": write_config(tmp_path, "run.json"),
+        "sweep": write_config(tmp_path, "sweep.json", sweep={"axis": "k_avg", "values": [4, 6]}),
+    }
+    for command, cfg in configs.items():
+        written.clear()
+        started = next(ticks) + 1  # the command's first reading
+        assert run_cli(command, "--config", cfg, "--out", tmp_path / command) == 0
+        manifest = json.loads((tmp_path / command / "manifest.json").read_text())
+        assert len(written) == {"run": 2, "sweep": 3}[command]
+        assert started + manifest["wall_time_s"] > max(written), command
+
+
+@pytest.mark.parametrize("cpus, workers, expected", [(3, 1, 1), (3, 5000, 3), (8, 5000, 4)])
+def test_manifests_name_the_workers_in_effect(tmp_path, monkeypatch, cpus, workers, expected):
+    # Each run has 4 cells (2 starts x 2 repetitions); a k_avg sweep runs one
+    # per value and a hub_degree sweep one in all.
+    monkeypatch.setattr(_native, "_cpu_count", lambda: cpus)
+    configs = {
+        "run": write_config(tmp_path, "run.json"),
+        "sweep": write_config(tmp_path, "sweep.json", sweep={"axis": "k_avg", "values": [4, 6]}),
+        "hub": write_config(tmp_path, "hub.json", sweep={"axis": "hub_degree"}),
+    }
+    for name, cfg in configs.items():
+        command = "run" if name == "run" else "sweep"
+        out = tmp_path / name
+        assert run_cli(command, "--config", cfg, "--out", out, "--workers", workers) == 0
+        assert json.loads((out / "manifest.json").read_text())["workers"] == expected, name
 
 
 def test_oversize_run_exits_2_before_any_walk(tmp_path, capsys, monkeypatch):

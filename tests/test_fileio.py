@@ -2,6 +2,7 @@ import json
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from helpers import ALL_SPECS, path_graph
@@ -27,7 +28,7 @@ from netbrain import (
     write_curves_csv,
     write_edge_list,
 )
-from netbrain.fileio import AGGREGATE_HEADER, CURVE_HEADER
+from netbrain.fileio import AGGREGATE_HEADER, CURVE_HEADER, _rank_labels
 from netbrain.generators import MODELS
 
 
@@ -62,10 +63,11 @@ def test_ingest_remaps_sparse_labels(tmp_path):
     assert g.degree(label_map[900]) == 2
 
 
-@pytest.mark.parametrize("top", [10**6, 2**63], ids=["int64", "beyond-int64"])
+@pytest.mark.parametrize("top", [10**6, 2**63, 1000], ids=["int64", "beyond-int64", "below-pair-count"])
 def test_ingest_ranks_labels_like_a_sorted_dict(tmp_path, top):
     # Labels beyond int64 are read by the line loop and ranked as Python ints;
     # numpy, left to pick a dtype, takes float64 and merges 2**63 + 1 with 2**63.
+    # Labels below the 1,202 labels of the file are ranked by a presence table.
     rng = random.Random(8)
     pool = [rng.randrange(top) for _ in range(300)] + [top, top + 1]
     pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(600)] + [(top, top + 1)]
@@ -78,6 +80,25 @@ def test_ingest_ranks_labels_like_a_sorted_dict(tmp_path, top):
     assert g == expected
     assert label_map == {label: lcc_map[i] for label, i in ranks.items() if i in lcc_map}
     assert (report.raw_nodes, report.raw_edges) == (len(ranks), len(pairs))
+
+
+@pytest.mark.parametrize("top", [0, 1, 7, 8, 9, 500, 2**40])
+def test_rank_labels_matches_np_unique_on_both_sides_of_the_table(top, monkeypatch):
+    # Four pairs hold 8 labels: a largest label of 7 or less takes the table.
+    rng = np.random.default_rng(top)
+    pairs = np.append(rng.integers(0, top + 1, size=7), top).reshape(4, 2)
+    expected_labels, expected_ranks = np.unique(pairs, return_inverse=True)
+    unique, calls = np.unique, []
+
+    def counted_unique(*args, **kwargs):
+        calls.append(args)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counted_unique)
+    labels, ranks = _rank_labels(pairs)
+    assert len(calls) == (top >= pairs.size)
+    assert labels.tolist() == expected_labels.tolist()
+    assert ranks.tolist() == expected_ranks.reshape(-1, 2).tolist()
 
 
 def test_ingest_keeps_only_lcc(tmp_path):

@@ -236,15 +236,19 @@ def test_pool_never_has_more_workers_than_cells(monkeypatch, tmp_path):
 
     monkeypatch.setattr(harness, "ThreadPoolExecutor", recorder("threads"))
     monkeypatch.setattr(harness, "ProcessPoolExecutor", recorder("processes"))
+    monkeypatch.setattr(_native, "_cpu_count", lambda: 3)
     two_cells = small_config(repetitions_per_start=1, start=ExplicitStarts(nodes=(0, 1)))
+    four_cells = small_config(repetitions_per_start=2, start=ExplicitStarts(nodes=(0, 1)))
     one_cell = small_config(repetitions_per_start=1, start=ExplicitStarts(nodes=(0,)))
     for _ in engines(monkeypatch, tmp_path):
-        with pytest.raises(_PoolStarted):
-            run_experiment(two_cells, workers=5000)
+        for cfg in (two_cells, four_cells):
+            with pytest.raises(_PoolStarted):
+                run_experiment(cfg, workers=5000)
         # One cell runs in this process, whatever the worker count.
         assert len(run_experiment(one_cell, workers=5000)) == 1
-    # The kernel's cells share the graph in threads; Python walks need processes.
-    assert started == [("threads", 2), ("processes", 2)]
+    # The kernel's cells share the graph in threads; Python walks need
+    # processes. Either pool has no more workers than cells or CPUs.
+    assert started == [("threads", 2), ("threads", 3), ("processes", 2), ("processes", 3)]
 
 
 def test_a_cell_error_reaches_the_caller_from_either_pool(monkeypatch, tmp_path):

@@ -3,9 +3,10 @@
 `run_discovery` runs the kernel for a plain `random.Random` and the Python
 engine (`_Walker`) for any subclass, so a subclass run is the reference.
 `betweenness` runs the kernel whenever it loads; `_betweenness_python` is
-its reference. The set-up kernels are compared with `random.shuffle` and
-with the ingest line loop, which run when the library does not load. The
-kernels must build and load here: these tests do not skip.
+its reference. The set-up kernels are compared with `random.shuffle`, with
+the ingest line loop and with the numpy build, labels and edge lines, which
+run when the library does not load. The kernels must build and load here:
+these tests do not skip.
 """
 
 import ctypes
@@ -23,10 +24,12 @@ import pytest
 
 from helpers import (
     CRITERION_8_CONFIG,
+    bfs_components,
     brute_force_betweenness,
     connected_graphs_up_to_iso,
     cycle_graph,
     path_graph,
+    set_build_graph_reported,
     star_graph,
     wos_scale_degree_sequence,
 )
@@ -44,8 +47,9 @@ from netbrain import (
     ingest_edge_list,
     run_discovery,
     select_starts,
+    write_edge_list,
 )
-from netbrain import _native, dynamics, graph
+from netbrain import _native, dynamics, fileio, graph
 from netbrain.cli import main as cli_main
 from netbrain.generators import gen_cm
 
@@ -391,6 +395,95 @@ def test_parse_kernel_matches_the_line_loop(name, tmp_path, monkeypatch):
         assert list(native[1].items()) == list(python[1].items())  # same order too
 
 
+# --- set-up: the CSR build, the component labels and the edge lines ------------
+
+
+def multigraph(seed, n, k):
+    """About 1.5 k int64 edges on n nodes: k random pairs, a twentieth of them
+    made self-loops, then half of them again, half of those reversed. The
+    top quarter of the ids is never drawn, so some nodes stay isolated."""
+    rng = np.random.default_rng(seed)
+    edges = rng.integers(0, max(1, n - n // 4), size=(k, 2))
+    loops = rng.random(k) < 0.05
+    edges[loops, 1] = edges[loops, 0]
+    again = edges[rng.integers(0, max(1, k), size=k // 2)]
+    again[: k // 4] = again[: k // 4, ::-1].copy()
+    return rng.permutation(np.concatenate((edges, again)))
+
+
+def star_edges(leaves, seed):
+    """A star's edges, shuffled, a tenth of them repeated with the hub second."""
+    edges = np.stack((np.zeros(leaves, dtype=np.int64), np.arange(1, leaves + 1)), axis=1)
+    return np.random.default_rng(seed).permutation(np.concatenate((edges, edges[: leaves // 10, ::-1])))
+
+
+# name -> (n, int64 edges)
+SETUP_EDGES = {
+    **{
+        f"multigraph-{n}-{k}": (n, multigraph(n + k, n, k))
+        for n, k in ((0, 0), (1, 0), (1, 3), (2, 5), (7, 12), (40, 90), (300, 2000), (2000, 1500), (5000, 900))
+    },
+    "no-edges": (6, np.empty((0, 2), dtype=np.int64)),
+    "star-20000": (20_001, star_edges(20_000, 3)),
+}
+
+
+def edge_inputs(n, edges):
+    """`edges` as int64, int32, uint64 and (when the ids fit) uint8 arrays,
+    and as a strided and a column-major view."""
+    yield edges
+    for dtype in (np.int32, np.uint64, np.uint8):
+        if n <= np.iinfo(dtype).max + 1:
+            yield edges.astype(dtype)
+    wide = np.zeros((len(edges), 4), dtype=np.int64)
+    wide[:, ::2] = edges
+    yield wide[:, ::2]
+    yield np.asfortranarray(edges.astype(np.int32))
+
+
+def csr(built):
+    indptr, indices, *drops = built
+    return indptr.tolist(), indices.tolist(), *drops
+
+
+@pytest.mark.parametrize("name", SETUP_EDGES)
+def test_build_kernel_matches_the_numpy_build(name, tmp_path, monkeypatch):
+    n, edges = SETUP_EDGES[name]
+    reference, drops = set_build_graph_reported(n, edges.tolist())
+    expected = (reference.indptr.tolist(), reference.indices.tolist(), drops.self_loops, drops.duplicates)
+    assert csr(graph._build_csr_numpy(n, edges)) == expected
+    inputs = list(edge_inputs(n, edges))
+    for given in inputs:
+        assert csr(_native.build_csr(n, given)) == expected, given.dtype
+        assert graph.build_graph_reported(n, given) == (reference, drops)
+    # Without the library, the numpy build takes every input type too.
+    monkeypatch.setattr(_native, "LOADER", _native.Loader(cc="false", cache_dir=tmp_path))
+    for given in inputs:
+        assert graph.build_graph_reported(n, given) == (reference, drops), given.dtype
+
+
+@pytest.mark.parametrize("name", SETUP_EDGES)
+def test_component_kernel_matches_the_numpy_labels_and_the_bfs_oracle(name):
+    g = build_graph(*SETUP_EDGES[name])
+    labels = _native.components(g)
+    assert labels.tolist() == graph._component_labels_numpy(g).tolist()
+    members = {}
+    for v, label in enumerate(labels.tolist()):
+        members.setdefault(label, []).append(v)
+    assert list(members.values()) == bfs_components(g)
+
+
+@pytest.mark.parametrize("name", [*SETUP_EDGES, "ids-of-1-to-7-digits"])
+def test_edge_line_kernel_matches_the_python_lines(name):
+    if name in SETUP_EDGES:
+        g = build_graph(*SETUP_EDGES[name])
+    else:
+        g = build_graph(10**6 + 1, [(10**j - 1, 10**j) for j in range(7)] + [(0, 10**6), (5, 10**6)])
+    text = _native.format_edges(g)
+    assert text == fileio._format_edges(g)
+    assert text == "".join(f"{u} {v}\n" for u, v in g.edges())
+
+
 # --- the decline rule ----------------------------------------------------------
 
 
@@ -427,7 +520,30 @@ DECLINES = {
         lambda tmp: _native.parse_edges(edge_file(tmp, "plus")),
         lambda tmp: ingest_outcome(edge_file(tmp, "loops-duplicates-two-components")),
     ),
+    "build_csr": (
+        lambda tmp: _native.build_csr(*SETUP_EDGES["multigraph-40-90"]),
+        # 2**30 pairs in 8 bytes: 2 * k reaches 2**31 arcs, which no kernel may touch.
+        lambda tmp: _native.build_csr(3, np.broadcast_to(np.int64(0), (2**30, 2))),
+        lambda tmp: graph.build_graph_reported(*SETUP_EDGES["multigraph-40-90"]),
+    ),
+    # The next two serve every graph: they decline only without the library.
+    "components": (
+        lambda tmp: _native.components(GRAPHS["trap"]),
+        None,
+        lambda tmp: graph.connected_components(build_graph(*SETUP_EDGES["multigraph-300-2000"])),
+    ),
+    "format_edges": (
+        lambda tmp: _native.format_edges(GRAPHS["ws"]),
+        None,
+        lambda tmp: written_edge_list(tmp, GRAPHS["ws"]),
+    ),
 }
+
+
+def written_edge_list(tmp_path, g):
+    path = tmp_path / "written.txt"
+    write_edge_list(g, path, header=["a header"])
+    return path.read_bytes()
 
 
 @pytest.mark.parametrize("routine", DECLINES)
@@ -437,7 +553,8 @@ def test_each_routine_declines_alone(routine, tmp_path, monkeypatch):
     serve, outside, caller = DECLINES[routine]
     declined = False if routine == "shuffle" else None
     assert serve(tmp_path) is not declined
-    assert outside(tmp_path) is declined
+    if outside is not None:
+        assert outside(tmp_path) is declined
     expected = caller(tmp_path)
     monkeypatch.setattr(_native, "LOADER", _native.Loader(cc="false", cache_dir=tmp_path / "cache"))
     assert not _native.available()
