@@ -18,7 +18,10 @@ import numpy as np
 
 from . import _native
 from .errors import ParameterError
-from .graph import Graph, build_graph, build_graph_reported, largest_connected_component
+from .graph import Graph, _largest_component, build_graph, build_graph_reported
+# Unused here since generate skips the id dict; perfbench/tracing.py still
+# rebinds this name in this module, so it stays until that entry goes.
+from .graph import largest_connected_component  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -97,9 +100,11 @@ def _gnp_pairs(n: int, p: float, rng: random.Random) -> Iterator[tuple[int, int]
 
 
 # The most edges a model may expect to draw: n * k_avg / 2, or for an sbm
-# its clamp-aware count. Every model but cm keeps each drawn edge as a tuple
+# its clamp-aware count. er, ba, ws and sbm keep each drawn edge as a tuple
 # in a list, about 128 bytes per edge before build_graph packs them into
-# arrays, so this is over half a gigabyte.
+# arrays, so this is over half a gigabyte. cm and waxman draw into arrays;
+# waxman holds at most about twice its expected edges as candidates, at 24
+# bytes each.
 _MAX_EDGES = 5_000_000
 
 
@@ -160,8 +165,10 @@ def _check_ws(n: int, k_avg: float, p_rewire: float) -> None:
 
 
 # The most node pairs gen_waxman may weigh. It draws once for every pair, so
-# its time grows with n(n-1)/2: on a 2-CPU Xeon it took 15 s at n=20,000,
-# just under this bound, and 403 s at n=100,000.
+# its time grows with n(n-1)/2: on a 2-CPU Xeon it took 11.0 s at n=20,000
+# (k_avg=8, alpha=0.1), just under this bound, against 15.9 s for the two
+# row-by-row passes it replaced (one run each); those took 403 s at
+# n=100,000.
 _WAXMAN_MAX_PAIRS = 200_000_000
 
 
@@ -293,13 +300,54 @@ def gen_ws(n: int, k_even: int, p_rewire: float, seed: int) -> Graph:
     return build_graph(n, edges)
 
 
-def _waxman_rows(points: np.ndarray, alpha: float):
-    """(u, w) for each node u but the last, where w[j] = exp(-d / (alpha * sqrt(2)))
-    for the pair (u, u + 1 + j): that pair's link probability divided by beta."""
+# The most node pairs gen_waxman weighs at once. Its blocks are whole rows
+# (the pairs (u, v), v > u, of consecutive u), so a row longer than this is
+# a block by itself. Each float array of a block takes 64 KiB; blocks of
+# 65,536 pairs raised the tracemalloc peak of gen_waxman at n=1000 from 0.7
+# to 3.7 MiB.
+_WAXMAN_BLOCK_PAIRS = 8192
+
+
+def _waxman_blocks(points: np.ndarray, alpha: float):
+    """Yield (u, v, w, total) for consecutive blocks of whole rows of pairs.
+
+    For the block's pairs (u[j], v[j]), u < v, in row-major order, w[j] =
+    exp(-d / (alpha * sqrt(2))) is that pair's link probability divided by
+    beta. `total` sums, in row order, each row's `sum()` taken on its own
+    contiguous slice of w, over every row up to this block's last.
+    """
+    n = len(points)
+    x = np.ascontiguousarray(points[:, 0])
+    y = np.ascontiguousarray(points[:, 1])
     scale = alpha * math.sqrt(2.0)
-    for u in range(len(points) - 1):
-        d = np.hypot(points[u + 1 :, 0] - points[u, 0], points[u + 1 :, 1] - points[u, 1])
-        yield u, np.exp(-d / scale)
+    lengths = np.arange(n - 1, 0, -1)  # row u holds the pairs (u, u+1) .. (u, n-1)
+    ends = np.cumsum(lengths)
+    total = 0.0
+    a = 0
+    while a < n - 1:
+        start = int(ends[a] - lengths[a])
+        b = max(a + 1, int(np.searchsorted(ends, start + _WAXMAN_BLOCK_PAIRS, side="right")))
+        sizes = lengths[a:b]
+        row_ends = ends[a:b] - start  # each row's end within the block
+        u = np.repeat(np.arange(a, b, dtype=np.int32), sizes)
+        v = np.arange(int(row_ends[-1]), dtype=np.int32) + np.repeat(n - row_ends.astype(np.int32), sizes)
+        w = np.hypot(x[v] - np.repeat(x[a:b], sizes), y[v] - np.repeat(y[a:b], sizes))
+        np.negative(w, out=w)
+        w /= scale
+        np.exp(w, out=w)
+        s = 0
+        for e in row_ends.tolist():
+            total += float(np.add.reduce(w[s:e]))  # what w[s:e].sum() computes
+            s = e
+        yield u, v, w, total
+        a = b
+
+
+def _waxman_beta_from(total: float, k_avg: float, n: int) -> float:
+    """beta for n points whose pair weights sum to `total`."""
+    if total <= 0.0:
+        raise ParameterError("degenerate point set for waxman calibration")
+    return k_avg * n / (2.0 * total)
 
 
 def waxman_beta(points: np.ndarray, k_avg: float, alpha: float) -> float:
@@ -309,11 +357,9 @@ def waxman_beta(points: np.ndarray, k_avg: float, alpha: float) -> float:
     expected degree is linear in beta and the calibration is exact.
     """
     total = 0.0
-    for _, weights in _waxman_rows(points, alpha):
-        total += float(weights.sum())
-    if total <= 0.0:
-        raise ParameterError("degenerate point set for waxman calibration")
-    return k_avg * len(points) / (2.0 * total)
+    for *_, total in _waxman_blocks(points, alpha):
+        pass
+    return _waxman_beta_from(total, k_avg, len(points))
 
 
 def gen_waxman(n: int, k_avg: float, alpha: float, seed: int) -> Graph:
@@ -322,21 +368,58 @@ def gen_waxman(n: int, k_avg: float, alpha: float, seed: int) -> Graph:
     Pair (u, v) is linked with probability beta * exp(-d(u,v) / (alpha*sqrt(2)))
     where beta is calibrated against the realized point set so the expected
     mean degree equals k_avg.
+
+    One pass over blocks of whole rows weighs each pair once, sums the
+    weights for beta and draws each pair's uniform r; the pair is linked
+    when r < beta * w. The edges are those of two row-by-row passes (one
+    for beta, one drawing n - u - 1 uniforms for each row u), bit for bit:
+
+    - every weight is the same elementwise arithmetic on the same points;
+    - beta adds the same per-row sums in the same order;
+    - PCG64 spends one 64-bit output per double, so one block's draws are
+      its rows' draws concatenated.
+
+    beta is known only after the last row, so each block keeps the
+    candidates with r < bound * w, where bound is min(1, beta's expression
+    on the total of the rows so far). Float sums of non-negative terms
+    never decrease, and float division and product are monotone, so
+    bound >= beta whenever beta <= 1 (beta > 1 is refused) and no edge is
+    lost. Once more than n * k_avg candidates (twice the expected edges)
+    are held, they are joined and filtered again with the latest bound, so
+    they stay O(edges). They are also joined once more than 64 blocks are
+    held: when rows are long, each block keeps few candidates, and its four
+    array objects would outweigh them.
     """
     _check_waxman(n, k_avg, alpha)
     rng = np.random.default_rng(seed)
     points = rng.random((n, 2))
-    beta = waxman_beta(points, k_avg, alpha)
+    held: list[tuple[np.ndarray, ...]] = []  # candidate (u, v, r, w) arrays
+    count = 0
+    total = 0.0
+    for u, v, w, total in _waxman_blocks(points, alpha):
+        r = rng.random(w.size)
+        bound = min(1.0, _waxman_beta_from(total, k_avg, n)) if total > 0.0 else 1.0
+        keep = r < bound * w
+        held.append((u[keep], v[keep], r[keep], w[keep]))
+        count += held[-1][0].size
+        if count > k_avg * n or len(held) > 64:
+            held = [_waxman_joined(held, bound)]
+            count = held[0][0].size
+    beta = _waxman_beta_from(total, k_avg, n)
     if beta > 1.0:
         raise ParameterError(
             f"k_avg={k_avg} unreachable at alpha={alpha} (needs beta={beta:.3f} > 1); "
             "increase alpha"
         )
-    edges: list[tuple[int, int]] = []
-    for u, weights in _waxman_rows(points, alpha):
-        hits = np.nonzero(rng.random(n - u - 1) < beta * weights)[0]
-        edges.extend((u, u + 1 + int(j)) for j in hits)
-    return build_graph(n, edges)
+    u, v, _, _ = _waxman_joined(held, beta)
+    return build_graph(n, np.column_stack((u, v)))
+
+
+def _waxman_joined(held: list[tuple[np.ndarray, ...]], bound: float) -> tuple[np.ndarray, ...]:
+    """The held (u, v, r, w) candidate arrays joined, keeping r < bound * w."""
+    u, v, r, w = map(np.concatenate, zip(*held))
+    keep = r < bound * w
+    return u[keep], v[keep], r[keep], w[keep]
 
 
 def sbm_intra_probability(n: int, blocks: int, mu: float, k_avg: float) -> float:
@@ -433,7 +516,7 @@ def generate(spec: GeneratorSpec) -> GenerationResult:
     model = _MODELS[spec.model]
     g = model.build(seed=spec.seed, **_params(spec))
     raw_n = g.n
-    lcc, _ = largest_connected_component(g)
+    lcc, _ = _largest_component(g)
     requested_n, requested_k = model.requested(spec)
     stats = RealizedStats(
         model=spec.model,

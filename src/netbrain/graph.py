@@ -93,7 +93,7 @@ class DropCounts:
     duplicates: int
 
 
-def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
+def build_graph(n: int, edges: Iterable[tuple[int, int]] | np.ndarray) -> Graph:
     g, _ = build_graph_reported(n, edges)
     return g
 
@@ -222,21 +222,27 @@ def largest_connected_component(g: Graph) -> tuple[Graph, dict[int, int]]:
     node id. The returned mapping sends old ids of retained nodes to their
     new dense ids (ascending order is preserved).
     """
+    lcc, kept = _largest_component(g)
+    return lcc, {old: new for new, old in enumerate(kept.tolist())}
+
+
+def _largest_component(g: Graph) -> tuple[Graph, np.ndarray]:
+    """The graph of `largest_connected_component` and the old ids of its
+    nodes, ascending, without the mapping dict."""
     labels = _component_labels(g)
     # The first largest has the smallest label, so id; with n = 0 nothing is kept.
     best = np.bincount(labels, minlength=1).argmax()
     inside = labels == best
-    kept = np.flatnonzero(inside).tolist()
-    mapping = {old: new for new, old in enumerate(kept)}
-    if len(kept) == g.n:
-        return g, mapping
+    kept = np.flatnonzero(inside)
+    if kept.size == g.n:
+        return g, kept
     # A component holds all its nodes' neighbours, and the relabelling keeps
     # node order, so each relabelled row is already sorted and simple.
     degrees = np.diff(g.indptr)
     new_id = np.cumsum(inside) - 1
     new_indptr = np.concatenate(([0], np.cumsum(degrees[inside])))
     new_indices = new_id[g.indices[np.repeat(inside, degrees)]]
-    return Graph(len(kept), new_indptr, new_indices), mapping
+    return Graph(kept.size, new_indptr, new_indices), kept
 
 
 def betweenness(g: Graph) -> list[float]:

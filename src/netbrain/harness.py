@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import random
 import struct
+import sys
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
-from statistics import fmean, pstdev
+from operator import mul
+from statistics import fmean
 from typing import Callable, Sequence, Union
 
 from . import _native
@@ -344,7 +347,7 @@ def aggregate(curves: Sequence[TaggedCurve]) -> list[AggregateCurve]:
         if len(columns) != len(grid):
             raise AggregationError("curves did not cross every threshold in the grid")
         means = tuple(fmean(col) for col in columns)
-        sds = tuple(pstdev(col) for col in columns)
+        sds = tuple(_pstdev(col) for col in columns)
         out.append(
             AggregateCurve(
                 group=label,
@@ -357,6 +360,36 @@ def aggregate(curves: Sequence[TaggedCurve]) -> list[AggregateCurve]:
             )
         )
     return out
+
+
+_SQRT_BITS = 2 * sys.float_info.mant_dig + 3  # bits of the scaled variance whose root is taken
+
+
+def _pstdev(col: Sequence[int]) -> float:
+    """`statistics.pstdev` of integers, as CPython 3.11 and later compute it,
+    without its exact fractions.
+
+    The population variance of n integers is the exact fraction
+    (n * sum(x**2) - sum(x)**2) / n**2. Its square root is rounded once to
+    the nearest float, by the integer method of CPython's
+    `statistics._float_sqrt_of_frac`: the fraction, scaled by a power of 4
+    to about `_SQRT_BITS` bits, has its integer square root rounded to odd,
+    and one division by the matching power of 2 rounds that to a float.
+    """
+    n = len(col)
+    s = sum(col)
+    num = n * sum(map(mul, col, col)) - s * s
+    den = n * n
+    q = (num.bit_length() - den.bit_length() - _SQRT_BITS) // 2
+    if q >= 0:
+        return float(_isqrt_round_to_odd(num, den << 2 * q) << q)
+    return _isqrt_round_to_odd(num << -2 * q, den) / (1 << -q)
+
+
+def _isqrt_round_to_odd(num: int, den: int) -> int:
+    """The square root of num / den, truncated, with its last bit set when inexact."""
+    root = math.isqrt(num // den)
+    return root | (root * root * den != num)
 
 
 def sweep(

@@ -12,7 +12,9 @@ import random
 from collections import defaultdict, deque
 from itertools import accumulate, combinations, permutations
 
-from netbrain import ConstructionError, GeneratorSpec, Graph, WalkPolicy, build_graph
+import numpy as np
+
+from netbrain import ConstructionError, GeneratorSpec, Graph, ParameterError, WalkPolicy, build_graph
 from netbrain.graph import DropCounts, is_connected
 
 # One spec per network model, with non-default model parameters.
@@ -59,6 +61,44 @@ def set_build_graph_reported(n: int, edges) -> tuple[Graph, DropCounts]:
     indptr = [0, *accumulate(len(row) for row in rows)]
     indices = [w for row in rows for w in row]
     return Graph(n, indptr, indices), DropCounts(self_loops, duplicates)
+
+
+def _waxman_rows(points: np.ndarray, alpha: float):
+    """(u, w) for each node u but the last, where w[j] = exp(-d / (alpha * sqrt(2)))
+    for the pair (u, u + 1 + j): that pair's link probability divided by beta."""
+    scale = alpha * math.sqrt(2.0)
+    for u in range(len(points) - 1):
+        d = np.hypot(points[u + 1 :, 0] - points[u, 0], points[u + 1 :, 1] - points[u, 1])
+        yield u, np.exp(-d / scale)
+
+
+def rowwise_waxman_beta(points: np.ndarray, k_avg: float, alpha: float) -> float:
+    """`generators.waxman_beta` one row of pairs at a time: the reference the
+    blocked pass is compared against."""
+    total = 0.0
+    for _, weights in _waxman_rows(points, alpha):
+        total += float(weights.sum())
+    if total <= 0.0:
+        raise ParameterError("degenerate point set for waxman calibration")
+    return k_avg * len(points) / (2.0 * total)
+
+
+def rowwise_gen_waxman(n: int, k_avg: float, alpha: float, seed: int) -> Graph:
+    """`generators.gen_waxman` in two row-by-row passes, one for beta and one
+    drawing n - u - 1 uniforms for each row u, with the edges as tuples."""
+    rng = np.random.default_rng(seed)
+    points = rng.random((n, 2))
+    beta = rowwise_waxman_beta(points, k_avg, alpha)
+    if beta > 1.0:
+        raise ParameterError(
+            f"k_avg={k_avg} unreachable at alpha={alpha} (needs beta={beta:.3f} > 1); "
+            "increase alpha"
+        )
+    edges: list[tuple[int, int]] = []
+    for u, weights in _waxman_rows(points, alpha):
+        hits = np.nonzero(rng.random(n - u - 1) < beta * weights)[0]
+        edges.extend((u, u + 1 + int(j)) for j in hits)
+    return build_graph(n, edges)
 
 
 def bfs_components(g: Graph) -> list[list[int]]:

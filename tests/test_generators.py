@@ -2,11 +2,14 @@ import hashlib
 import math
 import random
 import statistics
+import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from helpers import ALL_SPECS, average_clustering, cycle_graph
+from helpers import ALL_SPECS, average_clustering, cycle_graph, rowwise_gen_waxman, rowwise_waxman_beta
 from netbrain import GeneratorSpec, ParameterError, generate, generators
 from netbrain.generators import gen_ba, gen_cm, gen_er, gen_sbm, gen_waxman, gen_ws, sbm_intra_probability
 from netbrain.graph import is_connected
@@ -213,6 +216,91 @@ def test_waxman_refuses_pair_loops_above_the_bound():
         generators._check_waxman(20_001, 8, 0.1)
     with pytest.raises(ParameterError, match="above the bound"):
         GeneratorSpec(model="waxman", n=100_000, k_avg=8, seed=0).validate()
+
+
+# (n, k_avg, alpha, seed, pairs per block). Blocks of 1 and 250 pairs make
+# rows longer than a block; 250 and 1000 end blocks at varied rows.
+WAXMAN_GRID = [
+    (2, 0.5, 0.5, 1, None),
+    (3, 0.5, 1.0, 2, None),
+    (300, 6, 0.3, 3, 1),
+    (300, 6, 0.3, 3, 250),
+    (300, 6, 0.3, 3, 1000),
+    (1000, 6, 0.1, 2018, None),  # the bench graph
+    (1000, 6, 1.0, 4, None),  # beta = 0.0086: 14,152 candidates pass the bounds for 2,943 edges
+    (600, 2, 1.0, 5, 64),  # holds more than n * k_avg candidates before the end
+    (1200, 0.01, 0.0009, 6, None),  # 29,446 weights underflow to 0; 4 edges
+    (1200, 4, 0.0009, 6, None),  # refused: beta = 289.755
+    (3, 1.5, 1.0, 2, None),  # refused: beta = 1.148
+    (3, 1.0, 1e-6, 3, None),  # refused: every weight underflows
+]
+
+
+def _outcome(call, *args):
+    """The call's result, or the message of the ParameterError it raised."""
+    try:
+        return call(*args)
+    except ParameterError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("n, k_avg, alpha, seed, block", WAXMAN_GRID)
+def test_waxman_matches_the_row_by_row_reference(monkeypatch, n, k_avg, alpha, seed, block):
+    if block is not None:
+        monkeypatch.setattr(generators, "_WAXMAN_BLOCK_PAIRS", block)
+    points = np.random.default_rng(seed).random((n, 2))
+    assert _outcome(generators.waxman_beta, points, k_avg, alpha) == _outcome(
+        rowwise_waxman_beta, points, k_avg, alpha
+    )
+    assert _outcome(lambda: gen_waxman(n, k_avg, alpha, seed).edges()) == _outcome(
+        lambda: rowwise_gen_waxman(n, k_avg, alpha, seed).edges()
+    )
+
+
+def test_waxman_refusals_keep_their_messages():
+    with pytest.raises(ParameterError, match=r"^degenerate point set for waxman calibration$"):
+        gen_waxman(3, 1.0, 1e-6, seed=3)
+    with pytest.raises(ParameterError, match=r"^degenerate point set for waxman calibration$"):
+        generators.waxman_beta(np.zeros((1, 2)), 1.0, 0.5)  # one point weighs no pair
+    with pytest.raises(
+        ParameterError,
+        match=r"^k_avg=4 unreachable at alpha=0\.0009 \(needs beta=289\.755 > 1\); increase alpha$",
+    ):
+        gen_waxman(1200, 4, 0.0009, seed=6)
+
+
+def test_waxman_grid_filters_held_candidates_again(monkeypatch):
+    # gen_waxman joins its held (u, v, r, w) arrays, one np.concatenate each,
+    # to filter them again, and once more after the last block. In the grid's
+    # n=600 case, more than n * k_avg candidates are filtered before the end.
+    joined = []
+
+    def concatenate(arrays):
+        joined.append(sum(map(len, arrays)))
+        return np.concatenate(arrays)
+
+    monkeypatch.setattr(generators, "np", SimpleNamespace(**vars(np)))
+    monkeypatch.setattr(generators.np, "concatenate", concatenate)
+    monkeypatch.setattr(generators, "_WAXMAN_BLOCK_PAIRS", 64)
+    assert gen_waxman(600, 2, 1.0, seed=5).edges() == rowwise_gen_waxman(600, 2, 1.0, 5).edges()
+    assert max(joined[:-4]) > 600 * 2
+
+
+@pytest.mark.parametrize("n, k_avg, alpha, limit_kib", [(1000, 6, 0.1, 1536), (3000, 6, 1.0, 2048)])
+def test_waxman_memory_is_bounded_by_blocks_and_edges(n, k_avg, alpha, limit_kib):
+    # Measured peaks: 709 and 1,328 KiB. Blocks of 65,536 pairs (512 KiB per
+    # array) peak at 3,815 and 4,177 KiB; never filtering the held candidates
+    # again peaks at 3,667 KiB for n=3000, where beta = 0.0029 and 59,798
+    # candidates pass the block bounds for 8,946 edges; keeping every pair
+    # takes O(n**2).
+    gen_waxman(n, k_avg, alpha, seed=5)  # imports and caches outside the measurement
+    tracemalloc.start()
+    try:
+        gen_waxman(n, k_avg, alpha, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_kib * 1024
 
 
 @pytest.mark.parametrize("model", ["er", "ba", "ws", "waxman", "sbm"])

@@ -208,6 +208,8 @@ def test_lcc_matches_a_rebuild_of_its_component(seed):
         assert_same_build((lcc, expected[1]), expected)
         if lcc.n == g.n:
             assert lcc is g
+        same, kept = graph._largest_component(g)  # generate's path, without the dict
+        assert same == lcc and kept.tolist() == best
 
 
 def test_adjacency_is_sorted_and_symmetric():

@@ -1,8 +1,10 @@
+import math
 import random
 import statistics
 import sys
 import threading
 from dataclasses import fields
+from fractions import Fraction
 
 import pytest
 
@@ -340,6 +342,35 @@ def test_aggregate_duplicates_shrink_sd_but_keep_mean():
     assert doubled.mean_steps == base.mean_steps
     assert doubled.n_samples == 4
     assert doubled.sd_steps == base.sd_steps  # population sd is duplication-invariant
+
+
+def _is_correctly_rounded_sqrt(root: float, value: Fraction) -> bool:
+    """Whether `root` is the float nearest the square root of `value`: the
+    root lies between the midpoints to its two float neighbours."""
+    below = (Fraction(root) + Fraction(math.nextafter(root, -math.inf))) / 2 if root else 0
+    above = (Fraction(root) + Fraction(math.nextafter(root, math.inf))) / 2
+    return below * below <= value <= above * above
+
+
+def _pstdev_columns():
+    rng = random.Random(2018)
+    columns = [[7], [2**60 + 3], [5] * 9, [2**53 + 1] * 4, [0, 1], [2**53, 2**53 + 1, 2**53 + 2]]
+    for top in (10, 10**6, 2**53, 2**53 + 2**20, 2**64, 2**200):
+        for size in (1, 2, 3, 40, 97):
+            columns.append([rng.randint(0, top) for _ in range(size)])
+            columns.append([top - rng.randint(0, 3) for _ in range(size)])  # tiny spread, huge values
+    return columns
+
+
+@pytest.mark.parametrize("column", _pstdev_columns())
+def test_pstdev_is_the_correctly_rounded_root_of_the_exact_variance(column):
+    n = len(column)
+    variance = Fraction(n * sum(x * x for x in column) - sum(column) ** 2, n * n)
+    sd = harness._pstdev(column)
+    assert type(sd) is float and _is_correctly_rounded_sqrt(sd, variance)
+    if sys.version_info >= (3, 11):  # before 3.11, pstdev rounds the variance first
+        assert sd == statistics.pstdev(column)
+    assert aggregate([_curve_with({1.0: x}, repetition=i) for i, x in enumerate(column)])[0].sd_steps == (sd,)
 
 
 def test_aggregate_sums_every_counter_per_group():
