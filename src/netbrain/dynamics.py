@@ -109,14 +109,20 @@ def default_thresholds() -> tuple[float, ...]:
 
 
 def validate_thresholds(thresholds: Sequence[float]) -> tuple[float, ...]:
-    ts = tuple(float(t) for t in thresholds)
+    ts = tuple(thresholds)
     if not ts:
         raise ConfigError("threshold grid must not be empty")
     if any(not 0.0 < t <= 1.0 for t in ts):
         raise ConfigError("thresholds must lie in (0, 1]")
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ConfigError("thresholds must be strictly increasing")
-    return ts
+    return tuple(map(float, ts))  # compared first: float() overflows on a huge int
+
+
+def validate_target_fraction(target_fraction: float) -> float:
+    if not 0.0 < target_fraction <= 1.0:
+        raise ConfigError(f"target_fraction must be in (0, 1], got {target_fraction}")
+    return float(target_fraction)  # compared first: float() overflows on a huge int
 
 
 def validate_step_cap(step_cap: int | None) -> None:
@@ -353,8 +359,7 @@ def run_discovery(
     there), and in Python otherwise, with the same result.
     """
     grid = validate_thresholds(thresholds if thresholds is not None else default_thresholds())
-    if not 0.0 < target_fraction <= 1.0:
-        raise ConfigError(f"target_fraction must be in (0, 1], got {target_fraction}")
+    target_fraction = validate_target_fraction(target_fraction)
     n = g.n
     walker = _Walker(
         g, brain, policy, rng, step_cap,

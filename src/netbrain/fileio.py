@@ -20,6 +20,7 @@ from .harness import (
     StartSelection,
     TaggedCurve,
     _checked_start,
+    _sweep_configs,
 )
 
 
@@ -173,6 +174,11 @@ def _typed(value, kind, key: str):
     return value
 
 
+def _refuse_unknown(d: dict, known: set, what: str) -> None:
+    if set(d) - known:
+        raise ConfigError(f"unknown {what}: {sorted(set(d) - known)}")
+
+
 def _jsonable(value):
     return list(value) if isinstance(value, tuple) else value
 
@@ -183,13 +189,9 @@ def _generator_from_dict(d: dict) -> GeneratorSpec:
     model = d.get("model")
     if model not in MODELS:
         raise ConfigError(f"generator.model must be one of {MODELS}, got {model!r}")
-    unknown = set(d) - {"model", "seed", *_MODELS[model].fields}
-    if unknown:
-        raise ConfigError(f"unknown generator keys for {model}: {sorted(unknown)}")
+    _refuse_unknown(d, {"model", "seed", *_MODELS[model].fields}, f"generator keys for {model}")
     kwargs = {k: _typed(v, _SPEC_TYPES[k], f"generator.{k}") for k, v in d.items() if k != "model"}
-    spec = GeneratorSpec(model=model, **kwargs)
-    spec.validate()
-    return spec
+    return GeneratorSpec(model=model, **kwargs)
 
 
 def _generator_to_dict(spec: GeneratorSpec) -> dict:
@@ -204,13 +206,11 @@ def _start_from_dict(d: dict) -> StartSelection:
     kind = kinds.get(_typed(d["kind"], str, "start.kind"))
     if kind is None:
         raise ConfigError(f"start.kind must be one of {sorted(kinds)}, got {d['kind']!r}")
-    unknown = set(d) - {"kind", kind.field}
-    if unknown:
-        raise ConfigError(f"unknown start keys for {kind.kind}: {sorted(unknown)}")
+    _refuse_unknown(d, {"kind", kind.field}, f"start keys for {kind.kind}")
     if kind.field not in d:
         raise ConfigError(f"start.{kind.field} is required for kind {kind.kind}")
-    value = _typed(d[kind.field], kind.type, f"start.{kind.field}")
-    return kind.cls(float(value) if kind.type is float else value)
+    _, value = _checked_start(kind.cls(_typed(d[kind.field], kind.type, f"start.{kind.field}")))
+    return kind.cls(float(value) if kind.type is float else value)  # after the check: float() can overflow
 
 
 def _start_to_dict(sel: StartSelection) -> dict:
@@ -219,12 +219,11 @@ def _start_to_dict(sel: StartSelection) -> dict:
 
 
 def config_from_dict(d: dict) -> tuple[ExperimentConfig, dict | None]:
-    """Build a validated ExperimentConfig (and optional sweep block) from a parsed mapping."""
+    """Build an ExperimentConfig (and optional sweep block) from a parsed mapping;
+    a sweep block is refused exactly as `sweep` refuses it."""
     if not isinstance(d, dict):
         raise ConfigError("config root must be a mapping")
-    unknown = set(d) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    _refuse_unknown(d, _TOP_KEYS, "config keys")
     if ("generator" in d) == ("edge_list" in d):
         raise ConfigError("config needs exactly one of 'generator' or 'edge_list'")
     if "generator" in d:
@@ -234,25 +233,17 @@ def config_from_dict(d: dict) -> tuple[ExperimentConfig, dict | None]:
     policies = _typed(d.get("policies"), [str], "policies")  # ExperimentConfig reads the names
     start = _start_from_dict(d.get("start"))
     given = {k: _typed(d[k], t, k) for k, t in _OPTIONAL_TYPES.items() if d.get(k) is not None}
-    if "thresholds" in given:  # stored as floats; generator numbers stay as written
-        given["thresholds"] = tuple(float(t) for t in given["thresholds"])
-    if "target_fraction" in given:
-        given["target_fraction"] = float(given["target_fraction"])
     cfg = ExperimentConfig(generator, policies, start, **given)
-    cfg.validate()
     sweep_block = d.get("sweep")
     if sweep_block is not None:
         if not isinstance(sweep_block, dict):
             raise ConfigError("sweep must be a mapping")
-        unknown = set(sweep_block) - {"axis", "values"}
-        if unknown:
-            raise ConfigError(f"unknown sweep keys: {sorted(unknown)}")
+        _refuse_unknown(sweep_block, {"axis", "values"}, "sweep keys")
         axis = _typed(sweep_block.get("axis"), str, "sweep.axis")
-        if axis == "hub_degree" and "values" in sweep_block:
-            raise ConfigError("sweep.values: a hub_degree sweep takes no values")
-        if "values" in sweep_block:
-            item = {"model": str, **_SPEC_TYPES}.get(axis, float)
-            _typed(sweep_block["values"], [item], "sweep.values")
+        values = sweep_block.get("values")
+        if values is not None:
+            _typed(values, [{"model": str, **_SPEC_TYPES}.get(axis, float)], "sweep.values")
+        _sweep_configs(cfg, axis, values)
     return cfg, sweep_block
 
 
@@ -280,8 +271,8 @@ def load_config(path: str | Path) -> tuple[ExperimentConfig, dict | None]:
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}")
+    except (ValueError, RecursionError) as exc:  # bad syntax or UTF-8, too many digits or levels
+        raise ParseError(f"{path}: invalid JSON: {exc}") from None
     return config_from_dict(data)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _native
 from .errors import ParameterError
-from .graph import Graph, _largest_component, build_graph, build_graph_reported
+from .graph import _INT32, Graph, _largest_component, build_graph, build_graph_reported
 # Unused here since generate skips the id dict; perfbench/tracing.py still
 # rebinds this name in this module, so it stays until that entry goes.
 from .graph import largest_connected_component  # noqa: F401
@@ -28,7 +28,7 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Declarative description of one network realization.
+    """Declarative description of one network realization, checked when built or replaced.
 
     ``k_avg`` is the target mean degree. Each model reads only its own fields
     (see ``_MODELS``) and ignores the rest: ``p_rewire`` (ws), ``mu`` and
@@ -46,7 +46,7 @@ class GeneratorSpec:
     alpha: float = 0.5
     degree_sequence: tuple[int, ...] | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.model not in _MODELS:
             raise ParameterError(f"unknown model {self.model!r}, expected one of {MODELS}")
         if self.seed < 0:  # numpy refuses it, and random.Random would seed from |seed|
@@ -96,7 +96,7 @@ def _gnp_pairs(n: int, p: float, rng: random.Random) -> Iterator[tuple[int, int]
         yield v, t - v * (v - 1) // 2
 
 
-# --- range rules, shared by GeneratorSpec.validate and the gen_* functions ---
+# --- range rules, shared by GeneratorSpec and the gen_* functions ---
 
 
 # The most edges a model may expect to draw: n * k_avg / 2, or for an sbm
@@ -111,6 +111,8 @@ _MAX_EDGES = 5_000_000
 def _check_n_k(n: int, k_avg: float) -> None:
     if n < 2:
         raise ParameterError(f"need n >= 2, got {n}")
+    if n >= _INT32:  # no Graph holds more; checked before n meets a float below
+        raise ParameterError(f"need n < 2**31, got {n}")
     if not 0 < k_avg < n:
         raise ParameterError(f"need 0 < k_avg < n, got k_avg={k_avg}, n={n}")
     if n * k_avg / 2 > _MAX_EDGES:
@@ -512,7 +514,6 @@ def _params(spec: GeneratorSpec) -> dict:
 
 def generate(spec: GeneratorSpec) -> GenerationResult:
     """Build the model's realization and reduce it to the largest component."""
-    spec.validate()
     model = _MODELS[spec.model]
     g = model.build(seed=spec.seed, **_params(spec))
     raw_n = g.n

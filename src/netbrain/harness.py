@@ -24,6 +24,7 @@ from .dynamics import (
     default_thresholds,
     run_discovery,
     validate_step_cap,
+    validate_target_fraction,
     validate_thresholds,
 )
 from .errors import AggregationError, ConfigError, ParameterError
@@ -150,7 +151,8 @@ def _checked_start(selection: StartSelection) -> tuple[_StartKind, object]:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full declarative description of one experiment."""
+    """Full declarative description of one experiment, checked when built or replaced.
+    It keeps what it checked: policies as members, the thresholds and fraction as floats."""
 
     generator: GeneratorSpec | str  # a model spec, or a path to an edge list
     policies: tuple[WalkPolicy, ...]
@@ -162,26 +164,22 @@ class ExperimentConfig:
     target_fraction: float = 1.0
 
     def __post_init__(self):
-        # A plain name is read as its member, and an unknown one is a ConfigError.
         object.__setattr__(self, "policies", tuple(WalkPolicy(p) for p in self.policies))
-
-    def validate(self) -> None:
         if not self.policies:
             raise ConfigError("at least one walk policy is required")
         if self.repetitions_per_start < 1:
             raise ConfigError("repetitions_per_start must be >= 1")
         validate_step_cap(self.step_cap)
-        grid = validate_thresholds(self.thresholds)
-        if not 0.0 < self.target_fraction <= 1.0:
-            raise ConfigError(f"target_fraction must be in (0, 1], got {self.target_fraction}")
-        if grid[-1] > self.target_fraction + 1e-12:
+        object.__setattr__(self, "thresholds", validate_thresholds(self.thresholds))
+        object.__setattr__(self, "target_fraction", validate_target_fraction(self.target_fraction))
+        if self.thresholds[-1] > self.target_fraction + 1e-12:
             raise ConfigError(
                 "threshold grid extends beyond target_fraction; the top thresholds "
                 "would never be crossed"
             )
         _checked_start(self.start)
-        if isinstance(self.generator, GeneratorSpec):
-            self.generator.validate()
+        # One start, the fewest a run has; run_experiment checks again with the starts it selects.
+        _check_crossings(len(self.policies) * self.repetitions_per_start, len(self.thresholds))
 
 
 @dataclass(frozen=True)
@@ -228,6 +226,14 @@ def resolve_graph(cfg: ExperimentConfig) -> tuple[Graph, RealizedStats | None]:
 
     g, _, _ = ingest_edge_list(cfg.generator)
     return g, None
+
+
+def _check_crossings(ncells: int, nthresholds: int) -> None:
+    if ncells * nthresholds > _MAX_CROSSINGS:
+        raise ConfigError(
+            f"{ncells:,} cells of {nthresholds} thresholds would keep {ncells * nthresholds:,} crossings, "
+            f"above the bound of {_MAX_CROSSINGS:,}; lower the repetitions, starts or thresholds"
+        )
 
 
 def _run_cell(
@@ -297,19 +303,10 @@ def run_experiment(
     would keep more than `_MAX_CROSSINGS` crossings (cells times thresholds)
     raises `ConfigError` before any walk.
     """
-    cfg.validate()
     if graph is None:
         graph, _ = resolve_graph(cfg)
-    starts = select_starts(
-        graph, cfg.start, random.Random(derive_seed(cfg.master_seed, "starts"))
-    )
-    ncells = len(cfg.policies) * len(starts) * cfg.repetitions_per_start
-    if ncells * len(cfg.thresholds) > _MAX_CROSSINGS:
-        raise ConfigError(
-            f"{ncells:,} cells of {len(cfg.thresholds)} thresholds would keep "
-            f"{ncells * len(cfg.thresholds):,} crossings, above the bound of {_MAX_CROSSINGS:,}; "
-            "lower the repetitions, starts or thresholds"
-        )
+    starts = select_starts(graph, cfg.start, random.Random(derive_seed(cfg.master_seed, "starts")))
+    _check_crossings(len(cfg.policies) * len(starts) * cfg.repetitions_per_start, len(cfg.thresholds))
     cells = [
         (pi, si, ri)
         for pi in range(len(cfg.policies))
@@ -405,14 +402,24 @@ def sweep(
     axis takes no values, runs the base config once and buckets curves by the
     exact degree of their start node.
     """
-    base.validate()
+    cfgs = _sweep_configs(base, axis, values)
     if axis == "hub_degree":
-        if values is not None:
-            raise ConfigError(f"a hub_degree sweep takes no values, got {values!r}")
         buckets: dict[object, list[TaggedCurve]] = {}
         for c in run_experiment(base, workers=workers):
             buckets.setdefault(c.start_degree, []).append(c)
         return {d: aggregate([replace(c, group=f"deg={d}") for c in buckets[d]]) for d in sorted(buckets)}
+    return {
+        value: aggregate(run_experiment(cfg, group=f"{axis}={value}", workers=workers))
+        for value, cfg in zip(values, cfgs)
+    }
+
+
+def _sweep_configs(base: ExperimentConfig, axis: str, values: Sequence | None) -> list[ExperimentConfig]:
+    """Every sweep rule: the checked config of each value, or `[base]` for hub_degree."""
+    if axis == "hub_degree":
+        if values is not None:
+            raise ConfigError(f"a hub_degree sweep takes no values, got {values!r}")
+        return [base]
     if not isinstance(base.generator, GeneratorSpec):
         raise ConfigError("generator sweeps require a model spec, not an edge list")
     model = base.generator.model
@@ -422,15 +429,11 @@ def sweep(
     if not values or len(set(values)) != len(values):  # each value keys one result
         raise ConfigError(f"sweep needs distinct axis values, got {values!r}")
     seed = base.master_seed
-    cfgs = []  # every value is checked before the first experiment runs
+    cfgs = []
     for i, value in enumerate(values):
-        spec = replace(base.generator, **{axis: value}, seed=derive_seed(seed, "sweep-gen", axis, i))
         try:
-            spec.validate()
+            spec = replace(base.generator, **{axis: value}, seed=derive_seed(seed, "sweep-gen", axis, i))
         except ParameterError as exc:
             raise ConfigError(f"sweep value {value!r} invalid for axis {axis}: {exc}") from exc
         cfgs.append(replace(base, generator=spec, master_seed=derive_seed(seed, "sweep-run", axis, i)))
-    return {
-        value: aggregate(run_experiment(cfg, group=f"{axis}={value}", workers=workers))
-        for value, cfg in zip(values, cfgs)
-    }
+    return cfgs

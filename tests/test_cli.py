@@ -1,10 +1,12 @@
 import itertools
+import random
 import json
 import time
 from types import SimpleNamespace
 
 import pytest
 
+import netbrain.generators
 import netbrain.harness
 from helpers import ALL_SPECS
 from netbrain import _native, cli, generate, ingest_edge_list
@@ -379,6 +381,20 @@ def test_oversize_run_exits_2_before_any_walk(tmp_path, capsys, monkeypatch):
     assert "8 crossings, above the bound of 7" in err[0]
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_repetitions_are_bounded_when_the_config_is_read(tmp_path, capsys, monkeypatch, command):
+    # With a betweenness start, the exact check comes only after the graph and Brandes.
+    monkeypatch.setattr(netbrain.harness, "generate", lambda spec: pytest.fail("a graph was built"))
+    monkeypatch.setattr(netbrain.harness, "betweenness", lambda g: pytest.fail("betweenness ran"))
+    sweep_block = {"sweep": {"axis": "k_avg", "values": [4, 6]}} if command == "sweep" else {}
+    cfg = write_config(tmp_path, start={"kind": "betweenness_percentile", "min_percentile": 0.9},
+                       repetitions_per_start=10**9, **sweep_block)
+    assert run_cli(command, "--config", cfg, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: 1,000,000,000 cells of 2 thresholds")
+    assert "2,000,000,000 crossings, above the bound of 10,000,000" in err[0]
+
+
 # --- bad values -------------------------------------------------------------------
 
 ER_FLAGS = ["run", "--model", "er", "--n", 60, "--k", 5, "--reps", 1]
@@ -459,3 +475,159 @@ def test_sweep_requires_sweep_block(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert run_cli("sweep", "--config", cfg, "--out", tmp_path / "sw") == 2
     assert "sweep" in capsys.readouterr().err
+
+
+# --- fuzz -------------------------------------------------------------------------
+
+HUGE = 10**400  # no float holds it
+DEEP = "<200,000 nested lists>"  # spliced into the JSON text: deeper than the decoder recurses
+DROP = object()  # the key or item is removed
+
+# What a config value or list item becomes: wrong types, signs, NaN,
+# infinities, huge integers, empty and nested lists, deep nesting, nothing.
+CONFIG_MUTANTS = [None, True, "x", {}, [], [[[[1]]]], 0, -1, 1.5, float("nan"), float("inf"),
+                  float("-inf"), HUGE, -HUGE, DEEP, DROP]
+# What a flag value, or the item after its prefix ("explicit:", "0.5,"), becomes.
+FLAG_MUTANTS = ["", "x", "-1", "0", "1.5", "nan", "inf", "-inf", "1e400", str(HUGE), str(-HUGE),
+                "[[1]]", "True"]
+
+START = {"kind": "explicit", "nodes": [0, 1]}
+FUZZ_CONFIGS = {  # name: (command, generator or None for an edge list, start)
+    "er": ("run", {"model": "er", "n": 40, "k_avg": 4.0, "seed": 1}, START),
+    "ba": ("run", {"model": "ba", "n": 40, "k_avg": 4, "seed": 2},
+           {"kind": "betweenness_percentile", "min_percentile": 0.9}),
+    "ws": ("run", {"model": "ws", "n": 40, "k_avg": 4, "p_rewire": 0.1, "seed": 3},
+           {"kind": "degree_stride", "stride": 10}),
+    "waxman": ("run", {"model": "waxman", "n": 40, "k_avg": 4, "alpha": 0.5, "seed": 4},
+               {"kind": "top_hubs", "count": 2}),
+    "sbm": ("run", {"model": "sbm", "n": 40, "k_avg": 4, "blocks": 2, "mu": 0.02, "seed": 5}, START),
+    "cm": ("run", {"model": "cm", "degree_sequence": [2, 2, 3, 3, 2, 2], "seed": 6},
+           {"kind": "degree_stride", "stride": 2}),
+    "edge-list": ("run", None, START),
+    "sweep-n": ("sweep", {"model": "er", "n": 40, "k_avg": 4.0, "seed": 1}, START),
+    "sweep-hub": ("sweep", {"model": "ba", "n": 40, "k_avg": 4, "seed": 2}, {"kind": "top_hubs", "count": 3}),
+}
+FUZZ_FLAGS = {
+    "run": ["run", "--model", "er", "--n", "40", "--k", "4", "--seed", "1", "--policies", "standard,extended",
+            "--start", "explicit:0,1", "--reps", "2", "--step-cap", "100", "--thresholds", "0.5,1.0",
+            "--master-seed", "3", "--workers", "1"],
+    "run-sbm": ["run", "--model", "sbm", "--n", "40", "--k", "4", "--blocks", "2", "--mu", "0.02",
+                "--start", "percentile:0.9", "--reps", "1"],
+    "generate-waxman": ["generate", "waxman", "--n", "40", "--k", "4", "--alpha", "0.5", "--seed", "4"],
+    "generate-ws": ["generate", "ws", "--n", "40", "--k", "4", "--p-rewire", "0.1", "--seed", "3"],
+}
+
+
+def fuzz_config(name, tmp_path):
+    """The command and valid config that `name` mutates."""
+    command, generator, start = FUZZ_CONFIGS[name]
+    cfg = {"policies": ["standard", "look_ahead"], "start": start, "repetitions_per_start": 2,
+           "step_cap": 60, "thresholds": [0.5, 0.9], "target_fraction": 0.9, "master_seed": 7}
+    if generator is None:
+        (tmp_path / "ring.txt").write_text("".join(f"{v} {(v + 1) % 12}\n" for v in range(12)))
+        cfg["edge_list"] = str(tmp_path / "ring.txt")
+    else:
+        cfg["generator"] = generator
+    if name == "sweep-n":
+        cfg["sweep"] = {"axis": "n", "values": [40, 50]}
+    elif name == "sweep-hub":
+        cfg["sweep"] = {"axis": "hub_degree"}
+    return command, cfg
+
+
+def value_paths(node, path=()):
+    """The path of every value below `node`, through mapping keys and list indices."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from value_paths(value, path + (key,))
+
+
+def value_at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+def mutated(cfg, path, mutant):
+    """A copy of `cfg` with the value at `path` replaced by `mutant`, or removed."""
+    out = json.loads(json.dumps(cfg))
+    node = value_at(out, path[:-1])
+    if mutant is DROP:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = mutant
+    return out
+
+
+def cli_outcome(capsys, args):
+    """The exit code and stderr lines of one command, or the exception it let out."""
+    try:
+        code = main([str(a) for a in args])
+    except SystemExit as exc:  # argparse refusing a flag
+        code = exc.code
+    except Exception as exc:  # the fault the fuzz looks for
+        code = f"{type(exc).__name__}: {exc}"[:200]
+    return code, capsys.readouterr().err.splitlines()
+
+
+def breaks_contract(code, err):
+    """Not exit 0 without errors, nor exit 2 with one error line, last, and no
+    traceback. Only argparse, refusing a value of a flag that it types itself,
+    prints its usage lines before that line."""
+    errors = [line for line in err if "error:" in line or "Traceback" in line]
+    if code == 0:
+        return bool(errors)
+    return not (code == 2 and errors == err[-1:] and err[0].startswith(("error: ", "usage: ")))
+
+
+@pytest.fixture
+def small_bounds(monkeypatch):
+    # No mutation may build a large graph or run many cells.
+    monkeypatch.setattr(netbrain.generators, "_MAX_EDGES", 1000)
+    monkeypatch.setattr(netbrain.harness, "_MAX_CROSSINGS", 2000)
+
+
+@pytest.mark.parametrize("name", FUZZ_CONFIGS)
+def test_fuzzed_configs_exit_0_or_2_with_one_error_line(tmp_path, capsys, small_bounds, name):
+    command, cfg = fuzz_config(name, tmp_path)
+    args = [command, "--config", tmp_path / "cfg.json", "--out", tmp_path / "out"]
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert cli_outcome(capsys, args) == (0, [])
+    paths = list(value_paths(cfg))
+    cases = [[(path, m)] for path in paths for m in CONFIG_MUTANTS]
+    cases += [[(path + ("unknown",), 1)] for path in [(), *paths] if isinstance(value_at(cfg, path), dict)]
+    rng = random.Random(2018)  # and 60 pairs of them, drawn once
+    cases += [rng.choice(cases) + rng.choice(cases) for _ in range(60)]
+    broken = []
+    for mutations in cases:
+        d = cfg
+        for path, mutant in mutations:
+            try:
+                d = mutated(d, path, mutant)
+            except (KeyError, IndexError, TypeError):  # the other mutation removed this path
+                pass
+        (tmp_path / "cfg.json").write_text(json.dumps(d).replace(json.dumps(DEEP), "[" * 200_000))
+        code, err = cli_outcome(capsys, args)
+        if breaks_contract(code, err):
+            broken.append((mutations, code, err[-1:]))
+    assert not broken, broken[:5]
+
+
+@pytest.mark.parametrize("name", FUZZ_FLAGS)
+def test_fuzzed_flags_exit_0_or_2_with_one_error_line(tmp_path, capsys, small_bounds, name):
+    base = FUZZ_FLAGS[name] + ["--out", tmp_path / ("g.txt" if name.startswith("generate") else "out")]
+    assert cli_outcome(capsys, base) == (0, [])
+    cases = [base + ["--bogus", "1"]]
+    for i, value in enumerate(base[:-2]):
+        if i < 2 or value.startswith("--"):
+            continue  # the command, and a model given positionally
+        prefix = value.partition(":")[0] + ":" if ":" in value else value.rpartition(",")[0] + ","
+        mutants = FLAG_MUTANTS + [prefix + m for m in FLAG_MUTANTS if prefix != ","]
+        cases += [base[:i] + [m] + base[i + 1:] for m in mutants]
+    broken = []
+    for args in cases:
+        code, err = cli_outcome(capsys, args)
+        if breaks_contract(code, err):
+            broken.append((args, code, err[-1:]))
+    assert not broken, broken[:5]

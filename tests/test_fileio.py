@@ -28,6 +28,7 @@ from netbrain import (
     write_curves_csv,
     write_edge_list,
 )
+from netbrain import harness, sweep
 from netbrain.fileio import AGGREGATE_HEADER, CURVE_HEADER, _rank_labels
 from netbrain.generators import MODELS
 
@@ -311,6 +312,52 @@ def test_config_sweep_block_roundtrip(tmp_path):
     cfg2, block2 = load_config(f)
     assert cfg2 == cfg
     assert block2 == block
+
+
+WS = GeneratorSpec(model="ws", n=100, k_avg=4, seed=1)
+
+
+@pytest.mark.parametrize(
+    "generator, axis, values",
+    [
+        (WS, "voltage", [1, 2]),
+        (GeneratorSpec(model="er", n=120, k_avg=6, seed=5), "p_rewire", [0.01, 0.5]),
+        (WS, "k_avg", [4, 4.0, 6]),
+        (WS, "p_rewire", [0.1, 2.0]),
+        (WS, "model", ["er", "nope"]),
+        (WS, "n", [100, 10**400]),
+        (WS, "hub_degree", [999, 12345]),
+        ("net.txt", "k_avg", [4, 6]),
+    ],
+    ids=["axis", "ignored-axis", "repeated", "value", "model", "huge-n", "hub_degree", "edge-list"],
+)
+def test_load_config_refuses_a_sweep_exactly_as_sweep_does(tmp_path, monkeypatch, generator, axis, values):
+    monkeypatch.setattr(harness, "run_experiment", lambda *a, **k: pytest.fail("an experiment ran"))
+    cfg = replace(full_config(), generator=generator)
+    with pytest.raises(ConfigError) as by_sweep:
+        sweep(cfg, axis, values)
+    f = tmp_path / "cfg.json"
+    save_config(cfg, f, sweep_block={"axis": axis, "values": values})
+    with pytest.raises(ConfigError) as by_load:
+        load_config(f)
+    assert str(by_load.value) == str(by_sweep.value)
+
+
+def test_load_config_takes_a_hub_degree_sweep_as_sweep_does(tmp_path):
+    for block in ({"axis": "hub_degree"}, {"axis": "hub_degree", "values": None}):
+        save_config(full_config(), tmp_path / "cfg.json", sweep_block=block)
+        assert load_config(tmp_path / "cfg.json") == (full_config(), block)
+
+
+@pytest.mark.parametrize(
+    "text", ["[" * 200_000, '{"master_seed": ' + "7" * 5000 + "}"], ids=["nested", "digits"]
+)
+def test_load_config_names_the_file_it_cannot_decode(tmp_path, text):
+    # Too deep for the decoder's recursion, or more digits than int() takes.
+    f = tmp_path / "cfg.json"
+    f.write_text(text)
+    with pytest.raises(ParseError, match=f"{f}: invalid JSON"):
+        load_config(f)
 
 
 def test_config_rejects_bad_policy():

@@ -215,7 +215,7 @@ def test_waxman_refuses_pair_loops_above_the_bound():
     with pytest.raises(ParameterError, match=r"200,010,000 node pairs for n=20001, above the bound of 200,000,000"):
         generators._check_waxman(20_001, 8, 0.1)
     with pytest.raises(ParameterError, match="above the bound"):
-        GeneratorSpec(model="waxman", n=100_000, k_avg=8, seed=0).validate()
+        GeneratorSpec(model="waxman", n=100_000, k_avg=8, seed=0)
 
 
 # (n, k_avg, alpha, seed, pairs per block). Blocks of 1 and 250 pairs make
@@ -306,11 +306,11 @@ def test_waxman_memory_is_bounded_by_blocks_and_edges(n, k_avg, alpha, limit_kib
 @pytest.mark.parametrize("model", ["er", "ba", "ws", "waxman", "sbm"])
 def test_models_refuse_expected_edges_above_the_bound(model):
     # n * k_avg / 2 against the bound of 5,000,000 edges; only the checks run.
-    GeneratorSpec(model=model, n=20_000, k_avg=498, seed=0).validate()
+    GeneratorSpec(model=model, n=20_000, k_avg=498, seed=0)
     with pytest.raises(ParameterError, match=r"expect 5\.02e\+06 edges, above the bound of 5,000,000"):
-        GeneratorSpec(model=model, n=20_000, k_avg=502, seed=0).validate()
+        GeneratorSpec(model=model, n=20_000, k_avg=502, seed=0)
     with pytest.raises(ParameterError, match="above the bound"):
-        GeneratorSpec(model=model, n=10**6, k_avg=10**5, seed=0).validate()
+        GeneratorSpec(model=model, n=10**6, k_avg=10**5, seed=0)
 
 
 def test_ba_refuses_attachments_above_the_edge_bound():
@@ -318,7 +318,7 @@ def test_ba_refuses_attachments_above_the_edge_bound():
         gen_ba(5_000_001, 1, seed=0)  # refused before the seed clique is built
     # k_avg=3 expects 4.5M edges, but ba attaches round(1.5) = 2 per node: 6M.
     with pytest.raises(ParameterError, match="give 6,000,000 edges, above the bound of 5,000,000"):
-        GeneratorSpec(model="ba", n=3_000_000, k_avg=3, seed=0).validate()
+        GeneratorSpec(model="ba", n=3_000_000, k_avg=3, seed=0)
 
 
 # --- SBM -----------------------------------------------------------------
@@ -368,11 +368,10 @@ def test_sbm_refuses_expected_edges_above_the_bound(monkeypatch):
         raise AssertionError("an edge was drawn")
 
     monkeypatch.setattr(generators, "_bernoulli_indices", no_draws)
-    spec = GeneratorSpec(model="sbm", n=100000, k_avg=10, seed=0)
     with pytest.raises(ParameterError, match=r"about 4\.5e\+07 edges \(mean degree 900"):
-        spec.validate()
-    with pytest.raises(ParameterError, match="above the bound"):
-        generate(spec)
+        GeneratorSpec(model="sbm", n=100000, k_avg=10, seed=0)
+    with pytest.raises(ParameterError, match="above the bound"):  # replace checks again
+        replace(GeneratorSpec(model="sbm", n=1000, k_avg=10, seed=0), n=100000)
     with pytest.raises(ParameterError, match="above the bound"):
         gen_sbm(100000, 10, 0.01, 10, seed=0)
 

@@ -3,7 +3,7 @@ import random
 import statistics
 import sys
 import threading
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -18,6 +18,7 @@ from netbrain import (
     ExperimentConfig,
     ExplicitStarts,
     GeneratorSpec,
+    ParameterError,
     TopHubs,
     WalkCounts,
     WalkPolicy,
@@ -140,12 +141,49 @@ def test_policy_names_run_and_aggregate_as_their_members():
         small_config(policies=("standard", "bogus"))
 
 
+def test_configs_check_themselves_when_built_or_replaced():
+    cfg = small_config()
+    for changes, named in (
+        ({"repetitions_per_start": 0}, "repetitions_per_start must be >= 1"),
+        ({"target_fraction": 10**400}, "target_fraction must be in"),
+        ({"target_fraction": -(10**400)}, "target_fraction must be in"),
+        ({"thresholds": (0.5, 10**400)}, r"thresholds must lie in \(0, 1\]"),
+        ({"start": BetweennessPercentile(10**400)}, r"min_percentile must be in \[0, 1\)"),
+        ({"policies": ()}, "at least one walk policy"),
+    ):
+        with pytest.raises(ConfigError, match=named):
+            replace(cfg, **changes)
+    for n in (10**400, 2**31):  # checked before n meets a float; no Graph holds 2**31 nodes
+        with pytest.raises(ParameterError, match=r"need n < 2\*\*31, got"):
+            replace(cfg.generator, n=n)
+    with pytest.raises(ConfigError, match="sweep value"):
+        sweep(cfg, "n", [120, 10**400])
+
+
+def test_configs_keep_the_values_they_checked():
+    cfg = small_config(policies=["look_ahead"], thresholds=[1], target_fraction=1)
+    assert cfg.policies == (WalkPolicy.LOOK_AHEAD,)
+    assert cfg.thresholds == (1.0,) and type(cfg.thresholds[0]) is float
+    assert type(cfg.target_fraction) is float
+    assert replace(cfg) == cfg
+
+
+def test_configs_bound_crossings_for_one_start(monkeypatch):
+    # One policy x repetitions x 2 thresholds: the fewest crossings any run of them keeps.
+    with pytest.raises(ConfigError, match=r"2,000,000,000 crossings, above the bound of 10,000,000"):
+        small_config(repetitions_per_start=10**9)
+    monkeypatch.setattr(harness, "_MAX_CROSSINGS", 4)
+    small_config(repetitions_per_start=2)  # 1 x 2 x 2 crossings: at the bound
+    with pytest.raises(ConfigError, match="6 crossings, above the bound of 4"):
+        small_config(repetitions_per_start=3)
+
+
 @pytest.mark.parametrize("step_cap", [0, -3, 2.5, True])
 def test_step_cap_below_one_rejected(step_cap):
     # One rule for configs and for the engine, under both engines; a cap that
     # is not an integer (a bool included) is refused by the same rule.
     with pytest.raises(ConfigError, match="step_cap"):
-        small_config(step_cap=step_cap).validate()
+        small_config(step_cap=step_cap)
     g = path_graph(5)
     with pytest.raises(ConfigError, match="step_cap"):
         run_walk(g, 0, WalkPolicy.STANDARD, random.Random(0), step_cap=step_cap)
@@ -492,12 +530,13 @@ def test_sweep_checks_every_value_before_running(monkeypatch, axis, values, name
 
 
 def test_sweep_checks_the_base_config_before_running(monkeypatch):
+    # The base config refuses itself when built, so no sweep of it starts.
     calls = []
     monkeypatch.setattr(harness, "run_experiment", lambda *a, **k: calls.append(a) or [])
-    base = small_config(generator=GeneratorSpec(model="ws", n=100, k_avg=4, seed=1), repetitions_per_start=0)
+    spec = GeneratorSpec(model="ws", n=100, k_avg=4, seed=1)
     for axis, values in (("hub_degree", None), ("k_avg", [4, 6])):
         with pytest.raises(ConfigError, match="repetitions_per_start"):
-            sweep(base, axis, values)
+            sweep(small_config(generator=spec, repetitions_per_start=0), axis, values)
     assert calls == []
 
 
