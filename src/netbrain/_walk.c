@@ -14,10 +14,11 @@
  * and the generator's end state are bit-identical to the Python engine's.
  *
  * The betweenness kernel runs Brandes (2001) over the same CSR view for one
- * block of sources, in the operation order of `graph._betweenness_python`,
- * and writes each source's scores as a row of its own. Blocks may run in
- * threads at once; adding the rows in source order gives every value
- * bit-identical to the Python loop's.
+ * block of sources, in the operation order of `graph._betweenness_python`
+ * and with its predecessor lists, so the backward pass visits only the arcs
+ * that lie on shortest paths; it writes each source's scores as a row of its
+ * own. Blocks may run in threads at once; adding the rows in source order
+ * gives every value bit-identical to the Python loop's.
  *
  * The shuffle replays `random.Random.shuffle` on the same generator state.
  * The parse takes only plain ASCII edge lists and refuses anything else, which
@@ -242,25 +243,31 @@ int netbrain_discover(
  *
  * For each source it repeats `graph._betweenness_python` step for step: the
  * BFS order (kept in `order`, which is the queue and the stack), the path
- * counts as exact integers, and `coeff = (1 + delta[w]) / sigma[w]` and
- * `delta[v] += sigma[v] * coeff` in stack-pop order. The predecessors of `w`
- * are its neighbours one level closer to the source; each `delta[v]` gets
- * one addition per successor `w`, in the pop order of `w`, so the order
- * within a predecessor list does not matter.
+ * counts as exact integers, the predecessor lists, and
+ * `coeff = (1 + delta[w]) / sigma[w]` and `delta[v] += sigma[v] * coeff` in
+ * stack-pop order. The forward pass writes each arc v -> w that lies on a
+ * shortest path (`dist[w] == dist[v] + 1`) as `v` into w's part of `pred`,
+ * which starts at `indptr[w]` and holds at most deg(w) entries; `npred[w]`
+ * counts them. The backward pass then visits only those arcs. Each
+ * `delta[v]` gets one addition per successor `w`, in the pop order of `w`,
+ * so the order within a predecessor list does not matter.
  *
  * rows             output, (s1 - s0) * n doubles
  * order, dist      scratch of one int per node each
  * sigma            scratch of one int64 per node
+ * pred             scratch of one int per arc (indptr[n] ints)
+ * npred            scratch of one int per node
  */
 int netbrain_betweenness(
     const int32_t *indptr, const int32_t *indices, int32_t n, int32_t s0, int32_t s1,
-    double *rows, int32_t *order, int32_t *dist, int64_t *sigma)
+    double *rows, int32_t *order, int32_t *dist, int64_t *sigma, int32_t *pred, int32_t *npred)
 {
     int32_t s, v;
 
     for (v = 0; v < n; v++) {
         dist[v] = -1;
         sigma[v] = 0;
+        npred[v] = 0;
     }
     for (s = s0; s < s1; s++) {
         double *delta = rows + (int64_t)(s - s0) * n;
@@ -287,6 +294,7 @@ int netbrain_betweenness(
                     sigma[*w] += sigma[v]; /* both at most 2^53: no overflow */
                     if (sigma[*w] > SIGMA_EXACT)
                         return 1;
+                    pred[indptr[*w] + npred[*w]++] = v;
                 }
             }
         }
@@ -294,19 +302,18 @@ int netbrain_betweenness(
         for (i = tail - 1; i > 0; i--) {
             const int32_t *u, *end;
             int32_t w = order[i];
-            int32_t pred = dist[w] - 1;
             double coeff = (1.0 + delta[w]) / (double)sigma[w];
 
-            end = indices + indptr[w + 1];
-            for (u = indices + indptr[w]; u < end; u++)
-                if (dist[*u] == pred)
-                    delta[*u] += (double)sigma[*u] * coeff;
+            end = pred + indptr[w] + npred[w];
+            for (u = pred + indptr[w]; u < end; u++)
+                delta[*u] += (double)sigma[*u] * coeff;
         }
         delta[s] = 0.0; /* the source scores nothing */
         for (i = 0; i < tail; i++) {
             v = order[i];
             dist[v] = -1;
             sigma[v] = 0;
+            npred[v] = 0;
         }
     }
     return 0;

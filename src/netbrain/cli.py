@@ -252,8 +252,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a bad flag as the commands refuse a bad value: one `error:`
+    line on stderr, without the usage lines, and exit code 2. Subparsers
+    take the class of their parent."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="netbrain",
         description="Simulate centralized network discovery via repeated "
         "self-avoiding walks from a fixed brain node.",

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
+from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -287,16 +288,20 @@ AGGREGATE_HEADER = "group,policy,threshold,mean_steps,sd_steps,n_samples"
 
 
 def write_curves_csv(curves: Sequence[TaggedCurve], path: str | Path) -> None:
-    """One row per (curve, threshold), sorted for byte-stable output."""
+    """One row per (curve, threshold), sorted for byte-stable output.
+
+    Rows sort on (group, policy, start, repetition, threshold); the sort is
+    stable, so rows with equal keys keep the order of `curves`. Each curve's
+    leading columns are formatted once."""
     rows = []
     for c in curves:
+        policy = c.policy.value
+        prefix = f"{c.group},{policy},{c.start},{c.start_degree},{c.repetition},"
         for threshold, steps in c.curve.crossings:
-            rows.append((c.group, c.policy.value, c.start, c.repetition, threshold, c.start_degree, steps))
-    rows.sort(key=lambda r: (r[0], r[1], r[2], r[3], r[4]))
-    with Path(path).open("w") as fh:
-        fh.write(CURVE_HEADER + "\n")
-        for group, policy, start, rep, threshold, start_degree, steps in rows:
-            fh.write(f"{group},{policy},{start},{start_degree},{rep},{threshold:.4f},{steps}\n")
+            key = (c.group, policy, c.start, c.repetition, threshold)
+            rows.append((key, f"{prefix}{threshold:.4f},{steps}\n"))
+    rows.sort(key=itemgetter(0))
+    Path(path).write_text(CURVE_HEADER + "\n" + "".join([line for _, line in rows]))
 
 
 def write_aggregate_csv(aggregates: Sequence[AggregateCurve], path: str | Path) -> None:

@@ -196,12 +196,20 @@ def _check_sbm(n: int, blocks: int, mu: float, k_avg: float) -> None:
     if not 1 <= blocks <= n:
         raise ParameterError(f"need 1 <= blocks <= n, got blocks={blocks}, n={n}")
     _check_unit("mu", mu)
+    # gen_sbm visits every block pair when mu > 0, drawn from or not.
+    block_pairs = blocks * (blocks - 1) // 2
+    if mu > 0 and block_pairs > _MAX_EDGES:
+        raise ParameterError(
+            f"sbm with mu > 0 visits {block_pairs:,} block pairs, above the bound of "
+            f"{_MAX_EDGES:,}; lower blocks or set mu=0"
+        )
     p_in = sbm_intra_probability(n, blocks, mu, k_avg)
     if p_in > 1.0:
         raise ParameterError(
             f"intra-block probability {p_in:.3f} > 1: mu={mu} too small for k_avg={k_avg}"
         )
-    pairs_in = sum(s * (s - 1) // 2 for s in _sbm_sizes(n, blocks))
+    base, rem = divmod(n, blocks)  # the sizes of _sbm_sizes
+    pairs_in = rem * (base + 1) * base // 2 + (blocks - rem) * base * (base - 1) // 2
     expected = max(p_in, 0.0) * pairs_in + mu * (n * (n - 1) // 2 - pairs_in)
     # The clamp of a negative intra-block probability can ask for far more
     # edges than k_avg does (README).
@@ -462,11 +470,12 @@ def gen_sbm(n: int, blocks: int, mu: float, k_avg: float, seed: int) -> Graph:
     for b in range(blocks):
         o = offsets[b]
         edges.extend((o + v, o + w) for v, w in _gnp_pairs(sizes[b], p_in, rng))
-    for a in range(blocks):
-        for b in range(a + 1, blocks):
-            na, nb = sizes[a], sizes[b]
-            for t in _bernoulli_indices(na * nb, mu, rng):
-                edges.append((offsets[a] + t // nb, offsets[b] + t % nb))
+    if mu > 0:  # at mu = 0 no block pair draws, so the loop is skipped with the same bits
+        for a in range(blocks):
+            for b in range(a + 1, blocks):
+                na, nb = sizes[a], sizes[b]
+                for t in _bernoulli_indices(na * nb, mu, rng):
+                    edges.append((offsets[a] + t // nb, offsets[b] + t % nb))
     return build_graph(n, edges)
 
 

@@ -170,6 +170,10 @@ class ExperimentConfig:
         if self.repetitions_per_start < 1:
             raise ConfigError("repetitions_per_start must be >= 1")
         validate_step_cap(self.step_cap)
+        # derive_seed packs it as 64 bits; a wider seed would alias one inside the range.
+        seed = self.master_seed
+        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed <= _MASK64:
+            raise ConfigError(f"master_seed must be an integer in [0, 2**64), got {seed!r}")
         object.__setattr__(self, "thresholds", validate_thresholds(self.thresholds))
         object.__setattr__(self, "target_fraction", validate_target_fraction(self.target_fraction))
         if self.thresholds[-1] > self.target_fraction + 1e-12:

@@ -436,6 +436,8 @@ ER_FLAGS = ["run", "--model", "er", "--n", 60, "--k", 5, "--reps", 1]
         (["generate", "er", "--n", 50, "--k", 4, "--seed", -7], "seed must be >= 0"),
         (["run", "--config", "{tmp}/target.json"], "target_fraction must be in (0, 1]"),
         (["run", "--config", "{tmp}/beyond-target.json"], "beyond target_fraction"),
+        (ER_FLAGS + ["--master-seed", -1], "master_seed must be an integer in [0, 2**64), got -1"),
+        (["run", "--config", "{tmp}/master-seed.json"], f"master_seed must be an integer in [0, 2**64), got {2**64 + 5}"),
     ],
     ids=[
         "start", "policies", "thresholds", "thresholds-empty", "policies-list", "step-cap", "degrees-file", "non-utf8", "directory",
@@ -443,7 +445,7 @@ ER_FLAGS = ["run", "--model", "er", "--n", 60, "--k", 5, "--reps", 1]
         "edge-list-and-model", "stride-0", "reps-0", "percentile", "sweep-values",
         "config-and-reps", "config-and-policies", "config-and-model", "workers-0", "workers-negative",
         "hub-degree-values", "waxman-seed", "run-waxman-seed", "er-seed", "target-fraction",
-        "grid-beyond-target",
+        "grid-beyond-target", "master-seed-negative", "master-seed-wide",
     ],
 )
 def test_bad_values_exit_2_with_one_error_line(tmp_path, capsys, monkeypatch, args, named):
@@ -464,11 +466,32 @@ def test_bad_values_exit_2_with_one_error_line(tmp_path, capsys, monkeypatch, ar
     write_config(tmp_path, "hub-values.json", sweep={"axis": "hub_degree", "values": [999, 12345]})
     write_config(tmp_path, "target.json", target_fraction=1.5)
     write_config(tmp_path, "beyond-target.json", target_fraction=0.6)
+    write_config(tmp_path, "master-seed.json", master_seed=2**64 + 5)
     args = [str(a).format(tmp=tmp_path) for a in args] + ["--out", tmp_path / "out"]
     assert run_cli(*args) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert named.format(tmp=tmp_path) in err[0]
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (ER_FLAGS + ["--n", "x"], "argument --n: invalid int value: 'x'"),
+        (ER_FLAGS + ["--master-seed", "1.5"], "argument --master-seed: invalid int value: '1.5'"),
+        (["run", "--model", "grid", "--n", 60, "--k", 5], "argument --model: invalid choice: 'grid'"),
+        (["generate", "er", "--n", 60, "--k", 5, "--bogus", 1], "unrecognized arguments: --bogus 1"),
+        (["sweep"], "the following arguments are required: --config"),
+        ([], "the following arguments are required: command"),
+    ],
+    ids=["int-flag", "master-seed-float", "choice", "unknown-flag", "missing-flag", "no-command"],
+)
+def test_flags_argparse_refuses_exit_2_with_one_error_line(tmp_path, capsys, args, named):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*args, "--out", tmp_path / "out") if args else run_cli()
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
 
 
 def test_sweep_requires_sweep_block(tmp_path, capsys):
@@ -572,13 +595,13 @@ def cli_outcome(capsys, args):
 
 
 def breaks_contract(code, err):
-    """Not exit 0 without errors, nor exit 2 with one error line, last, and no
-    traceback. Only argparse, refusing a value of a flag that it types itself,
-    prints its usage lines before that line."""
+    """Not exit 0 without errors, nor exit 2 with one error line, first and
+    last, and no traceback. Flags that argparse refuses itself take that
+    form too: no usage lines."""
     errors = [line for line in err if "error:" in line or "Traceback" in line]
     if code == 0:
         return bool(errors)
-    return not (code == 2 and errors == err[-1:] and err[0].startswith(("error: ", "usage: ")))
+    return not (code == 2 and errors == err[-1:] and err[0].startswith("error: "))
 
 
 @pytest.fixture

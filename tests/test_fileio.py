@@ -401,6 +401,28 @@ def test_curve_csv_layout_and_order(tmp_path):
         int(r[6])  # steps parse as integers
 
 
+def test_curve_rows_with_equal_keys_keep_their_order(tmp_path):
+    # Two curves with the same group, policy, start and repetition but other
+    # steps and start degrees: a stable sort on the key keeps them in input
+    # order, where sorting whole rows would order them by their later columns.
+    first, second = run_small()[:2]
+    twin = replace(second, group=first.group, policy=first.policy, start=first.start,
+                   start_degree=first.start_degree + 100, repetition=first.repetition)
+    assert twin.curve.crossings != first.curve.crossings
+    for curves in ([first, twin], [twin, first]):
+        rows = [
+            (c.group, c.policy.value, c.start, c.repetition, threshold, c.start_degree, steps)
+            for c in curves for threshold, steps in c.curve.crossings
+        ]
+        rows.sort(key=lambda r: r[:5])
+        expected = "".join(f"{g},{p},{s},{d},{r},{t:.4f},{steps}\n" for g, p, s, r, t, d, steps in rows)
+        f = tmp_path / "curves.csv"
+        write_curves_csv(curves, f)
+        assert f.read_text() == CURVE_HEADER + "\n" + expected
+        degrees = [line.split(",")[3] for line in f.read_text().splitlines()[1:3]]
+        assert degrees == [str(curves[0].start_degree), str(curves[1].start_degree)]
+
+
 def test_aggregate_csv_layout(tmp_path):
     curves = run_small()
     f = tmp_path / "agg.csv"

@@ -376,6 +376,30 @@ def test_sbm_refuses_expected_edges_above_the_bound(monkeypatch):
         gen_sbm(100000, 10, 0.01, 10, seed=0)
 
 
+def test_sbm_at_zero_mu_skips_the_block_pairs(monkeypatch):
+    # 4,000 blocks of two nodes: ~8M block pairs, none visited at mu = 0.
+    calls = []
+    bernoulli = generators._bernoulli_indices
+
+    def counted(*args):
+        calls.append(args)
+        return bernoulli(*args)
+
+    monkeypatch.setattr(generators, "_bernoulli_indices", counted)
+    assert gen_sbm(8000, 4000, 0.0, 1, seed=0).m == 4000  # p_in = 1: one edge per block
+    assert len(calls) == 4000  # one per block, none per block pair
+    spec = GeneratorSpec(model="sbm", n=8000, blocks=4000, mu=0.0, k_avg=1, seed=0)
+    assert generate(spec).graph.m == 1  # the LCC of 4,000 disjoint edges
+
+
+def test_sbm_refuses_block_pairs_above_the_bound():
+    message = r"visits 7,998,000 block pairs, above the bound of 5,000,000"
+    with pytest.raises(ParameterError, match=message):
+        GeneratorSpec(model="sbm", n=8000, blocks=4000, mu=1e-9, k_avg=1, seed=0)
+    with pytest.raises(ParameterError, match=message):
+        gen_sbm(8000, 4000, 1e-9, 1, seed=0)
+
+
 def test_sbm_mean_degree_within_5pct_over_seeds():
     means = [gen_sbm(1000, 10, 0.002, 8, seed=s).mean_degree() for s in range(20)]
     assert abs(statistics.fmean(means) - 8.0) / 8.0 < 0.05

@@ -60,6 +60,15 @@ def test_derive_seed_is_stable_and_sensitive():
     assert derive_seed(1, "x") != derive_seed(1, "y")
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5, True, 5.0, "5"])
+def test_master_seed_outside_64_bits_refused(seed):
+    # derive_seed packs 64 bits: 2**64 + 5 would alias 5.
+    with pytest.raises(ConfigError, match=r"master_seed must be an integer in \[0, 2\*\*64\)"):
+        small_config(master_seed=seed)
+    small_config(master_seed=0)
+    small_config(master_seed=2**64 - 1)
+
+
 # --- select_starts -----------------------------------------------------------
 
 

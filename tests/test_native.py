@@ -204,6 +204,32 @@ def test_csr_view_keeps_graph_equality_and_pickles():
 
 # --- betweenness -----------------------------------------------------------------
 
+
+def grid_graph(rows: int, cols: int):
+    return build_graph(rows * cols, [
+        (r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)
+    ] + [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)])
+
+
+def complete_bipartite_graph(a: int, b: int):
+    return build_graph(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+
+
+def hypercube_graph(d: int):
+    return build_graph(2**d, [(v, v ^ (1 << i)) for v in range(2**d) for i in range(d) if v < v ^ (1 << i)])
+
+
+def diamond_chain(k: int):
+    """k diamonds in a row: 2**k shortest paths between the two ends."""
+    edges = []
+    for i in range(k):
+        a, top, bottom, b = 3 * i, 3 * i + 1, 3 * i + 2, 3 * i + 3
+        edges += [(a, top), (a, bottom), (top, b), (bottom, b)]
+    return build_graph(3 * k + 1, edges)
+
+
+# Graphs with many shortest paths of equal length, where every node has
+# several predecessors and the order of the additions into `delta` shows.
 BETWEENNESS_GRAPHS = {
     "er": generate(GeneratorSpec(model="er", n=300, k_avg=6, seed=4)).graph,
     "ba": generate(GeneratorSpec(model="ba", n=400, k_avg=4, seed=5)).graph,
@@ -216,6 +242,15 @@ BETWEENNESS_GRAPHS = {
     "disconnected": build_graph(9, [(0, 1), (1, 2), (2, 0), (2, 3), (4, 5), (5, 6), (6, 4)]),
     "one-node": build_graph(1, []),
     "empty": build_graph(0, []),
+    "grid": grid_graph(9, 13),
+    "k3-50": complete_bipartite_graph(3, 50),
+    "q6": hypercube_graph(6),
+    # Components of several sizes and isolated nodes: each source leaves most
+    # nodes unreached, and they must score +0.0, not -0.0.
+    "unreached": build_graph(40, [(i, i + 1) for i in range(0, 9)] + [
+        (u, v) for u in range(12, 20) for v in range(u + 1, 20) if (u + v) % 3
+    ] + [(25, 26), (26, 27), (27, 25), (30, 31)]),
+    "2^53-paths": diamond_chain(53),  # the largest count the kernel keeps
 }
 THREADS = (1, 2, 3)
 
@@ -240,7 +275,8 @@ def test_betweenness_kernel_is_bit_identical_to_python(name, monkeypatch):
     for threads in THREADS:
         monkeypatch.setattr(_native, "_cpu_count", lambda: threads)
         values = native_betweenness(g)
-        assert values == expected, threads  # == on floats: every bit
+        # The bytes, not ==, so that -0.0 and +0.0 differ.
+        assert np.array(values).tobytes() == np.array(expected).tobytes(), threads
         assert all(type(v) is float for v in values)
         assert betweenness(g) == values
 
@@ -261,15 +297,6 @@ def test_percentile_starts_agree_under_both_paths(tmp_path, monkeypatch):
     assert _native.LOADER.kernel("netbrain_betweenness") is None  # the Python path ran
     for p in (0.0, 0.5, 0.98):
         assert chosen["native", p] == chosen["python", p]
-
-
-def diamond_chain(k: int):
-    """k diamonds in a row: 2**k shortest paths between the two ends."""
-    edges = []
-    for i in range(k):
-        a, top, bottom, b = 3 * i, 3 * i + 1, 3 * i + 2, 3 * i + 3
-        edges += [(a, top), (a, bottom), (top, b), (bottom, b)]
-    return build_graph(3 * k + 1, edges)
 
 
 def count_betweenness_calls(monkeypatch):
