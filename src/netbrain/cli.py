@@ -284,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=name == "sweep", help="experiment config file (JSON)")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--workers", type=int, default=None, help="parallel workers")
+        p.add_argument("--workers", type=int, default=1, help="parallel workers")
         if name == "run":
             p.add_argument("--edge-list", help="run on an ingested edge list")
             _add_generator_args(p, positional=False)
@@ -308,6 +308,9 @@ def main(argv: list[str] | None = None) -> int:
     except (NetbrainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:  # Ctrl-C: the exit code of a shell's SIGINT, without a traceback
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -22,8 +22,9 @@ from __future__ import annotations
 import math
 import numbers
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
+from functools import cached_property
 from itertools import compress
 from operator import ne
 from typing import Iterable, Sequence
@@ -83,10 +84,16 @@ def _walk_counts(*sources) -> dict[str, int]:
 
 @dataclass(frozen=True)
 class BrainState(WalkCounts):
-    """Knowledge accumulated at the brain across walks."""
+    """Knowledge accumulated at the brain across walks: `known_mask[v]` is 1
+    when node v is known, and `known` is the set of those nodes, built on
+    first read."""
 
     brain: int
-    known: set[int]
+    known_mask: bytes = field(repr=False)
+
+    @cached_property
+    def known(self) -> set[int]:
+        return set(compress(range(len(self.known_mask)), self.known_mask))
 
 
 @dataclass(frozen=True)
@@ -376,4 +383,4 @@ def run_discovery(
             "is the graph connected?"
         )
     curve = LearningCurve(thresholds=grid, crossings=tuple(zip(grid, walker.crossed)))
-    return curve, BrainState(brain, set(compress(range(n), walker.known)), **_walk_counts(walker))
+    return curve, BrainState(brain, bytes(walker.known), **_walk_counts(walker))

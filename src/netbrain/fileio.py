@@ -55,9 +55,8 @@ def ingest_edge_list(path: str | Path) -> tuple[Graph, dict[int, int], IngestRep
         raise ParseError(f"{path}: no edges found")
     labels, dense = _rank_labels(pairs)
     g, drops = build_graph_reported(len(labels), dense)
-    lcc, lcc_map = largest_connected_component(g)
-    labels = labels.tolist()
-    label_map = {labels[old]: new for old, new in lcc_map.items()}
+    lcc, kept = largest_connected_component(g)
+    label_map = dict(zip(labels[kept].tolist(), range(lcc.n)))
     report = IngestReport(
         raw_nodes=len(labels),
         raw_edges=len(pairs),

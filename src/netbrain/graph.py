@@ -206,29 +206,14 @@ def _component_labels_numpy(g: Graph) -> np.ndarray:
     return labels
 
 
-def connected_components(g: Graph) -> list[list[int]]:
-    """Connected components as sorted node lists, ordered by smallest member."""
-    labels = _component_labels(g)
-    members = np.argsort(labels, kind="stable").tolist()
-    sizes = np.bincount(labels)
-    bounds = np.cumsum(sizes[sizes > 0]).tolist()
-    return [members[a:b] for a, b in zip([0, *bounds], bounds)]
-
-
-def largest_connected_component(g: Graph) -> tuple[Graph, dict[int, int]]:
-    """Induced subgraph on the largest component, relabeled densely.
+def largest_connected_component(g: Graph) -> tuple[Graph, np.ndarray]:
+    """Induced subgraph on the largest component, relabeled densely, and
+    `kept`, the ascending int array of its old ids: node i of the subgraph
+    was node `kept[i]` of `g`.
 
     Ties between equal-size components are broken by the smallest original
-    node id. The returned mapping sends old ids of retained nodes to their
-    new dense ids (ascending order is preserved).
+    node id. A connected `g` is returned itself.
     """
-    lcc, kept = _largest_component(g)
-    return lcc, {old: new for new, old in enumerate(kept.tolist())}
-
-
-def _largest_component(g: Graph) -> tuple[Graph, np.ndarray]:
-    """The graph of `largest_connected_component` and the old ids of its
-    nodes, ascending, without the mapping dict."""
     labels = _component_labels(g)
     # The first largest has the smallest label, so id; with n = 0 nothing is kept.
     best = np.bincount(labels, minlength=1).argmax()

@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 import random
 import struct
 import sys
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
-from operator import mul
+from operator import index, mul
 from statistics import fmean
 from typing import Callable, Sequence, Union
 
@@ -28,12 +27,14 @@ from .dynamics import (
     validate_thresholds,
 )
 from .errors import AggregationError, ConfigError, ParameterError
-from .generators import _MODELS, GeneratorSpec, RealizedStats, generate
+from .generators import _MODELS, GeneratorSpec, RealizedStats, _integer, generate
 from .graph import Graph, betweenness, degree_ranked_nodes
 
 PERCENTILE_START_CAP = 100  # starts drawn above a betweenness percentile
-# The crossings an experiment may keep (cells times thresholds). Each kept
-# crossing costs about 88 bytes, so this is near 0.9 GB.
+# The crossings an experiment may keep (cells times thresholds). Each costs
+# about 400 bytes of peak RSS in `netbrain run`: 999,000 crossings peaked at
+# 421 MB against 37 MB for 1,800 (2-CPU Xeon). Scaled linearly, this bound
+# is near 4 GB.
 _MAX_CROSSINGS = 10_000_000
 
 _MASK64 = (1 << 64) - 1
@@ -167,8 +168,15 @@ class ExperimentConfig:
         object.__setattr__(self, "policies", tuple(WalkPolicy(p) for p in self.policies))
         if not self.policies:
             raise ConfigError("at least one walk policy is required")
-        if self.repetitions_per_start < 1:
+        if len(set(self.policies)) != len(self.policies):  # each policy keys its own curves
+            names = ", ".join(p.value for p in self.policies)
+            raise ConfigError(f"policies must be distinct, got {names}")
+        reps = self.repetitions_per_start
+        if not _integer(reps):
+            raise ConfigError(f"repetitions_per_start must be an integer, got {reps!r}")
+        if reps < 1:
             raise ConfigError("repetitions_per_start must be >= 1")
+        object.__setattr__(self, "repetitions_per_start", index(reps))  # a Python int, as JSON writes
         validate_step_cap(self.step_cap)
         # derive_seed packs it as 64 bits; a wider seed would alias one inside the range.
         seed = self.master_seed
@@ -266,20 +274,10 @@ def _run_cell(
     )
 
 
-def _worker_count(workers: int | None) -> int:
-    """`workers`, else NETBRAIN_THREADS, else 1; a count below 1 is an error."""
-    name = "workers"
-    if workers is None:
-        env = os.environ.get("NETBRAIN_THREADS")
-        if not env:
-            return 1
-        try:
-            workers = int(env)
-        except ValueError:
-            raise ConfigError(f"NETBRAIN_THREADS must be an integer, got {env!r}")
-        name = "NETBRAIN_THREADS"
+def _worker_count(workers: int) -> int:
+    """`workers`, which must be at least 1."""
     if workers < 1:
-        raise ConfigError(f"{name} must be at least 1, got {workers}")
+        raise ConfigError(f"workers must be at least 1, got {workers}")
     return workers
 
 
@@ -294,18 +292,17 @@ def run_experiment(
     cfg: ExperimentConfig,
     graph: Graph | None = None,
     group: str = "",
-    workers: int | None = None,
+    workers: int = 1,
 ) -> list[TaggedCurve]:
     """Run one discovery per (policy, start, repetition) cell.
 
     Child seeds are derived statelessly from (master_seed, cell indices), so
     cells are independent and the result is the same at any parallelism.
-    `workers` defaults to NETBRAIN_THREADS or 1, and the pool never exceeds
-    the cell count or the CPUs the process may use (`_pool_size`). With the
-    native kernel the cells run in threads that share the graph; with the
-    Python engine, in worker processes. A run whose curves
-    would keep more than `_MAX_CROSSINGS` crossings (cells times thresholds)
-    raises `ConfigError` before any walk.
+    The pool of `workers` never exceeds the cell count or the CPUs the
+    process may use (`_pool_size`). With the native kernel the cells run in
+    threads that share the graph; with the Python engine, in worker
+    processes. A run whose curves would keep more than `_MAX_CROSSINGS`
+    crossings (cells times thresholds) raises `ConfigError` before any walk.
     """
     if graph is None:
         graph, _ = resolve_graph(cfg)
@@ -397,7 +394,7 @@ def sweep(
     base: ExperimentConfig,
     axis: str,
     values: Sequence | None = None,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> dict[object, list[AggregateCurve]]:
     """Run the experiment across an axis, with independent seeds per value.
 

@@ -438,6 +438,8 @@ ER_FLAGS = ["run", "--model", "er", "--n", 60, "--k", 5, "--reps", 1]
         (["run", "--config", "{tmp}/beyond-target.json"], "beyond target_fraction"),
         (ER_FLAGS + ["--master-seed", -1], "master_seed must be an integer in [0, 2**64), got -1"),
         (["run", "--config", "{tmp}/master-seed.json"], f"master_seed must be an integer in [0, 2**64), got {2**64 + 5}"),
+        (ER_FLAGS + ["--policies", "standard,standard"], "policies must be distinct, got standard, standard"),
+        (["run", "--config", "{tmp}/policies-repeated.json"], "policies must be distinct, got extended, extended"),
     ],
     ids=[
         "start", "policies", "thresholds", "thresholds-empty", "policies-list", "step-cap", "degrees-file", "non-utf8", "directory",
@@ -445,7 +447,8 @@ ER_FLAGS = ["run", "--model", "er", "--n", 60, "--k", 5, "--reps", 1]
         "edge-list-and-model", "stride-0", "reps-0", "percentile", "sweep-values",
         "config-and-reps", "config-and-policies", "config-and-model", "workers-0", "workers-negative",
         "hub-degree-values", "waxman-seed", "run-waxman-seed", "er-seed", "target-fraction",
-        "grid-beyond-target", "master-seed-negative", "master-seed-wide",
+        "grid-beyond-target", "master-seed-negative", "master-seed-wide", "policies-repeated",
+        "config-policies-repeated",
     ],
 )
 def test_bad_values_exit_2_with_one_error_line(tmp_path, capsys, monkeypatch, args, named):
@@ -467,6 +470,7 @@ def test_bad_values_exit_2_with_one_error_line(tmp_path, capsys, monkeypatch, ar
     write_config(tmp_path, "target.json", target_fraction=1.5)
     write_config(tmp_path, "beyond-target.json", target_fraction=0.6)
     write_config(tmp_path, "master-seed.json", master_seed=2**64 + 5)
+    write_config(tmp_path, "policies-repeated.json", policies=["extended", "extended"])
     args = [str(a).format(tmp=tmp_path) for a in args] + ["--out", tmp_path / "out"]
     assert run_cli(*args) == 2
     err = capsys.readouterr().err.splitlines()
@@ -492,6 +496,17 @@ def test_flags_argparse_refuses_exit_2_with_one_error_line(tmp_path, capsys, arg
     assert exc.value.code == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_interrupt_is_one_error_line_and_exit_130(tmp_path, capsys, monkeypatch, workers):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "run_experiment", interrupted)
+    assert run_cli(*ER_FLAGS, "--workers", workers, "--out", tmp_path / "out") == 130
+    assert capsys.readouterr().err == "error: interrupted\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_requires_sweep_block(tmp_path, capsys):

@@ -270,6 +270,7 @@ def test_k2_curve_is_single_step():
 def test_discovery_monotone_knowledge_and_steps():
     g = generate(GeneratorSpec(model="er", n=200, k_avg=6, seed=3)).graph
     curve, brain = run_discovery(g, 0, WalkPolicy.EXTENDED, random.Random(5))
+    assert "known" not in vars(brain) and brain.known_mask == b"\x01" * g.n  # the set is built on first read
     assert brain.known == set(range(g.n))
     steps = [s for _, s in curve.crossings]
     assert steps == sorted(steps)

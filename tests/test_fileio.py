@@ -28,7 +28,7 @@ from netbrain import (
     write_curves_csv,
     write_edge_list,
 )
-from netbrain import harness, sweep
+from netbrain import fileio, generators, harness, sweep
 from netbrain.fileio import AGGREGATE_HEADER, CURVE_HEADER, _rank_labels
 from netbrain.generators import MODELS
 
@@ -77,10 +77,27 @@ def test_ingest_ranks_labels_like_a_sorted_dict(tmp_path, top):
     g, label_map, report = ingest_edge_list(f)
     ranks = {label: i for i, label in enumerate(sorted({x for pair in pairs for x in pair}))}
     ranked = build_graph(len(ranks), [(ranks[u], ranks[v]) for u, v in pairs])
-    expected, lcc_map = largest_connected_component(ranked)
+    expected, kept = largest_connected_component(ranked)
+    lcc_map = {old: new for new, old in enumerate(kept.tolist())}
     assert g == expected
     assert label_map == {label: lcc_map[i] for label, i in ranks.items() if i in lcc_map}
     assert (report.raw_nodes, report.raw_edges) == (len(ranks), len(pairs))
+
+
+@pytest.mark.parametrize("module", [generators, fileio], ids=["generate", "ingest_edge_list"])
+def test_generate_and_ingest_each_call_the_lcc_once_in_their_own_module(module, tmp_path, monkeypatch):
+    # perfbench/tracing.py rebinds the name in these two namespaces.
+    calls = []
+
+    def spy(g):
+        calls.append(g.n)
+        return largest_connected_component(g)
+
+    monkeypatch.setattr(module, "largest_connected_component", spy)
+    g = generate(GeneratorSpec(model="er", n=60, k_avg=3, seed=4)).graph
+    write_edge_list(g, tmp_path / "g.txt")
+    assert ingest_edge_list(tmp_path / "g.txt")[0] == g
+    assert calls == [60 if module is generators else g.n]
 
 
 @pytest.mark.parametrize("top", [0, 1, 7, 8, 9, 500, 2**40])

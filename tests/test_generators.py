@@ -400,6 +400,17 @@ def test_sbm_refuses_block_pairs_above_the_bound():
         gen_sbm(8000, 4000, 1e-9, 1, seed=0)
 
 
+@pytest.mark.parametrize("mu", [0.0, 1e-9])
+def test_sbm_refuses_blocks_above_the_bound_at_any_mu(mu, monkeypatch):
+    # Checked, not built: a tiny k_avg admits n = 2 * 10**9 under the edge bound.
+    monkeypatch.setattr(generators, "gen_sbm", lambda *args: pytest.fail("an sbm was built"))
+    generators._check_sbm(200_000, 100_000, 0.0, 1)  # at the bound
+    for blocks, k_avg in ((100_001, 1), (10**9, 0.001)):
+        message = f"sbm with {blocks:,} blocks is above the bound of 100,000"
+        with pytest.raises(ParameterError, match=message):
+            GeneratorSpec(model="sbm", n=2 * blocks, blocks=blocks, mu=mu, k_avg=k_avg, seed=0)
+
+
 def test_sbm_mean_degree_within_5pct_over_seeds():
     means = [gen_sbm(1000, 10, 0.002, 8, seed=s).mean_degree() for s in range(20)]
     assert abs(statistics.fmean(means) - 8.0) / 8.0 < 0.05

@@ -23,7 +23,7 @@ from netbrain import (
 )
 from netbrain import _native, graph
 from netbrain.generators import gen_er
-from netbrain.graph import build_graph_reported, connected_components, is_connected
+from netbrain.graph import build_graph_reported, is_connected
 
 
 def test_build_path_graph():
@@ -181,11 +181,13 @@ COMPONENT_GRAPHS = {
 def test_components_and_lcc_match_the_bfs_oracle(name):
     g = COMPONENT_GRAPHS[name]
     components = bfs_components(g)
-    assert connected_components(g) == components
+    smallest = {v: c[0] for c in components for v in c}
+    assert graph._component_labels(g).tolist() == [smallest[v] for v in range(g.n)]
     assert is_connected(g) == (len(components) <= 1)
-    lcc, mapping = largest_connected_component(g)
+    lcc, kept = largest_connected_component(g)
     best = max(components, key=lambda c: (len(c), -c[0]), default=[])
-    assert mapping == {old: new for new, old in enumerate(best)}
+    assert kept.tolist() == best
+    mapping = {old: new for new, old in enumerate(best)}
     expected, _ = set_build_graph_reported(
         len(best), [(mapping[u], mapping[v]) for u in best for v in g.adj[u]]
     )
@@ -199,17 +201,16 @@ def test_lcc_matches_a_rebuild_of_its_component(seed):
     rng = random.Random(seed)
     for n, k in ((1, 0), (5, 2), (60, 40), (600, 500), (600, 3000)):
         g = build_graph(n, random_multiset(rng, n, k))
-        lcc, mapping = largest_connected_component(g)
-        best = max(connected_components(g), key=lambda c: (len(c), -c[0]))
-        assert mapping == {old: new for new, old in enumerate(best)}
+        lcc, kept = largest_connected_component(g)
+        best = max(bfs_components(g), key=lambda c: (len(c), -c[0]))
+        assert kept.tolist() == best
+        mapping = {old: new for new, old in enumerate(best)}
         expected = set_build_graph_reported(
             len(best), [(mapping[u], mapping[v]) for u, v in g.edges() if u in mapping]
         )
         assert_same_build((lcc, expected[1]), expected)
         if lcc.n == g.n:
             assert lcc is g
-        same, kept = graph._largest_component(g)  # generate's path, without the dict
-        assert same == lcc and kept.tolist() == best
 
 
 def test_adjacency_is_sorted_and_symmetric():
@@ -243,25 +244,25 @@ def test_degree_sum_is_twice_edge_count():
 def test_lcc_two_triangles_tie_broken_by_smallest_label():
     edges = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
     g = build_graph(7, edges)  # plus isolated node 6
-    lcc, mapping = largest_connected_component(g)
+    lcc, kept = largest_connected_component(g)
     assert lcc.n == 3 and lcc.m == 3
-    assert mapping == {0: 0, 1: 1, 2: 2}
+    assert kept.tolist() == [0, 1, 2]
 
 
 def test_lcc_connected_graph_is_identity():
     g = cycle_graph(6)
-    lcc, mapping = largest_connected_component(g)
+    lcc, kept = largest_connected_component(g)
     assert lcc.n == 6
-    assert mapping == {i: i for i in range(6)}
+    assert kept.tolist() == list(range(6))
     assert lcc.edges() == g.edges()
 
 
 def test_lcc_k4_beats_p3():
     edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 5), (5, 6)]
     g = build_graph(7, edges)
-    lcc, mapping = largest_connected_component(g)
+    lcc, kept = largest_connected_component(g)
     assert lcc.n == 4 and lcc.m == 6
-    assert set(mapping) == {0, 1, 2, 3}
+    assert kept.tolist() == [0, 1, 2, 3]
 
 
 def test_lcc_output_is_connected_and_largest():
@@ -273,13 +274,11 @@ def test_lcc_output_is_connected_and_largest():
             for _ in range(rng.randint(0, 2 * n))
         ]
         g = build_graph(n, [(u, v) for u, v in edges if u != v])
-        lcc, mapping = largest_connected_component(g)
+        lcc, kept = largest_connected_component(g)
         assert is_connected(lcc)
         # no discarded component may be larger
-        from netbrain.graph import connected_components
-
-        assert lcc.n == max(len(c) for c in connected_components(g))
-        assert len(mapping) == lcc.n
+        assert lcc.n == max(len(c) for c in bfs_components(g))
+        assert kept.size == lcc.n
 
 
 def test_betweenness_p3_and_star():

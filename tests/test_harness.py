@@ -6,6 +6,7 @@ import threading
 from dataclasses import fields, replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from helpers import complete_graph, path_graph, star_graph
@@ -159,6 +160,9 @@ def test_configs_check_themselves_when_built_or_replaced():
         ({"thresholds": (0.5, 10**400)}, r"thresholds must lie in \(0, 1\]"),
         ({"start": BetweennessPercentile(10**400)}, r"min_percentile must be in \[0, 1\)"),
         ({"policies": ()}, "at least one walk policy"),
+        ({"policies": ("standard", WalkPolicy.STANDARD)}, "policies must be distinct, got standard, standard"),
+        ({"repetitions_per_start": True}, "repetitions_per_start must be an integer, got True"),
+        ({"repetitions_per_start": 1.5}, "repetitions_per_start must be an integer, got 1.5"),
     ):
         with pytest.raises(ConfigError, match=named):
             replace(cfg, **changes)
@@ -167,6 +171,29 @@ def test_configs_check_themselves_when_built_or_replaced():
             replace(cfg.generator, n=n)
     with pytest.raises(ConfigError, match="sweep value"):
         sweep(cfg, "n", [120, 10**400])
+
+
+def test_specs_refuse_bools_and_non_integers_and_take_numpy_integers():
+    spec = GeneratorSpec(model="er", n=30, k_avg=4, seed=1)
+    for changes, named in (
+        ({"n": 30.0}, "n must be an integer, got 30.0"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"blocks": 2.5}, "blocks must be an integer, got 2.5"),  # checked though er ignores it
+        ({"k_avg": True}, "k_avg must be a number, got True"),
+        ({"mu": "0.1"}, "mu must be a number, got '0.1'"),
+        ({"model": "cm", "degree_sequence": (2, 2.0, 2)}, "degree_sequence must be a sequence of integers"),
+        ({"model": "cm", "degree_sequence": (1, True)}, "degree_sequence must be a sequence of integers"),
+    ):
+        with pytest.raises(ParameterError, match=named):
+            replace(spec, **changes)
+    numpy_spec = replace(spec, n=np.int64(30), k_avg=np.float64(4), seed=np.uint8(1))
+    assert generate(numpy_spec).graph == generate(spec).graph
+    cm = GeneratorSpec(model="cm", degree_sequence=(3,) * 8, seed=1)
+    assert generate(replace(cm, degree_sequence=tuple(np.full(8, 3, dtype=np.int32)))) == generate(cm)
+    cfg = small_config()
+    assert run_experiment(replace(cfg, repetitions_per_start=np.int64(2))) == run_experiment(
+        replace(cfg, repetitions_per_start=2)
+    )
 
 
 def test_configs_keep_the_values_they_checked():
@@ -255,15 +282,8 @@ def test_parallel_workers_match_serial_results(monkeypatch, tmp_path):
         sys.setswitchinterval(interval)
 
 
-def test_netbrain_threads_env_bounds_workers(monkeypatch):
+def test_workers_below_one_are_refused():
     cfg = small_config(repetitions_per_start=2)
-    baseline = run_experiment(cfg)
-    monkeypatch.setenv("NETBRAIN_THREADS", "2")
-    assert run_experiment(cfg) == baseline
-    for env in ("lots", "0", "-3"):
-        monkeypatch.setenv("NETBRAIN_THREADS", env)
-        with pytest.raises(ConfigError, match="NETBRAIN_THREADS"):
-            run_experiment(cfg)
     for workers in (0, -3):
         with pytest.raises(ConfigError, match="workers must be at least 1"):
             run_experiment(cfg, workers=workers)

@@ -557,7 +557,7 @@ DECLINES = {
     "components": (
         lambda tmp: _native.components(GRAPHS["trap"]),
         None,
-        lambda tmp: graph.connected_components(build_graph(*SETUP_EDGES["multigraph-300-2000"])),
+        lambda tmp: lcc_outcome(build_graph(*SETUP_EDGES["multigraph-2000-1500"])),
     ),
     "format_edges": (
         lambda tmp: _native.format_edges(GRAPHS["ws"]),
@@ -565,6 +565,11 @@ DECLINES = {
         lambda tmp: written_edge_list(tmp, GRAPHS["ws"]),
     ),
 }
+
+
+def lcc_outcome(g):
+    lcc, kept = graph.largest_connected_component(g)
+    return lcc, kept.tolist()
 
 
 def written_edge_list(tmp_path, g):

@@ -20,7 +20,6 @@ MODULE_ONLY = {
     "sbm_intra_probability": "generators",
     "waxman_beta": "generators",
     "build_graph_reported": "graph",
-    "connected_components": "graph",
     "is_connected": "graph",
 }
 
