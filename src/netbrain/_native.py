@@ -38,6 +38,7 @@ import tempfile
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -56,12 +57,8 @@ CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 # 512 KiB per thread whatever n is, where all n rows would take 8n^2 bytes.
 _BLOCK_BYTES = 2**18
 
-_i32 = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
-_i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-_u8 = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
-_u32 = np.ctypeslib.ndpointer(np.uint32, flags="C_CONTIGUOUS")
-_f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-# The argument types of each entry point; each returns an int.
+_i32, _i64, _u8, _u32, _f64 = map(np.dtype, (np.int32, np.int64, np.uint8, np.uint32, np.float64))
+# The argument types of each entry point, which returns an int; a dtype marks an array (`_call`).
 _ENTRY_POINTS = {
     "netbrain_discover": (
         _i32, _i32,  # indptr, indices
@@ -137,13 +134,23 @@ class Loader:
                     kernels = {}
                     for entry, argtypes in _ENTRY_POINTS.items():
                         fn = getattr(lib, entry)
-                        fn.argtypes = argtypes
+                        fn.argtypes = [ctypes.c_void_p if isinstance(t, np.dtype) else t for t in argtypes]
                         fn.restype = ctypes.c_int
-                        kernels[entry] = fn
+                        kernels[entry] = partial(_call, fn, argtypes)
                     self._kernels = kernels
                 except Exception as exc:  # any failure selects the Python code
                     logger.info("native kernels unavailable, using the Python engine: %s", exc)
             return self._kernels.get(name)
+
+
+def _call(fn, argtypes: tuple, *args) -> int:
+    """`fn(*args)`, each array that `argtypes` declares passed as its address once its dtype and
+    C order are checked, so that ctypes converts every argument in C: an interrupt in numpy's
+    `ndpointer` became an `ArgumentError`. `args` holds the arrays until `fn` returns."""
+    for a, t in zip(args, argtypes):
+        if isinstance(t, np.dtype) and not (isinstance(a, np.ndarray) and a.dtype == t and a.flags["C"]):
+            raise TypeError(f"{fn.__name__} takes a C-contiguous {t} array")
+    return fn(*[a.ctypes.data if isinstance(t, np.dtype) else a for a, t in zip(args, argtypes)])
 
 
 LOADER = Loader()

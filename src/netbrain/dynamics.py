@@ -20,7 +20,6 @@ and step counter persist.
 from __future__ import annotations
 
 import math
-import numbers
 import random
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -30,7 +29,7 @@ from operator import ne
 from typing import Iterable, Sequence
 
 from . import _native
-from .errors import ConfigError, DiscoveryStallError
+from .errors import ConfigError, DiscoveryStallError, _typed
 from .graph import Graph, is_connected
 
 
@@ -132,14 +131,14 @@ def validate_target_fraction(target_fraction: float) -> float:
     return float(target_fraction)  # compared first: float() overflows on a huge int
 
 
-def validate_step_cap(step_cap: int | None) -> None:
-    """A step cap is None (no cap) or an integer of at least 1; it is checked after a move."""
+def validate_step_cap(step_cap: int | None) -> int | None:
+    """None (no cap) or an integer of at least 1, as a Python int; a cap is checked after a move."""
     if step_cap is None:
-        return
-    if isinstance(step_cap, bool) or not isinstance(step_cap, numbers.Integral):
-        raise ConfigError(f"step_cap must be an integer, got {step_cap!r}")
+        return None
+    step_cap = _typed(step_cap, int, "step_cap")
     if step_cap < 1:
         raise ConfigError(f"step_cap must be >= 1, got {step_cap}")
+    return step_cap
 
 
 # A step count no walk reaches: a walk's steps are at most 2m < 2**31, so any
@@ -194,8 +193,8 @@ class _Walker:
         # A member skips the Enum call (~0.7 us a walk over millions of short walks).
         self.policy = policy if isinstance(policy, WalkPolicy) else WalkPolicy(policy)
         self.rng = rng
-        validate_step_cap(step_cap)
-        self.cap = _NO_CAP if step_cap is None else min(int(step_cap), _NO_CAP)
+        step_cap = validate_step_cap(step_cap)
+        self.cap = _NO_CAP if step_cap is None else min(step_cap, _NO_CAP)
         self.stop_count = g.n if stop_count is None else stop_count
         self.known = bytearray(g.n)
         for v in known or ():

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+import os
+import threading
+from dataclasses import MISSING, dataclass, fields
 from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
@@ -120,7 +122,7 @@ def write_edge_list(g: Graph, path: str | Path, header: Sequence[str] = ()) -> N
     edges = _native.format_edges(g)
     if edges is None:
         edges = _format_edges(g)
-    Path(path).write_text("".join(f"# {line}\n" for line in header) + edges)
+    _write_text(path, "".join(f"# {line}\n" for line in header) + edges)
 
 
 def _format_edges(g: Graph) -> str:
@@ -142,36 +144,8 @@ def _format_edges(g: Graph) -> str:
 
 # The config keys: ExperimentConfig's fields, where `edge_list` may replace `generator`.
 _TOP_KEYS = {f.name for f in fields(ExperimentConfig)} | {"edge_list", "sweep"}
-
-# Config types of ExperimentConfig's fields that have defaults; an absent or null key takes the default.
-_OPTIONAL_TYPES = dict(
-    repetitions_per_start=int, step_cap=int, thresholds=[float], master_seed=int, target_fraction=float
-)
-
-# Config types of the GeneratorSpec fields: a number takes its default's type.
-_SPEC_TYPES = {
-    f.name: [int] if f.default is None else type(f.default) for f in fields(GeneratorSpec)[1:]
-}
-
-# config type -> (the Python types that pass, its name in messages)
-_KINDS = {int: (int, "an integer"), float: ((int, float), "a number"), str: (str, "a string")}
-
-
-def _typed(value, kind, key: str):
-    """`value` if it has the config type `kind`, else ConfigError naming `key`.
-
-    `kind` is int, float (an int passes too), str, or a list of one of them,
-    such as [int], read as a non-empty tuple. Bools are not numbers; nothing
-    is converted.
-    """
-    if isinstance(kind, list):
-        if not isinstance(value, (list, tuple)) or not value:
-            raise ConfigError(f"{key} must be a non-empty list, got {value!r}")
-        return tuple(_typed(x, kind[0], key) for x in value)
-    wanted, name = _KINDS[kind]
-    if isinstance(value, bool) or not isinstance(value, wanted):
-        raise ConfigError(f"{key} must be {name}, got {value!r}")
-    return value
+# The keys of ExperimentConfig's fields that have defaults; an absent or null key takes the default.
+_OPTIONAL_KEYS = [f.name for f in fields(ExperimentConfig) if f.default is not MISSING]
 
 
 def _refuse_unknown(d: dict, known: set, what: str) -> None:
@@ -190,8 +164,7 @@ def _generator_from_dict(d: dict) -> GeneratorSpec:
     if model not in MODELS:
         raise ConfigError(f"generator.model must be one of {MODELS}, got {model!r}")
     _refuse_unknown(d, {"model", "seed", *_MODELS[model].fields}, f"generator keys for {model}")
-    kwargs = {k: _typed(v, _SPEC_TYPES[k], f"generator.{k}") for k, v in d.items() if k != "model"}
-    return GeneratorSpec(model=model, **kwargs)
+    return GeneratorSpec(**d)
 
 
 def _generator_to_dict(spec: GeneratorSpec) -> dict:
@@ -202,15 +175,14 @@ def _generator_to_dict(spec: GeneratorSpec) -> dict:
 def _start_from_dict(d: dict) -> StartSelection:
     if not isinstance(d, dict) or "kind" not in d:
         raise ConfigError("start must be a mapping with a 'kind' key")
-    kinds = {k.kind: k for k in _START_KINDS}
-    kind = kinds.get(_typed(d["kind"], str, "start.kind"))
+    kind = next((k for k in _START_KINDS if k.kind == d["kind"]), None)
     if kind is None:
-        raise ConfigError(f"start.kind must be one of {sorted(kinds)}, got {d['kind']!r}")
+        kinds = sorted(k.kind for k in _START_KINDS)
+        raise ConfigError(f"start.kind must be one of {kinds}, got {d['kind']!r}")
     _refuse_unknown(d, {"kind", kind.field}, f"start keys for {kind.kind}")
     if kind.field not in d:
         raise ConfigError(f"start.{kind.field} is required for kind {kind.kind}")
-    _, value = _checked_start(kind.cls(_typed(d[kind.field], kind.type, f"start.{kind.field}")))
-    return kind.cls(float(value) if kind.type is float else value)  # after the check: float() can overflow
+    return kind.cls(d[kind.field])  # ExperimentConfig checks it
 
 
 def _start_to_dict(sel: StartSelection) -> dict:
@@ -219,31 +191,23 @@ def _start_to_dict(sel: StartSelection) -> dict:
 
 
 def config_from_dict(d: dict) -> tuple[ExperimentConfig, dict | None]:
-    """Build an ExperimentConfig (and optional sweep block) from a parsed mapping;
-    a sweep block is refused exactly as `sweep` refuses it."""
+    """Build an ExperimentConfig (and optional sweep block) from a parsed mapping: the
+    records check the values, and a sweep block is refused exactly as `sweep` refuses it."""
     if not isinstance(d, dict):
         raise ConfigError("config root must be a mapping")
     _refuse_unknown(d, _TOP_KEYS, "config keys")
     if ("generator" in d) == ("edge_list" in d):
         raise ConfigError("config needs exactly one of 'generator' or 'edge_list'")
-    if "generator" in d:
-        generator: GeneratorSpec | str = _generator_from_dict(d["generator"])
-    else:
-        generator = _typed(d["edge_list"], str, "edge_list")
-    policies = _typed(d.get("policies"), [str], "policies")  # ExperimentConfig reads the names
+    generator = _generator_from_dict(d["generator"]) if "generator" in d else d["edge_list"]
     start = _start_from_dict(d.get("start"))
-    given = {k: _typed(d[k], t, k) for k, t in _OPTIONAL_TYPES.items() if d.get(k) is not None}
-    cfg = ExperimentConfig(generator, policies, start, **given)
+    given = {k: d[k] for k in _OPTIONAL_KEYS if d.get(k) is not None}
+    cfg = ExperimentConfig(generator, d.get("policies"), start, **given)
     sweep_block = d.get("sweep")
     if sweep_block is not None:
         if not isinstance(sweep_block, dict):
             raise ConfigError("sweep must be a mapping")
         _refuse_unknown(sweep_block, {"axis", "values"}, "sweep keys")
-        axis = _typed(sweep_block.get("axis"), str, "sweep.axis")
-        values = sweep_block.get("values")
-        if values is not None:
-            _typed(values, [{"model": str, **_SPEC_TYPES}.get(axis, float)], "sweep.values")
-        _sweep_configs(cfg, axis, values)
+        _sweep_configs(cfg, sweep_block.get("axis"), sweep_block.get("values"))
     return cfg, sweep_block
 
 
@@ -300,7 +264,7 @@ def write_curves_csv(curves: Sequence[TaggedCurve], path: str | Path) -> None:
             key = (c.group, policy, c.start, c.repetition, threshold)
             rows.append((key, f"{prefix}{threshold:.4f},{steps}\n"))
     rows.sort(key=itemgetter(0))
-    Path(path).write_text(CURVE_HEADER + "\n" + "".join([line for _, line in rows]))
+    _write_text(path, CURVE_HEADER + "\n" + "".join([line for _, line in rows]))
 
 
 def write_aggregate_csv(aggregates: Sequence[AggregateCurve], path: str | Path) -> None:
@@ -309,12 +273,20 @@ def write_aggregate_csv(aggregates: Sequence[AggregateCurve], path: str | Path) 
         for threshold, mean, sd in zip(a.thresholds, a.mean_steps, a.sd_steps):
             rows.append((a.group, a.policy.value, threshold, mean, sd, a.n_samples))
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    with Path(path).open("w") as fh:
-        fh.write(AGGREGATE_HEADER + "\n")
-        for group, policy, threshold, mean, sd, n in rows:
-            fh.write(f"{group},{policy},{threshold:.4f},{mean:.4f},{sd:.4f},{n}\n")
+    lines = [f"{g},{p},{t:.4f},{mean:.4f},{sd:.4f},{n}\n" for g, p, t, mean, sd, n in rows]
+    _write_text(path, AGGREGATE_HEADER + "\n" + "".join(lines))
 
 
 def write_json(path: str | Path, payload: dict) -> None:
     """Every JSON file netbrain writes: indented, keys sorted, one final newline."""
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _write_text(path: str | Path, text: str) -> None:
+    """Every file netbrain writes, whole or not at all: written under a temporary name, then renamed."""
+    tmp = Path(f"{path}.{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)

@@ -10,16 +10,14 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 import random
 from dataclasses import dataclass, fields
-from operator import index
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import _native
-from .errors import ParameterError
+from .errors import ParameterError, _typed
 from .graph import _INT32, Graph, build_graph, build_graph_reported, largest_connected_component
 
 logger = logging.getLogger(__name__)
@@ -46,41 +44,21 @@ class GeneratorSpec:
     degree_sequence: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        # Integers become Python ints: numpy's do not seed random.Random.
+        for name, kind in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if value is not None or name != "degree_sequence":  # which may be None
+                object.__setattr__(self, name, _typed(value, kind, f"generator.{name}"))
         if self.model not in _MODELS:
             raise ParameterError(f"unknown model {self.model!r}, expected one of {MODELS}")
-        # Integers are kept as Python ints (numpy's do not seed random.Random),
-        # the degree sequence as a tuple of them.
-        for f in fields(self)[1:]:
-            value = getattr(self, f.name)
-            if f.default is None:  # degree_sequence
-                if value is None:
-                    continue
-                try:
-                    ints = tuple(map(index, value))  # `index` takes bools too
-                except TypeError:
-                    ints = None
-                if ints is None or bool in map(type, value):
-                    raise ParameterError(f"{f.name} must be a sequence of integers")
-                object.__setattr__(self, f.name, ints)
-            elif type(f.default) is int:
-                if not _integer(value):
-                    raise ParameterError(f"{f.name} must be an integer, got {value!r}")
-                object.__setattr__(self, f.name, index(value))
-            elif not _number(value):
-                raise ParameterError(f"{f.name} must be a number, got {value!r}")
         if self.seed < 0:  # numpy refuses it, and random.Random would seed from |seed|
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
         _MODELS[self.model].check(**_params(self))
 
 
-def _integer(value) -> bool:
-    """A Python or numpy integer; a bool is not one."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _number(value) -> bool:
-    """A Python or numpy real number; a bool is not one."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+# Each GeneratorSpec field's type: a number takes its default's type.
+_FIELD_TYPES = {"model": str} | {f.name: type(f.default) for f in fields(GeneratorSpec)[1:]}
+_FIELD_TYPES["degree_sequence"] = [int]
 
 
 @dataclass(frozen=True)
@@ -135,6 +113,9 @@ def _gnp_pairs(n: int, p: float, rng: random.Random) -> Iterator[tuple[int, int]
 # waxman holds at most about twice its expected edges as candidates, at 24
 # bytes each.
 _MAX_EDGES = 5_000_000
+# The most nodes a model may have: set-up takes about 29 bytes a node whatever the edges (er at n=4,000,000,
+# k_avg=0.01: 149 MB peak RSS for a 4-node LCC, 35 MB of it the import; 2-CPU Xeon).
+_MAX_NODES = 5_000_000
 
 
 def _check_n_k(n: int, k_avg: float) -> None:
@@ -142,6 +123,8 @@ def _check_n_k(n: int, k_avg: float) -> None:
         raise ParameterError(f"need n >= 2, got {n}")
     if n >= _INT32:  # no Graph holds more; checked before n meets a float below
         raise ParameterError(f"need n < 2**31, got {n}")
+    if n > _MAX_NODES:
+        raise ParameterError(f"n={n:,} is above the bound of {_MAX_NODES:,} nodes; lower n")
     if not 0 < k_avg < n:
         raise ParameterError(f"need 0 < k_avg < n, got k_avg={k_avg}, n={n}")
     if n * k_avg / 2 > _MAX_EDGES:
@@ -229,13 +212,13 @@ _SBM_MAX_BLOCKS = 100_000
 
 
 def _check_sbm(n: int, blocks: int, mu: float, k_avg: float) -> None:
-    _check_n_k(n, k_avg)
-    if not 1 <= blocks <= n:
-        raise ParameterError(f"need 1 <= blocks <= n, got blocks={blocks}, n={n}")
     if blocks > _SBM_MAX_BLOCKS:
         raise ParameterError(
             f"sbm with {blocks:,} blocks is above the bound of {_SBM_MAX_BLOCKS:,}; lower blocks"
         )
+    _check_n_k(n, k_avg)
+    if not 1 <= blocks <= n:
+        raise ParameterError(f"need 1 <= blocks <= n, got blocks={blocks}, n={n}")
     _check_unit("mu", mu)
     # gen_sbm visits every block pair when mu > 0, drawn from or not.
     block_pairs = blocks * (blocks - 1) // 2

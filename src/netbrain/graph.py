@@ -60,11 +60,6 @@ class Graph:
     def mean_degree(self) -> float:
         return 2.0 * self.m / self.n if self.n else 0.0
 
-    def edges(self) -> list[tuple[int, int]]:
-        """All edges as (u, v) with u < v, in ascending order."""
-        source, target = _upper_arcs(self)
-        return list(zip(source.tolist(), target.tolist()))
-
     def _key(self) -> tuple[int, bytes, bytes]:
         return self.n, self.indptr.tobytes(), self.indices.tobytes()
 

@@ -10,7 +10,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
-from operator import index, mul
+from operator import mul
 from statistics import fmean
 from typing import Callable, Sequence, Union
 
@@ -26,8 +26,8 @@ from .dynamics import (
     validate_target_fraction,
     validate_thresholds,
 )
-from .errors import AggregationError, ConfigError, ParameterError
-from .generators import _MODELS, GeneratorSpec, RealizedStats, _integer, generate
+from .errors import AggregationError, ConfigError, ParameterError, _typed
+from .generators import _FIELD_TYPES, _MODELS, GeneratorSpec, RealizedStats, generate
 from .graph import Graph, betweenness, degree_ranked_nodes
 
 PERCENTILE_START_CAP = 100  # starts drawn above a betweenness percentile
@@ -108,7 +108,7 @@ class _StartKind:
     kind: str  # the config file's start.kind
     flag: str  # the --start form: prefix, colon, value
     field: str
-    type: object  # the field's config type: int, float or [int]
+    type: object  # the field's type: int, float or [int]
     ok: Callable[[object], bool]
     rule: str  # what `ok` demands, for the error message
     pick: Callable[[Graph, object, random.Random], list[int]]
@@ -140,20 +140,20 @@ _START_KINDS = (
 
 
 def _checked_start(selection: StartSelection) -> tuple[_StartKind, object]:
-    """The kind of `selection` and its field's value, which passed the graph-free check."""
+    """The kind of `selection` and its field's value, typed, which passed the graph-free check."""
     for kind in _START_KINDS:
         if type(selection) is kind.cls:
-            value = getattr(selection, kind.field)
+            value = _typed(getattr(selection, kind.field), kind.type, f"start.{kind.field}")
             if not kind.ok(value):
                 raise ConfigError(f"{kind.rule}, got {value}")
-            return kind, value
+            return kind, float(value) if kind.type is float else value  # after ok(): float() can overflow
     raise ConfigError(f"unknown start selection {selection!r}")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full declarative description of one experiment, checked when built or replaced.
-    It keeps what it checked: policies as members, the thresholds and fraction as floats."""
+    """Full declarative description of one experiment, checked when built or replaced. It keeps what
+    it checked: policies as members, integers as Python ints, thresholds and fraction as floats."""
 
     generator: GeneratorSpec | str  # a model spec, or a path to an edge list
     policies: tuple[WalkPolicy, ...]
@@ -165,23 +165,24 @@ class ExperimentConfig:
     target_fraction: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "policies", tuple(WalkPolicy(p) for p in self.policies))
+        if not isinstance(self.generator, GeneratorSpec):  # a path, as a config's edge_list
+            _typed(self.generator, str, "edge_list")
+        for name, kind in _CONFIG_TYPES.items():
+            object.__setattr__(self, name, _typed(getattr(self, name), kind, name))
+        kind, value = _checked_start(self.start)
+        object.__setattr__(self, "start", kind.cls(value))
+        object.__setattr__(self, "policies", tuple(map(WalkPolicy, self.policies)))
         if not self.policies:
             raise ConfigError("at least one walk policy is required")
         if len(set(self.policies)) != len(self.policies):  # each policy keys its own curves
             names = ", ".join(p.value for p in self.policies)
             raise ConfigError(f"policies must be distinct, got {names}")
-        reps = self.repetitions_per_start
-        if not _integer(reps):
-            raise ConfigError(f"repetitions_per_start must be an integer, got {reps!r}")
-        if reps < 1:
+        if self.repetitions_per_start < 1:
             raise ConfigError("repetitions_per_start must be >= 1")
-        object.__setattr__(self, "repetitions_per_start", index(reps))  # a Python int, as JSON writes
-        validate_step_cap(self.step_cap)
+        object.__setattr__(self, "step_cap", validate_step_cap(self.step_cap))
         # derive_seed packs it as 64 bits; a wider seed would alias one inside the range.
-        seed = self.master_seed
-        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed <= _MASK64:
-            raise ConfigError(f"master_seed must be an integer in [0, 2**64), got {seed!r}")
+        if not 0 <= self.master_seed <= _MASK64:
+            raise ConfigError(f"master_seed must be an integer in [0, 2**64), got {self.master_seed!r}")
         object.__setattr__(self, "thresholds", validate_thresholds(self.thresholds))
         object.__setattr__(self, "target_fraction", validate_target_fraction(self.target_fraction))
         if self.thresholds[-1] > self.target_fraction + 1e-12:
@@ -189,9 +190,14 @@ class ExperimentConfig:
                 "threshold grid extends beyond target_fraction; the top thresholds "
                 "would never be crossed"
             )
-        _checked_start(self.start)
         # One start, the fewest a run has; run_experiment checks again with the starts it selects.
         _check_crossings(len(self.policies) * self.repetitions_per_start, len(self.thresholds))
+
+
+# The type of each ExperimentConfig field but `generator` (a spec or any string), `start` and `step_cap`.
+_CONFIG_TYPES = dict(
+    policies=[str], repetitions_per_start=int, thresholds=[float], master_seed=int, target_fraction=float
+)
 
 
 @dataclass(frozen=True)
@@ -426,9 +432,10 @@ def _sweep_configs(base: ExperimentConfig, axis: str, values: Sequence | None) -
     model = base.generator.model
     axes = ("model", "hub_degree", *(f for f in _MODELS[model].fields if f != "degree_sequence"))
     if axis not in axes:
-        raise ConfigError(f"sweep axis {axis!r} is not a parameter of {model}; expected one of {axes}")
+        raise ConfigError(f"sweep.axis {axis!r} is not a parameter of {model}; expected one of {axes}")
+    values = _typed(values, [_FIELD_TYPES[axis]], "sweep.values")  # the axis field's type
     if not values or len(set(values)) != len(values):  # each value keys one result
-        raise ConfigError(f"sweep needs distinct axis values, got {values!r}")
+        raise ConfigError(f"sweep.values must be one or more distinct axis values, got {values!r}")
     seed = base.master_seed
     cfgs = []
     for i, value in enumerate(values):

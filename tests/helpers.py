@@ -15,7 +15,7 @@ from itertools import accumulate, combinations, permutations
 import numpy as np
 
 from netbrain import ConstructionError, GeneratorSpec, Graph, ParameterError, WalkPolicy, build_graph
-from netbrain.graph import DropCounts, is_connected
+from netbrain.graph import DropCounts, _upper_arcs, is_connected
 
 # One spec per network model, with non-default model parameters.
 ALL_SPECS = [
@@ -26,6 +26,14 @@ ALL_SPECS = [
     GeneratorSpec(model="waxman", n=200, k_avg=6, seed=5, alpha=0.3),
     GeneratorSpec(model="sbm", n=200, k_avg=6, seed=6, blocks=4, mu=0.02),
 ]
+
+
+
+def edges(g: Graph) -> list[tuple[int, int]]:
+    """All edges of `g` as (u, v) with u < v, in ascending order."""
+    source, target = _upper_arcs(g)
+    return list(zip(source.tolist(), target.tolist()))
+
 
 # The config file of acceptance criterion 8 (deterministic CSV output).
 CRITERION_8_CONFIG = {

@@ -8,7 +8,7 @@ import pytest
 
 import netbrain.generators
 import netbrain.harness
-from helpers import ALL_SPECS
+from helpers import ALL_SPECS, edges
 from netbrain import _native, cli, generate, ingest_edge_list
 from netbrain.cli import main
 
@@ -99,7 +99,7 @@ def test_generate_writes_the_library_graph(tmp_path, spec):
         args += ["--degrees-file", degrees]
     assert run_cli(*args) == 0
     lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
-    assert [tuple(map(int, line.split())) for line in lines] == generate(spec).graph.edges()
+    assert [tuple(map(int, line.split())) for line in lines] == edges(generate(spec).graph)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.model)

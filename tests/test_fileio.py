@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import ALL_SPECS, path_graph
+from helpers import ALL_SPECS, edges, path_graph
 from netbrain import (
     ConfigError,
     DegreeRankedStride,
@@ -148,7 +148,7 @@ def test_roundtrip_preserves_degree_sequence(tmp_path):
     g2, label_map, _ = ingest_edge_list(f)
     assert g2.n == g.n and g2.m == g.m
     assert sorted(g2.degrees()) == sorted(g.degrees())
-    assert g2.edges() == g.edges()  # labels were already dense and sorted
+    assert edges(g2) == edges(g)  # labels were already dense and sorted
     # The bytes of one f-string line per edge, here with isolated nodes and long ids.
     rng = random.Random(6)
     sparse = build_graph(12_000, [(rng.randrange(12_000), rng.randrange(12_000)) for _ in range(5000)])
@@ -198,6 +198,37 @@ def test_examples_cover_every_model():
 def test_config_roundtrip_every_model(spec):
     cfg = replace(full_config(), generator=spec)
     assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == (cfg, None)
+
+
+# Every writer, given a text that goes into its output and a run's curves tagged with it.
+WRITERS = {
+    "edge_list": lambda path, text, curves: write_edge_list(path_graph(4), path, header=[text]),
+    "curves": lambda path, text, curves: write_curves_csv(curves, path),
+    "aggregate": lambda path, text, curves: write_aggregate_csv(aggregate(curves), path),
+    "json": lambda path, text, curves: fileio.write_json(path, {"group": text}),
+}
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_a_failed_write_leaves_no_file(tmp_path, monkeypatch, writer):
+    # Each writer writes a temporary file beside its output and renames it once whole.
+    cfg = ExperimentConfig(GeneratorSpec(model="er", n=30, k_avg=4, seed=1), ("standard",), ExplicitStarts((0,)),
+                           repetitions_per_start=1, thresholds=(0.5,), target_fraction=0.5)
+    write = WRITERS[writer]
+    write(tmp_path / "whole.out", "x", run_experiment(cfg, group="x"))
+    assert [p.name for p in tmp_path.iterdir()] == ["whole.out"]
+    if writer != "json":  # which escapes it: a lone surrogate, which UTF-8 refuses
+        with pytest.raises(UnicodeEncodeError):
+            write(tmp_path / "out", "\udc80", run_experiment(cfg, group="\udc80"))
+        assert [p.name for p in tmp_path.iterdir()] == ["whole.out"]
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(fileio.os, "replace", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        write(tmp_path / "out", "x", run_experiment(cfg, group="x"))
+    assert [p.name for p in tmp_path.iterdir()] == ["whole.out"]
 
 
 def base_config_dict():

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers import ALL_SPECS, average_clustering, cycle_graph, rowwise_gen_waxman, rowwise_waxman_beta
+from helpers import ALL_SPECS, average_clustering, cycle_graph, edges, rowwise_gen_waxman, rowwise_waxman_beta
 from netbrain import GeneratorSpec, ParameterError, generate, generators
 from netbrain.generators import gen_ba, gen_cm, gen_er, gen_sbm, gen_waxman, gen_ws, sbm_intra_probability
 from netbrain.graph import is_connected
@@ -19,7 +19,7 @@ from netbrain.graph import is_connected
 def test_same_seed_gives_identical_edges(spec):
     a = generate(spec).graph
     b = generate(spec).graph
-    assert a.edges() == b.edges()
+    assert edges(a) == edges(b)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.model)
@@ -40,7 +40,7 @@ def test_outputs_are_simple_and_symmetric(spec):
     assert sum(g.degrees()) == 2 * g.m
 
 
-# sha256 of repr(graph.edges()), recorded before the G(n, p) samplers of ER
+# sha256 of repr(edges(graph)), recorded before the G(n, p) samplers of ER
 # and SBM were merged into one; a sampler change may not move an edge.
 EDGE_DIGESTS = {
     "er": "1a96dbefdf1de6724cc1b9d7db17916921b45387aa52ec6bf121014dc6077a99",
@@ -60,8 +60,8 @@ PINNED_GRAPHS = [(s.model, lambda s=s: generate(s).graph) for s in ALL_SPECS] + 
 
 @pytest.mark.parametrize("name, build", PINNED_GRAPHS, ids=[n for n, _ in PINNED_GRAPHS])
 def test_generator_edges_are_pinned(name, build):
-    edges = build().edges()
-    assert hashlib.sha256(repr(edges).encode()).hexdigest() == EDGE_DIGESTS[name]
+    listed = edges(build())
+    assert hashlib.sha256(repr(listed).encode()).hexdigest() == EDGE_DIGESTS[name]
 
 
 # --- ER ------------------------------------------------------------------
@@ -161,7 +161,7 @@ def test_cm_rejects_odd_sum():
 
 def test_ws_zero_rewiring_is_ring_lattice():
     g = gen_ws(10, 2, 0.0, seed=0)
-    assert g.edges() == cycle_graph(10).edges()
+    assert edges(g) == edges(cycle_graph(10))
 
 
 def test_ws_edge_count_is_exact_for_any_p():
@@ -173,7 +173,7 @@ def test_ws_edge_count_is_exact_for_any_p():
 def test_ws_default_rewiring_moves_a_few_percent():
     g = gen_ws(1000, 4, 0.03, seed=11)
     lattice = {frozenset((u, (u + j) % 1000)) for j in (1, 2) for u in range(1000)}
-    rewired = sum(1 for u, v in g.edges() if frozenset((u, v)) not in lattice)
+    rewired = sum(1 for u, v in edges(g) if frozenset((u, v)) not in lattice)
     assert 30 <= rewired <= 90  # Binomial(2000, 0.03) under a pinned seed
 
 
@@ -252,8 +252,8 @@ def test_waxman_matches_the_row_by_row_reference(monkeypatch, n, k_avg, alpha, s
     assert _outcome(generators.waxman_beta, points, k_avg, alpha) == _outcome(
         rowwise_waxman_beta, points, k_avg, alpha
     )
-    assert _outcome(lambda: gen_waxman(n, k_avg, alpha, seed).edges()) == _outcome(
-        lambda: rowwise_gen_waxman(n, k_avg, alpha, seed).edges()
+    assert _outcome(lambda: edges(gen_waxman(n, k_avg, alpha, seed))) == _outcome(
+        lambda: edges(rowwise_gen_waxman(n, k_avg, alpha, seed))
     )
 
 
@@ -282,7 +282,7 @@ def test_waxman_grid_filters_held_candidates_again(monkeypatch):
     monkeypatch.setattr(generators, "np", SimpleNamespace(**vars(np)))
     monkeypatch.setattr(generators.np, "concatenate", concatenate)
     monkeypatch.setattr(generators, "_WAXMAN_BLOCK_PAIRS", 64)
-    assert gen_waxman(600, 2, 1.0, seed=5).edges() == rowwise_gen_waxman(600, 2, 1.0, 5).edges()
+    assert edges(gen_waxman(600, 2, 1.0, seed=5)) == edges(rowwise_gen_waxman(600, 2, 1.0, 5))
     assert max(joined[:-4]) > 600 * 2
 
 
@@ -311,6 +311,21 @@ def test_models_refuse_expected_edges_above_the_bound(model):
         GeneratorSpec(model=model, n=20_000, k_avg=502, seed=0)
     with pytest.raises(ParameterError, match="above the bound"):
         GeneratorSpec(model=model, n=10**6, k_avg=10**5, seed=0)
+
+
+@pytest.mark.parametrize("model", ["er", "ba", "ws", "waxman", "sbm"])
+def test_models_refuse_nodes_above_the_bound(model, monkeypatch):
+    # A tiny k_avg keeps the edges under their bound, while set-up costs about
+    # 29 bytes a node: only the checks run.
+    monkeypatch.setattr(generators, "build_graph", lambda *args: pytest.fail("a graph was built"))
+    params = dict(k_avg=2 if model == "ws" else 0.01, mu=0.0, blocks=10, p_rewire=0.1, alpha=0.5)
+    if model != "waxman":  # which weighs every pair, and so is refused at the bound too
+        GeneratorSpec(model=model, n=5_000_000, seed=0, **params)
+    with pytest.raises(ParameterError, match=r"^n=5,000,001 is above the bound of 5,000,000 nodes; lower n$"):
+        GeneratorSpec(model=model, n=5_000_001, seed=0, **params)
+    build = generators._MODELS[model]
+    with pytest.raises(ParameterError, match="above the bound of 5,000,000"):
+        build.build(n=5_000_001, seed=0, **{f: params[f] for f in build.fields if f != "n"})
 
 
 def test_ba_refuses_attachments_above_the_edge_bound():

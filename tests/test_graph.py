@@ -9,6 +9,7 @@ from helpers import (
     brute_force_betweenness,
     complete_graph,
     cycle_graph,
+    edges,
     path_graph,
     random_connected_graph,
     set_build_graph_reported,
@@ -104,7 +105,7 @@ def test_array_build_names_the_first_edge_outside_the_range(n, edges):
 
 
 @pytest.mark.parametrize(
-    "edges",
+    "pairs",
     [
         [(0, 1.5)],
         [(0, "1")],
@@ -120,12 +121,12 @@ def test_array_build_names_the_first_edge_outside_the_range(n, edges):
     ids=["float", "str", "whole-floats", "numpy-float", "triple", "triple-and-single", "single", "none",
          "float-array", "flat-array"],
 )
-def test_build_refuses_anything_but_integer_pairs(edges):
+def test_build_refuses_anything_but_integer_pairs(pairs):
     # No endpoint is cast: int64 would take 1.5, "1" and 1.0 as 1.
-    for given in (edges, iter(edges)):
+    for given in (pairs, iter(pairs)):
         with pytest.raises(ValueError, match="^edges must be pairs of integers$"):
             build_graph(3, given)
-    assert build_graph(3, [(np.int32(0), np.int64(1)), (np.uint8(2), 1)]).edges() == [(0, 1), (1, 2)]
+    assert edges(build_graph(3, [(np.int32(0), np.int64(1)), (np.uint8(2), 1)])) == [(0, 1), (1, 2)]
 
 
 def test_build_refuses_graphs_beyond_int32(monkeypatch, tmp_path):
@@ -206,7 +207,7 @@ def test_lcc_matches_a_rebuild_of_its_component(seed):
         assert kept.tolist() == best
         mapping = {old: new for new, old in enumerate(best)}
         expected = set_build_graph_reported(
-            len(best), [(mapping[u], mapping[v]) for u, v in g.edges() if u in mapping]
+            len(best), [(mapping[u], mapping[v]) for u, v in edges(g) if u in mapping]
         )
         assert_same_build((lcc, expected[1]), expected)
         if lcc.n == g.n:
@@ -254,7 +255,7 @@ def test_lcc_connected_graph_is_identity():
     lcc, kept = largest_connected_component(g)
     assert lcc.n == 6
     assert kept.tolist() == list(range(6))
-    assert lcc.edges() == g.edges()
+    assert edges(lcc) == edges(g)
 
 
 def test_lcc_k4_beats_p3():

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import statistics
 import sys
 import threading
@@ -9,7 +10,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import complete_graph, path_graph, star_graph
+import netbrain.generators
+from helpers import complete_graph, cycle_graph, path_graph, star_graph
 from netbrain import (
     AggregationError,
     BetweennessPercentile,
@@ -19,6 +21,7 @@ from netbrain import (
     ExperimentConfig,
     ExplicitStarts,
     GeneratorSpec,
+    NetbrainError,
     ParameterError,
     TopHubs,
     WalkCounts,
@@ -64,10 +67,12 @@ def test_derive_seed_is_stable_and_sensitive():
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5, True, 5.0, "5"])
 def test_master_seed_outside_64_bits_refused(seed):
     # derive_seed packs 64 bits: 2**64 + 5 would alias 5.
-    with pytest.raises(ConfigError, match=r"master_seed must be an integer in \[0, 2\*\*64\)"):
+    rule = r"in \[0, 2\*\*64\)" if type(seed) is int else f"got {seed!r}"
+    with pytest.raises(ConfigError, match=rf"master_seed must be an integer,? {rule}"):
         small_config(master_seed=seed)
     small_config(master_seed=0)
     small_config(master_seed=2**64 - 1)
+    assert small_config(master_seed=np.uint64(2**64 - 1)).master_seed == 2**64 - 1
 
 
 # --- select_starts -----------------------------------------------------------
@@ -202,6 +207,104 @@ def test_configs_keep_the_values_they_checked():
     assert cfg.thresholds == (1.0,) and type(cfg.thresholds[0]) is float
     assert type(cfg.target_fraction) is float
     assert replace(cfg) == cfg
+
+
+@pytest.mark.parametrize(
+    "changes, named",
+    [
+        ({"start": TopHubs(True)}, "start.count must be an integer, got True"),
+        ({"start": DegreeRankedStride(2.5)}, "start.stride must be an integer, got 2.5"),
+        ({"start": ExplicitStarts((1.5, 2))}, "start.nodes must be a sequence of integers, got 1.5 in it"),
+        ({"start": BetweennessPercentile("x")}, "start.min_percentile must be a number, got 'x'"),
+        ({"generator": 5}, "edge_list must be a string, got 5"),
+        ({"thresholds": (True,)}, "thresholds must be a sequence of numbers, got True in it"),
+        ({"thresholds": ("a",)}, "thresholds must be a sequence of numbers, got 'a' in it"),
+        ({"target_fraction": True}, "target_fraction must be a number, got True"),
+        ({"policies": 5}, "policies must be a sequence of strings, got 5"),
+        ({"step_cap": np.bool_(True)}, "step_cap must be an integer, got"),
+    ],
+)
+def test_configs_refuse_a_mistyped_field_when_built(changes, named):
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        small_config(**changes)
+
+
+def test_configs_keep_numpy_scalars_as_python_values():
+    cfg = small_config(
+        start=ExplicitStarts((np.int64(0), np.uint8(1))), repetitions_per_start=np.int32(2),
+        step_cap=np.int64(500), master_seed=np.uint64(99), thresholds=(np.float32(0.5), 1),
+    )
+    plain = small_config(start=ExplicitStarts((0, 1)), step_cap=500)
+    assert cfg == plain
+    assert {type(v) for v in (*cfg.start.nodes, cfg.repetitions_per_start, cfg.step_cap, cfg.master_seed)} == {int}
+    assert run_experiment(cfg) == run_experiment(plain)
+    assert small_config(start=BetweennessPercentile(np.float32(0.5))).start == BetweennessPercentile(0.5)
+    with pytest.raises(ConfigError, match="sweep.values must be a sequence of integers, got 5"):
+        sweep(small_config(), "n", 5)
+
+
+# What a record field, or an item of one, becomes in the record fuzz: bools,
+# floats, strings, nothing, empty lists, an integer no float holds; then
+# numpy scalars drawn by `record_mutants`.
+RECORD_MUTANTS = [True, False, np.bool_(False), 1.5, float("nan"), "x", "3", None, [], (), 10**400, -(10**400)]
+FUZZ_SPECS = [
+    GeneratorSpec(model="er", n=30, k_avg=4, seed=1),
+    GeneratorSpec(model="ba", n=30, k_avg=4, seed=2),
+    GeneratorSpec(model="cm", degree_sequence=(2, 3, 3, 2, 2, 2, 1, 1, 2, 2), seed=3),
+    GeneratorSpec(model="ws", n=30, k_avg=4, p_rewire=0.1, seed=4),
+    GeneratorSpec(model="waxman", n=30, k_avg=4, alpha=0.5, seed=5),
+    GeneratorSpec(model="sbm", n=30, k_avg=4, blocks=2, mu=0.02, seed=6),
+]
+
+
+def record_mutants(rng: random.Random) -> list:
+    return RECORD_MUTANTS + [
+        np.int64(rng.randrange(-2, 40)), np.int32(rng.randrange(0, 9)), np.uint8(rng.randrange(0, 4)),
+        np.float64(rng.random()), np.float32(rng.uniform(0, 8)),
+    ]
+
+
+def record_cases(rng: random.Random):
+    """(what, build) for every field of every spec model, config field and start
+    kind, and every item of a sequence field, replaced by each mutant."""
+    for spec in FUZZ_SPECS:
+        for f in fields(GeneratorSpec):
+            for m in record_mutants(rng):
+                yield (spec.model, f.name, m), lambda f=f, m=m, spec=spec: small_config(
+                    generator=replace(spec, **{f.name: m}), start=ExplicitStarts((0,)))
+    base = small_config(start=ExplicitStarts((0, 1)), policies=("standard", "look_ahead"))
+    for f in fields(ExperimentConfig):
+        value = getattr(base, f.name)
+        for m in record_mutants(rng):
+            yield ("config", f.name, m), lambda f=f, m=m: replace(base, **{f.name: m})
+            if isinstance(value, tuple):
+                items = (m, *value[1:])
+                yield ("config", f.name, "item", m), lambda f=f, items=items: replace(base, **{f.name: items})
+    for cls in (DegreeRankedStride, TopHubs, BetweennessPercentile):
+        for m in record_mutants(rng):
+            yield (cls.__name__, m), lambda cls=cls, m=m: replace(base, start=cls(m))
+    for m in record_mutants(rng):
+        yield ("ExplicitStarts", m), lambda m=m: replace(base, start=ExplicitStarts(m))
+        yield ("ExplicitStarts", "item", m), lambda m=m: replace(base, start=ExplicitStarts((0, m)))
+
+
+def test_mutated_records_run_or_raise_one_netbrain_error(monkeypatch):
+    # No mutant may build a large graph or run many cells.
+    monkeypatch.setattr(netbrain.generators, "_MAX_EDGES", 1000)
+    monkeypatch.setattr(harness, "_MAX_CROSSINGS", 2000)
+    graph = cycle_graph(12)
+    broken = []
+    for what, build in record_cases(random.Random(2018)):  # drawn once
+        bool_mutant = isinstance(what[-1], (bool, np.bool_))
+        try:
+            cfg = build()
+            assert not bool_mutant, "a bool was taken"
+            run_experiment(cfg, graph=None if isinstance(cfg.generator, GeneratorSpec) else graph)
+        except NetbrainError:
+            pass
+        except Exception as exc:  # the fault the fuzz looks for
+            broken.append((what, f"{type(exc).__name__}: {exc}"[:200]))
+    assert not broken, broken[:5]
 
 
 def test_configs_bound_crossings_for_one_start(monkeypatch):

@@ -10,6 +10,7 @@ these tests do not skip.
 """
 
 import ctypes
+import inspect
 import itertools
 import json
 import os
@@ -28,6 +29,7 @@ from helpers import (
     brute_force_betweenness,
     connected_graphs_up_to_iso,
     cycle_graph,
+    edges,
     path_graph,
     set_build_graph_reported,
     star_graph,
@@ -103,6 +105,25 @@ def discover(g, brain, policy, rng, **kwargs):
 def test_kernel_builds_and_loads():
     for name in _native._ENTRY_POINTS:
         assert _native.LOADER.kernel(name) is not None
+
+
+def test_kernel_arguments_convert_in_c():
+    # numpy's ndpointer converts in Python, and ctypes wraps an interrupt that
+    # lands there as an ArgumentError, which escapes the CLI's handler.
+    for name in _native._ENTRY_POINTS:
+        fn = _native.LOADER.kernel(name).args[0]
+        assert all(inspect.isbuiltin(t.from_param) for t in fn.argtypes), name
+
+
+def test_kernel_arrays_are_checked_before_the_call():
+    g = cycle_graph(6)
+    components = _native.LOADER.kernel("netbrain_components")
+    labels = np.empty(g.n, dtype=np.int32)
+    components(g.indptr, g.indices, g.n, labels, np.empty(g.n, dtype=np.int32))
+    assert labels.tolist() == [0] * 6
+    for bad in (labels.astype(np.int64), np.empty(2 * g.n, dtype=np.int32)[::2], labels.tolist()):
+        with pytest.raises(TypeError, match="netbrain_components takes a C-contiguous int32 array"):
+            components(g.indptr, g.indices, g.n, bad, np.empty(g.n, dtype=np.int32))
 
 
 @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
@@ -338,7 +359,7 @@ def test_overflow_in_a_later_block_falls_back_to_python(threads, monkeypatch):
     lead = 200
     chain = diamond_chain(54)
     g = build_graph(lead + chain.n, [(i, i + 1) for i in range(lead - 1)] + [
-        (lead + u, lead + v) for u, v in chain.edges()
+        (lead + u, lead + v) for u, v in edges(chain)
     ])
     assert _native._block_rows(g.n) <= lead  # the chain starts after the first block
     monkeypatch.setattr(_native, "_cpu_count", lambda: threads)
@@ -508,7 +529,7 @@ def test_edge_line_kernel_matches_the_python_lines(name):
         g = build_graph(10**6 + 1, [(10**j - 1, 10**j) for j in range(7)] + [(0, 10**6), (5, 10**6)])
     text = _native.format_edges(g)
     assert text == fileio._format_edges(g)
-    assert text == "".join(f"{u} {v}\n" for u, v in g.edges())
+    assert text == "".join(f"{u} {v}\n" for u, v in edges(g))
 
 
 # --- the decline rule ----------------------------------------------------------
