@@ -12,26 +12,18 @@ from . import __version__, _native
 from .dynamics import _walk_counts
 from .errors import ConfigError, NetbrainError, ParseError
 from .fileio import (
+    _curves_csv,
     _generator_from_dict,
     config_from_dict,
     config_to_dict,
     ingest_edge_list,
     load_config,
     write_aggregate_csv,
-    write_curves_csv,
     write_edge_list,
     write_json,
 )
 from .generators import _MODELS, MODELS, GeneratorSpec, generate
-from .harness import (
-    _START_KINDS,
-    _pool_size,
-    _worker_count,
-    aggregate,
-    resolve_graph,
-    run_experiment,
-    sweep,
-)
+from .harness import _START_KINDS, _pool_size, _Sink, _stream, _worker_count, resolve_graph, sweep
 
 
 # GeneratorSpec field -> (flag, help). Types and defaults come from the
@@ -203,11 +195,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     workers = _worker_count(args.workers)
     started = time.monotonic()
     graph, stats = resolve_graph(cfg)
-    curves = run_experiment(cfg, graph=graph, workers=workers)
+    cells = _stream(cfg, graph=graph, workers=workers)  # checked now; the cells run as the sink reads them
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_curves_csv(curves, out_dir / "curves.csv")
-    aggregates = aggregate(curves)
+    with _curves_csv(out_dir / "curves.csv") as write:
+        sink = _Sink(write).drain(cells)
+    aggregates = sink.aggregates()
     write_aggregate_csv(aggregates, out_dir / "aggregate.csv")
     _write_manifest(
         out_dir,
@@ -215,9 +208,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         aggregates,
         config=config_to_dict(cfg),
         graph_stats=None if stats is None else stats.__dict__,
-        workers=_pool_size(workers, len(curves)),
+        workers=_pool_size(workers, sink.cells),
     )
-    print(f"{len(curves)} curves -> {args.out}")
+    print(f"{sink.cells} curves -> {args.out}")
     return 0
 
 

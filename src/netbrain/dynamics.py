@@ -49,6 +49,12 @@ class Termination(str, Enum):
     FULL_COVERAGE = "full_coverage"
 
 
+# Members as globals: reading one through its Enum class costs about 0.1 us,
+# five times a walk, and criterion 7 runs 4.29M walks.
+_STANDARD, _LOOK_AHEAD = WalkPolicy.STANDARD, WalkPolicy.LOOK_AHEAD
+_DEAD_END, _STEP_CAP, _FULL_COVERAGE = Termination
+
+
 @dataclass(frozen=True)
 class WalkOutcome:
     """Result of a single walk: path taken, knowledge reported, cost."""
@@ -193,15 +199,16 @@ class _Walker:
         # A member skips the Enum call (~0.7 us a walk over millions of short walks).
         self.policy = policy if isinstance(policy, WalkPolicy) else WalkPolicy(policy)
         self.rng = rng
-        step_cap = validate_step_cap(step_cap)
-        self.cap = _NO_CAP if step_cap is None else min(step_cap, _NO_CAP)
+        self.cap = _NO_CAP if step_cap is None else min(validate_step_cap(step_cap), _NO_CAP)
         self.stop_count = g.n if stop_count is None else stop_count
         self.known = bytearray(g.n)
-        for v in known or ():
-            if not 0 <= v < g.n:
-                raise ValueError(f"known node {v} outside [0, {g.n})")
-            self.known[v] = 1
-        self.count = self.known.count(1)
+        self.count = 0
+        if known is not None:
+            for v in known:
+                if not 0 <= v < g.n:
+                    raise ValueError(f"known node {v} outside [0, {g.n})")
+                self.known[v] = 1
+            self.count = self.known.count(1)
         self.reported = bytearray(g.n)
         self.targets = targets
         self.crossed: list[int] = []
@@ -230,8 +237,8 @@ class _Walker:
         cap = self.cap
         base = self.cumulative_steps
         record = self._record
-        standard = self.policy is WalkPolicy.STANDARD
-        look_ahead = self.policy is WalkPolicy.LOOK_AHEAD
+        standard = self.policy is _STANDARD
+        look_ahead = self.policy is _LOOK_AHEAD
         brain = cur = self.brain
         state = bytearray(self.g.n)
         state[brain] = 3  # CURRENT
@@ -241,9 +248,9 @@ class _Walker:
         steps = 0 if standard else len(adj[brain])
         moves = 0
         path = [brain] if collect_path else None
-        target = record(count, base + steps)
+        target = record(count, base + steps) if self.targets else self.g.n + 1
         if count >= stop:
-            reason = Termination.FULL_COVERAGE
+            reason = _FULL_COVERAGE
         else:
             rnd = self.rng.random
             while True:
@@ -252,12 +259,13 @@ class _Walker:
                     elig = [w for w in nbrs if not state[w]]
                 else:
                     elig = [w for w in nbrs if state[w] < 2]  # not BLOCKED
-                if not elig:
-                    reason = Termination.DEAD_END
+                k = len(elig)
+                if not k:
+                    reason = _DEAD_END
                     break
                 # Exactly one rng draw per move keeps runs reproducible.
-                i = int(rnd() * len(elig))
-                nxt = elig[i if i < len(elig) else -1]
+                i = int(rnd() * k)
+                nxt = elig[i if i < k else -1]
                 moves += 1
                 state[cur] = 2  # BLOCKED
                 # Departure reports the neighbourhood, which is all known
@@ -284,16 +292,16 @@ class _Walker:
                 if count >= target:
                     target = record(count, base + steps)
                 if count >= stop:
-                    reason = Termination.FULL_COVERAGE
+                    reason = _FULL_COVERAGE
                     break
                 if steps >= cap:
-                    reason = Termination.STEP_CAP
+                    reason = _STEP_CAP
                     break
         self.count = count
         self.cumulative_steps = base + steps
         self.walk_count += 1
         self.moves += moves
-        self.cap_hits += reason is Termination.STEP_CAP
+        self.cap_hits += reason is _STEP_CAP
         return path, steps, reason
 
     def discover(self, stall_limit: int) -> bool:
@@ -330,12 +338,12 @@ def run_walk(
     Every departure reports its neighbourhood afresh.
     """
     walker = _Walker(g, brain, policy, rng, step_cap, known)
-    before = bytes(walker.known)
+    before = bytes(walker.known) if walker.count else None
     path, steps, reason = walker.walk(collect_path=True)
+    # Knowing nothing before, the walk made known all that is known now.
+    changed = walker.known if before is None else map(ne, walker.known, before)
     # Positional arguments: keywords double the cost of a frozen dataclass.
-    return WalkOutcome(
-        tuple(path), frozenset(compress(range(g.n), map(ne, walker.known, before))), steps, reason
-    )
+    return WalkOutcome(tuple(path), frozenset(compress(range(g.n), changed)), steps, reason)
 
 
 def run_discovery(

@@ -5,10 +5,12 @@ from __future__ import annotations
 import json
 import os
 import threading
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
+from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -254,17 +256,40 @@ def write_curves_csv(curves: Sequence[TaggedCurve], path: str | Path) -> None:
     """One row per (curve, threshold), sorted for byte-stable output.
 
     Rows sort on (group, policy, start, repetition, threshold); the sort is
-    stable, so rows with equal keys keep the order of `curves`. Each curve's
-    leading columns are formatted once."""
-    rows = []
-    for c in curves:
-        policy = c.policy.value
-        prefix = f"{c.group},{policy},{c.start},{c.start_degree},{c.repetition},"
-        for threshold, steps in c.curve.crossings:
-            key = (c.group, policy, c.start, c.repetition, threshold)
-            rows.append((key, f"{prefix}{threshold:.4f},{steps}\n"))
+    stable, so rows with equal keys keep the order of `curves`. The curves
+    are sorted on their first four keys, stably, and written one key at a
+    time (`_curves_csv`), without a list of all rows."""
+    with _curves_csv(path) as write:
+        for _, same in groupby(sorted(curves, key=_curve_key), key=_curve_key):
+            write(*same)
+
+
+def _curve_key(c: TaggedCurve) -> tuple[str, str, int, int]:
+    return c.group, c.policy.value, c.start, c.repetition
+
+
+@contextmanager
+def _curves_csv(path: str | Path) -> Iterator[Callable[..., object]]:
+    """A curves CSV at `path`, whole or not at all (`_writing`), and the
+    function that writes the rows of curves sharing one key. Calls must come
+    in key order; `netbrain run` makes one a cell as each finishes."""
+    with _writing(path) as fh:
+        fh.write(CURVE_HEADER + "\n")
+        yield lambda *same: fh.write(_curve_rows(same))
+
+
+def _curve_rows(same: Sequence[TaggedCurve]) -> str:
+    """The rows of curves that share one key, in threshold order; rows with
+    equal thresholds keep their order in `same`. Each curve's leading columns
+    are formatted once."""
+    rows = [
+        (threshold, steps, prefix)
+        for c in same
+        for prefix in [f"{c.group},{c.policy.value},{c.start},{c.start_degree},{c.repetition},"]
+        for threshold, steps in c.curve.crossings
+    ]
     rows.sort(key=itemgetter(0))
-    _write_text(path, CURVE_HEADER + "\n" + "".join([line for _, line in rows]))
+    return "".join([f"{prefix}{threshold:.4f},{steps}\n" for threshold, steps, prefix in rows])
 
 
 def write_aggregate_csv(aggregates: Sequence[AggregateCurve], path: str | Path) -> None:
@@ -283,10 +308,19 @@ def write_json(path: str | Path, payload: dict) -> None:
 
 
 def _write_text(path: str | Path, text: str) -> None:
-    """Every file netbrain writes, whole or not at all: written under a temporary name, then renamed."""
+    with _writing(path) as fh:
+        fh.write(text)
+
+
+@contextmanager
+def _writing(path: str | Path) -> Iterator[TextIO]:
+    """Every file netbrain writes, whole or not at all: written under a
+    temporary name beside `path`, and renamed to it when the block ends
+    without an error."""
     tmp = Path(f"{path}.{os.getpid()}-{threading.get_ident()}.tmp")
     try:
-        tmp.write_text(text)
+        with tmp.open("w") as fh:
+            yield fh
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)

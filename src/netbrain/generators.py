@@ -107,11 +107,11 @@ def _gnp_pairs(n: int, p: float, rng: random.Random) -> Iterator[tuple[int, int]
 
 
 # The most edges a model may expect to draw: n * k_avg / 2, or for an sbm
-# its clamp-aware count. er, ba, ws and sbm keep each drawn edge as a tuple
-# in a list, about 128 bytes per edge before build_graph packs them into
-# arrays, so this is over half a gigabyte. cm and waxman draw into arrays;
-# waxman holds at most about twice its expected edges as candidates, at 24
-# bytes each.
+# its clamp-aware count, or for a cm half its degree sum. er, ba, ws and sbm
+# keep each drawn edge as a tuple in a list, about 128 bytes per edge before
+# build_graph packs them into arrays, so this is over half a gigabyte. cm and
+# waxman draw into arrays: cm two int64 stubs an edge, and waxman at most
+# about twice its expected edges as candidates, at 24 bytes each.
 _MAX_EDGES = 5_000_000
 # The most nodes a model may have: set-up takes about 29 bytes a node whatever the edges (er at n=4,000,000,
 # k_avg=0.01: 149 MB peak RSS for a 4-node LCC, 35 MB of it the import; 2-CPU Xeon).
@@ -163,12 +163,21 @@ def _check_unit(name: str, value: float, open_below: bool = False) -> None:
 def _check_cm(degree_sequence: Sequence[int]) -> None:
     if not degree_sequence:
         raise ParameterError("cm requires a non-empty degree_sequence")
-    if sum(degree_sequence) % 2 != 0:
+    n = len(degree_sequence)
+    if n > _MAX_NODES:
+        raise ParameterError(f"a degree sequence of {n:,} nodes is above the bound of {_MAX_NODES:,} nodes")
+    total = sum(degree_sequence)
+    if total % 2 != 0:
         raise ParameterError("degree sequence must have an even sum")
     if min(degree_sequence) < 0:
         raise ParameterError("degrees must be non-negative")
-    if max(degree_sequence) >= len(degree_sequence):
+    if max(degree_sequence) >= n:
         raise ParameterError("max degree must be smaller than the sequence length")
+    if total // 2 > _MAX_EDGES:  # gen_cm holds two int64 stubs an edge
+        raise ParameterError(
+            f"a degree sequence summing to {total:,} asks for {total // 2:,} edges, "
+            f"above the bound of {_MAX_EDGES:,}; lower the degrees"
+        )
 
 
 def _check_ws(n: int, k_avg: float, p_rewire: float) -> None:

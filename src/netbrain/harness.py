@@ -7,15 +7,18 @@ import math
 import random
 import struct
 import sys
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
-from operator import mul
+from itertools import islice, product
+from operator import add, mul
 from statistics import fmean
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from . import _native
 from .dynamics import (
+    _COUNTERS,
     LearningCurve,
     WalkCounts,
     WalkPolicy,
@@ -31,11 +34,17 @@ from .generators import _FIELD_TYPES, _MODELS, GeneratorSpec, RealizedStats, gen
 from .graph import Graph, betweenness, degree_ranked_nodes
 
 PERCENTILE_START_CAP = 100  # starts drawn above a betweenness percentile
-# The crossings an experiment may keep (cells times thresholds). Each costs
-# about 400 bytes of peak RSS in `netbrain run`: 999,000 crossings peaked at
-# 421 MB against 37 MB for 1,800 (2-CPU Xeon). Scaled linearly, this bound
-# is near 4 GB.
+# The crossings an experiment may have (cells times thresholds). `netbrain
+# run` and `sweep` consume each cell as it finishes, so their memory does not
+# grow with the crossings: 9.0M crossings (er n=200, 90,000 cells) peaked at
+# 37 MB RSS, as 1.8M did (2-CPU Xeon). The list that `run_experiment`
+# returns still keeps every curve, about 90 bytes a crossing, so near 0.9 GB
+# at this bound.
 _MAX_CROSSINGS = 10_000_000
+# The most cells a process-pool task runs: a pool stops only once its
+# running tasks end, so an interrupted run waits for at most this many
+# cells a worker (Python engine, er n=200: about 3 ms a cell).
+_CHUNK_CELLS = 8
 
 _MASK64 = (1 << 64) - 1
 
@@ -304,31 +313,82 @@ def run_experiment(
 
     Child seeds are derived statelessly from (master_seed, cell indices), so
     cells are independent and the result is the same at any parallelism.
-    The pool of `workers` never exceeds the cell count or the CPUs the
-    process may use (`_pool_size`). With the native kernel the cells run in
-    threads that share the graph; with the Python engine, in worker
-    processes. A run whose curves would keep more than `_MAX_CROSSINGS`
-    crossings (cells times thresholds) raises `ConfigError` before any walk.
+    The curves come sorted by policy name, start node and repetition, the
+    order of `curves.csv`. The pool of `workers` never exceeds the cell count
+    or the CPUs the process may use (`_pool_size`). With the native kernel
+    the cells run in threads that share the graph; with the Python engine,
+    in worker processes. A run whose curves would keep more than
+    `_MAX_CROSSINGS` crossings (cells times thresholds) raises `ConfigError`
+    before any walk.
     """
+    return list(_stream(cfg, graph, group, workers))
+
+
+def _stream(
+    cfg: ExperimentConfig, graph: Graph | None = None, group: str = "", workers: int = 1
+) -> Iterator[TaggedCurve]:
+    """The curves of `run_experiment`, in its order, each as its cell
+    finishes. The graph, the starts and every check come now, before any
+    walk; the cells run as the iterator is read. A pool keeps at most two
+    tasks a worker in flight, so memory does not grow with the cells."""
     if graph is None:
         graph, _ = resolve_graph(cfg)
     starts = select_starts(graph, cfg.start, random.Random(derive_seed(cfg.master_seed, "starts")))
-    _check_crossings(len(cfg.policies) * len(starts) * cfg.repetitions_per_start, len(cfg.thresholds))
-    cells = [
-        (pi, si, ri)
-        for pi in range(len(cfg.policies))
-        for si in range(len(starts))
-        for ri in range(cfg.repetitions_per_start)
-    ]
-    run_cell = partial(_run_cell, graph, cfg, starts, group)
-    nworkers = _pool_size(_worker_count(workers), len(cells))  # a pool starts every worker up front
+    ncells = len(cfg.policies) * len(starts) * cfg.repetitions_per_start
+    _check_crossings(ncells, len(cfg.thresholds))
+    nworkers = _pool_size(_worker_count(workers), ncells)  # a pool starts every worker up front
+    # The output order; each cell keeps the config indices that seed it.
+    cells = product(
+        sorted(range(len(cfg.policies)), key=lambda pi: cfg.policies[pi].value),
+        sorted(range(len(starts)), key=starts.__getitem__),
+        range(cfg.repetitions_per_start),
+    )
+    return _run_cells(partial(_run_cell, graph, cfg, starts, group), cells, ncells, nworkers)
+
+
+def _run_cells(run_cell: Callable, cells: Iterator, ncells: int, nworkers: int) -> Iterator[TaggedCurve]:
+    """`run_cell` of each cell, in order: here, or on a pool of `nworkers`."""
     if nworkers <= 1:
-        return [run_cell(c) for c in cells]
-    # The kernel releases the GIL, so threads share the graph; Python walks need processes.
-    executor = ThreadPoolExecutor if _native.available() else ProcessPoolExecutor
-    with executor(max_workers=nworkers) as pool:
-        chunksize = max(1, len(cells) // (4 * nworkers))  # processes only; threads ignore it
-        return list(pool.map(run_cell, cells, chunksize=chunksize))
+        yield from map(run_cell, cells)
+    elif _native.available():  # the kernel releases the GIL, so threads share the graph
+        with ThreadPoolExecutor(max_workers=nworkers) as pool:
+            yield from _in_order(pool, run_cell, cells, 2 * nworkers)
+    else:  # Python walks hold the GIL: processes, each handed the graph once, run chunks of cells
+        size = max(1, min(_CHUNK_CELLS, ncells // (4 * nworkers)))
+        chunks = iter(lambda: tuple(islice(cells, size)), ())
+        with ProcessPoolExecutor(max_workers=nworkers, initializer=_set_cell_runner, initargs=(run_cell,)) as pool:
+            for chunk in _in_order(pool, _run_chunk, chunks, 2 * nworkers):
+                yield from chunk
+
+
+def _in_order(pool: Executor, fn: Callable, items: Iterable, depth: int) -> Iterator:
+    """`fn` of each item, run on `pool` and yielded in the order of `items`,
+    with at most `depth` calls submitted and not yet yielded (`Executor.map`
+    submits them all at once). Calls not yet started are cancelled when the
+    caller stops early."""
+    window: deque = deque()
+    try:
+        for item in items:
+            window.append(pool.submit(fn, item))
+            if len(window) >= depth:
+                yield window.popleft().result()
+        while window:
+            yield window.popleft().result()
+    finally:
+        for future in window:
+            future.cancel()
+
+
+_cell_runner: Callable | None = None  # a pool worker process's `_run_cell`, with its graph
+
+
+def _set_cell_runner(run_cell: Callable) -> None:
+    global _cell_runner
+    _cell_runner = run_cell
+
+
+def _run_chunk(cells: tuple) -> list[TaggedCurve]:
+    return [_cell_runner(cell) for cell in cells]
 
 
 def aggregate(curves: Sequence[TaggedCurve]) -> list[AggregateCurve]:
@@ -366,23 +426,110 @@ def aggregate(curves: Sequence[TaggedCurve]) -> list[AggregateCurve]:
     return out
 
 
+_EXACT = 2**53  # every integer up to it is a float
+
+
+class _Sink:
+    """The one consumer of a run's finished curves: `write` (the curves.csv
+    rows of `netbrain run`), when given, takes each curve as it arrives, and
+    `aggregates` gives `aggregate`'s records of every curve added, bit for
+    bit, from exact integer sums, so that memory does not grow with the cells.
+
+    Curves are summed by (group, policy), where `group`, when given, replaces
+    each curve's own tag. Per threshold the sums are n, Σ int(float(x)), Σx
+    and Σx² of the steps x: `fmean` adds the floats of its column exactly
+    and rounds once, which is float(Σ int(float(x))) / n, and `_sd` takes n,
+    Σx and Σx². The counters are summed by name.
+    """
+
+    def __init__(self, write: Callable[[TaggedCurve], object] | None = None, group: str | None = None):
+        self._write = write
+        self._group = group
+        self._grid: tuple[float, ...] | None = None
+        self._sums: dict[tuple[str, WalkPolicy], _GroupSums] = {}
+        self.cells = 0
+
+    def add(self, c: TaggedCurve) -> None:
+        grid = c.curve.thresholds
+        if self._grid is None:
+            self._grid = grid
+        elif grid != self._grid:
+            raise AggregationError("curves mix different threshold grids")
+        steps = [s for _, s in c.curve.crossings]
+        if len(steps) != len(grid):
+            raise AggregationError("curves did not cross every threshold in the grid")
+        if self._write is not None:
+            self._write(c)
+        key = (c.group if self._group is None else self._group, c.policy)
+        sums = self._sums.get(key)
+        if sums is None:
+            sums = self._sums[key] = _GroupSums(len(grid))
+        sums.add(c, steps)
+        self.cells += 1
+
+    def drain(self, curves: Iterable[TaggedCurve]) -> _Sink:
+        for c in curves:
+            self.add(c)
+        return self
+
+    def aggregates(self) -> list[AggregateCurve]:
+        keys = sorted(self._sums, key=lambda k: (k[0], k[1].value))
+        return [self._sums[key].aggregate(*key, self._grid) for key in keys]
+
+
+class _GroupSums:
+    """The exact sums of one (group, policy) of a `_Sink`."""
+
+    __slots__ = ("n", "counts", "floats", "sums", "squares")
+
+    def __init__(self, k: int):
+        self.n = 0
+        self.counts = dict.fromkeys(_COUNTERS, 0)
+        self.floats, self.sums, self.squares = [0] * k, [0] * k, [0] * k
+
+    def add(self, c: TaggedCurve, steps: list[int]) -> None:
+        self.n += 1
+        for name in _COUNTERS:
+            self.counts[name] += getattr(c, name)
+        floats = steps if max(steps, default=0) <= _EXACT else [int(float(x)) for x in steps]
+        self.floats = list(map(add, self.floats, floats))
+        self.sums = list(map(add, self.sums, steps))
+        self.squares = list(map(add, self.squares, map(mul, steps, steps)))
+
+    def aggregate(self, group: str, policy: WalkPolicy, grid: tuple[float, ...]) -> AggregateCurve:
+        n = self.n
+        return AggregateCurve(
+            group=group,
+            policy=policy,
+            thresholds=grid,
+            mean_steps=tuple(float(f) / n for f in self.floats),
+            sd_steps=tuple(map(partial(_sd, n), self.sums, self.squares)),
+            n_samples=n,
+            **self.counts,
+        )
+
+
 _SQRT_BITS = 2 * sys.float_info.mant_dig + 3  # bits of the scaled variance whose root is taken
 
 
 def _pstdev(col: Sequence[int]) -> float:
     """`statistics.pstdev` of integers, as CPython 3.11 and later compute it,
-    without its exact fractions.
+    without its exact fractions (see `_sd`)."""
+    return _sd(len(col), sum(col), sum(map(mul, col, col)))
 
-    The population variance of n integers is the exact fraction
-    (n * sum(x**2) - sum(x)**2) / n**2. Its square root is rounded once to
-    the nearest float, by the integer method of CPython's
-    `statistics._float_sqrt_of_frac`: the fraction, scaled by a power of 4
-    to about `_SQRT_BITS` bits, has its integer square root rounded to odd,
-    and one division by the matching power of 2 rounds that to a float.
+
+def _sd(n: int, s: int, squares: int) -> float:
+    """The population standard deviation of n integers whose sum is `s` and
+    whose sum of squares is `squares`, as `statistics.pstdev` computes it.
+
+    Their variance is the exact fraction (n * squares - s**2) / n**2. Its
+    square root is rounded once to the nearest float, by the integer method
+    of CPython's `statistics._float_sqrt_of_frac`: the fraction, scaled by a
+    power of 4 to about `_SQRT_BITS` bits, has its integer square root
+    rounded to odd, and one division by the matching power of 2 rounds that
+    to a float.
     """
-    n = len(col)
-    s = sum(col)
-    num = n * sum(map(mul, col, col)) - s * s
+    num = n * squares - s * s
     den = n * n
     q = (num.bit_length() - den.bit_length() - _SQRT_BITS) // 2
     if q >= 0:
@@ -407,16 +554,20 @@ def sweep(
     The axis `model` or a number parameter of the base model (such as k_avg,
     or p_rewire for ws) re-generates the network per value; the hub_degree
     axis takes no values, runs the base config once and buckets curves by the
-    exact degree of their start node.
+    exact degree of their start node. Each curve is summed as its cell
+    finishes (`_Sink`), so memory does not grow with the cells.
     """
     cfgs = _sweep_configs(base, axis, values)
     if axis == "hub_degree":
-        buckets: dict[object, list[TaggedCurve]] = {}
-        for c in run_experiment(base, workers=workers):
-            buckets.setdefault(c.start_degree, []).append(c)
-        return {d: aggregate([replace(c, group=f"deg={d}") for c in buckets[d]]) for d in sorted(buckets)}
+        sinks: dict[int, _Sink] = {}
+        for c in _stream(base, workers=workers):
+            degree = c.start_degree
+            if degree not in sinks:
+                sinks[degree] = _Sink(group=f"deg={degree}")
+            sinks[degree].add(c)
+        return {d: sinks[d].aggregates() for d in sorted(sinks)}
     return {
-        value: aggregate(run_experiment(cfg, group=f"{axis}={value}", workers=workers))
+        value: _Sink().drain(_stream(cfg, group=f"{axis}={value}", workers=workers)).aggregates()
         for value, cfg in zip(values, cfgs)
     }
 

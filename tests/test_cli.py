@@ -1,7 +1,9 @@
+import contextlib
 import itertools
 import random
 import json
 import time
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -9,7 +11,7 @@ import pytest
 import netbrain.generators
 import netbrain.harness
 from helpers import ALL_SPECS, edges
-from netbrain import _native, cli, generate, ingest_edge_list
+from netbrain import _native, cli, fileio, generate, ingest_edge_list
 from netbrain.cli import main
 
 
@@ -68,6 +70,16 @@ def test_generate_cm_from_degrees_file(tmp_path):
     assert run_cli("generate", "cm", "--degrees-file", degrees, "--seed", 4, "--out", out) == 0
     g, _, _ = ingest_edge_list(out)
     assert max(g.degrees()) <= 5
+
+
+def test_generate_cm_above_the_edge_bound_exits_2_before_drawing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(netbrain.generators, "build_graph_reported", lambda *args: pytest.fail("a graph was built"))
+    degrees = tmp_path / "degs.txt"
+    degrees.write_text("3200\n" * 3201)  # 5,121,600 edges
+    assert run_cli("generate", "cm", "--degrees-file", degrees, "--seed", 4, "--out", tmp_path / "g.txt") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "above the bound of 5,000,000" in err[0]
+    assert not (tmp_path / "g.txt").exists()
 
 
 def test_generate_cm_requires_degrees_file(tmp_path, capsys):
@@ -326,17 +338,20 @@ def test_hub_degree_sweep_manifest_totals_match_run(tmp_path):
 
 def test_both_manifests_time_every_output_written_before_them(tmp_path, monkeypatch):
     # A clock that advances by one at each reading, read again after each
-    # CSV write: a manifest whose clock stopped before a write reads less.
+    # CSV is renamed into place: a manifest whose clock stopped before a
+    # write reads less. Every file goes through `fileio._writing`.
     ticks = itertools.count()
     monkeypatch.setattr(cli, "time", SimpleNamespace(monotonic=lambda: next(ticks), strftime=time.strftime))
     written = []
-    for name in ("write_curves_csv", "write_aggregate_csv"):
 
-        def timed(*args, write=getattr(cli, name)):
-            write(*args)
+    @contextlib.contextmanager
+    def timed(path, writing=fileio._writing):
+        with writing(path) as fh:
+            yield fh
+        if str(path).endswith(".csv"):
             written.append(cli.time.monotonic())
 
-        monkeypatch.setattr(cli, name, timed)
+    monkeypatch.setattr(fileio, "_writing", timed)
     configs = {
         "run": write_config(tmp_path, "run.json"),
         "sweep": write_config(tmp_path, "sweep.json", sweep={"axis": "k_avg", "values": [4, 6]}),
@@ -503,10 +518,65 @@ def test_interrupt_is_one_error_line_and_exit_130(tmp_path, capsys, monkeypatch,
     def interrupted(*args, **kwargs):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(cli, "run_experiment", interrupted)
+    monkeypatch.setattr(cli, "_stream", interrupted)
     assert run_cli(*ER_FLAGS, "--workers", workers, "--out", tmp_path / "out") == 130
     assert capsys.readouterr().err == "error: interrupted\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_interrupt_between_cells_leaves_no_curves_file(tmp_path, capsys, monkeypatch, workers):
+    # The curves are written as the cells finish, under a temporary name that
+    # is renamed only after the last cell.
+    run_cell = netbrain.harness._run_cell
+    ran = itertools.count()
+
+    def interrupted(*args):
+        if next(ran) == 5:
+            raise KeyboardInterrupt
+        return run_cell(*args)
+
+    monkeypatch.setattr(netbrain.harness, "_run_cell", interrupted)
+    flags = ["run", "--model", "er", "--n", 60, "--k", 5, "--start", "hubs:4", "--reps", 5]
+    assert run_cli(*flags, "--workers", workers, "--out", tmp_path / "out") == 130
+    assert capsys.readouterr().err == "error: interrupted\n"
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_run_outputs_equal_aggregate_of_the_curves(tmp_path):
+    # The sink's aggregate.csv, cells and totals against the public reference.
+    cfg_path = write_config(tmp_path, policies=["look_ahead", "standard"], thresholds=[0.25, 0.5, 1.0],
+                            start={"kind": "top_hubs", "count": 3}, repetitions_per_start=4)
+    assert run_cli("run", "--config", cfg_path, "--out", tmp_path / "run") == 0
+    curves = netbrain.run_experiment(netbrain.load_config(cfg_path)[0])
+    aggregates = netbrain.aggregate(curves)
+    netbrain.write_aggregate_csv(aggregates, tmp_path / "aggregate.csv")
+    netbrain.write_curves_csv(curves, tmp_path / "curves.csv")
+    for name in ("aggregate.csv", "curves.csv"):
+        assert (tmp_path / "run" / name).read_bytes() == (tmp_path / name).read_bytes(), name
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert manifest["cells"] == len(curves) == 24
+    assert manifest["totals"] == {name: sum(getattr(c, name) for c in curves) for name in manifest["totals"]}
+
+
+def _peak_traced_bytes(tmp_path, reps):
+    """The peak of the memory Python allocated during one `netbrain run`."""
+    flags = ["run", "--model", "er", "--n", 30, "--k", 4, "--seed", 1, "--start", "hubs:5", "--reps", reps]
+    tracemalloc.start()
+    try:
+        assert run_cli(*flags, "--out", tmp_path / f"reps-{reps}") == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_memory_stays_flat_as_cells_grow(tmp_path):
+    # 500 and 2,000 cells of 100 thresholds. A run that kept every curve and
+    # then sorted every row grew by 52.8 MB between the two (measured once);
+    # one that consumes each cell as it finishes may grow by a tenth of that.
+    _peak_traced_bytes(tmp_path, 1)  # imports and caches
+    small, large = (_peak_traced_bytes(tmp_path, reps) for reps in (100, 400))
+    assert large - small < 52_800_000 // 10, (small, large)
 
 
 def test_sweep_requires_sweep_block(tmp_path, capsys):

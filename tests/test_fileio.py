@@ -471,6 +471,41 @@ def test_curve_rows_with_equal_keys_keep_their_order(tmp_path):
         assert degrees == [str(curves[0].start_degree), str(curves[1].start_degree)]
 
 
+def _rows_sorted_whole(curves):
+    """The curves CSV as a writer that sorts every row on its key, stably, would write it."""
+    rows = [
+        ((c.group, c.policy.value, c.start, c.repetition, threshold),
+         f"{c.group},{c.policy.value},{c.start},{c.start_degree},{c.repetition},{threshold:.4f},{steps}\n")
+        for c in curves for threshold, steps in c.curve.crossings
+    ]
+    rows.sort(key=lambda row: row[0])
+    return CURVE_HEADER + "\n" + "".join(line for _, line in rows)
+
+
+def test_curves_csv_equals_a_stable_sort_of_every_row(tmp_path):
+    # Two groups, two threshold grids, curves that share a key (twins with
+    # other steps and degrees, and exact duplicates), in seeded shuffles.
+    curves = [replace(c, group="b") for c in run_small()]
+    coarse = ExperimentConfig(
+        generator=GeneratorSpec(model="er", n=60, k_avg=5, seed=2),
+        policies=(WalkPolicy.LOOK_AHEAD, WalkPolicy.STANDARD),
+        start=ExplicitStarts(nodes=(3, 0)),
+        repetitions_per_start=2,
+        thresholds=(0.25, 0.5, 0.75),
+        target_fraction=0.75,
+        master_seed=8,
+    )
+    curves += [replace(c, group="a") for c in run_experiment(coarse)]
+    curves += [replace(c, start_degree=c.start_degree + 7, repetition=0) for c in curves[::3]]
+    curves += curves[:4]
+    rng = random.Random(25)
+    f = tmp_path / "curves.csv"
+    for _ in range(20):
+        rng.shuffle(curves)
+        write_curves_csv(curves, f)
+        assert f.read_text() == _rows_sorted_whole(curves)
+
+
 def test_aggregate_csv_layout(tmp_path):
     curves = run_small()
     f = tmp_path / "agg.csv"

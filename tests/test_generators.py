@@ -328,6 +328,20 @@ def test_models_refuse_nodes_above_the_bound(model, monkeypatch):
         build.build(n=5_000_001, seed=0, **{f: params[f] for f in build.fields if f != "n"})
 
 
+def test_cm_refuses_nodes_and_edges_above_the_bounds(monkeypatch):
+    # Only the checks run: a spy refuses any stub array or graph.
+    monkeypatch.setattr(generators, "build_graph_reported", lambda *args: pytest.fail("a graph was built"))
+    monkeypatch.setattr(generators.np, "repeat", lambda *args: pytest.fail("stubs were drawn"))
+    with pytest.raises(ParameterError, match=r"^a degree sequence of 5,000,003 nodes is above the bound of 5,000,000 nodes$"):
+        GeneratorSpec(model="cm", degree_sequence=(0,) * 5_000_001 + (1, 1), seed=1)
+    # 3,160 x 3,161 / 2 = 4,994,380 edges, at the bound; 3,200 x 3,201 / 2 = 5,121,600, above it.
+    GeneratorSpec(model="cm", degree_sequence=(3160,) * 3161, seed=1)
+    with pytest.raises(ParameterError, match="asks for 5,121,600 edges, above the bound of 5,000,000"):
+        GeneratorSpec(model="cm", degree_sequence=(3200,) * 3201, seed=1)
+    with pytest.raises(ParameterError, match="above the bound of 5,000,000"):
+        gen_cm((9999,) * 10000, seed=1)
+
+
 def test_ba_refuses_attachments_above_the_edge_bound():
     with pytest.raises(ParameterError, match="give 5,000,001 edges, above the bound of 5,000,000"):
         gen_ba(5_000_001, 1, seed=0)  # refused before the seed clique is built

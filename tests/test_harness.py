@@ -572,6 +572,120 @@ def test_aggregate_rejects_uncrossed_thresholds():
         aggregate([tagged])
 
 
+def test_sink_aggregates_equal_aggregate():
+    # Exact sums give aggregate's bits: means above 2**53 too, where a plain
+    # integer sum would not (its column's fmean is ...661.0, not ...663.0).
+    columns = [[2**53 + 1, 2**53 + 1, 1], [7, 7, 7], [2**60 + 3, 5, 2**53]]
+    curves = [
+        _curve_with({0.5: a, 1.0: b}, policy=policy, group=group, repetition=i,
+                    cumulative_steps=b, walk_count=i + 1, moves=a % 97, cap_hits=i % 2)
+        for group in ("x", "")
+        for policy in (WalkPolicy.STANDARD, WalkPolicy.LOOK_AHEAD)
+        for i, (a, b) in enumerate(zip(*columns[:2]))
+    ]
+    curves += [_curve_with({0.5: x, 1.0: x}, group="y", repetition=i) for i, x in enumerate(columns[2])]
+    expected = aggregate(curves)
+    assert expected[0].mean_steps[0] == statistics.fmean(columns[0]) != float(sum(columns[0])) / 3
+    assert harness._Sink().drain(curves).aggregates() == expected
+    relabelled = harness._Sink(group="z").drain(curves[:6]).aggregates()
+    assert relabelled == aggregate([replace(c, group="z") for c in curves[:6]])
+
+
+def test_sink_refuses_what_aggregate_refuses():
+    with pytest.raises(AggregationError, match="mix different threshold grids"):
+        harness._Sink().drain([_curve_with({1.0: 10}), _curve_with({0.5: 5, 1.0: 10}, repetition=1)])
+    curve, _ = run_discovery(
+        path_graph(5), 0, WalkPolicy.STANDARD, random.Random(0), thresholds=(0.4, 1.0), target_fraction=0.4
+    )
+    tagged = TaggedCurve("", WalkPolicy.STANDARD, start=0, start_degree=1, repetition=0, curve=curve)
+    with pytest.raises(AggregationError, match="did not cross every threshold"):
+        harness._Sink().add(tagged)
+
+
+def test_sweeps_sum_what_aggregate_gives():
+    # A value sweep and a hub_degree sweep, against aggregate over the lists
+    # that run_experiment returns, bucketed as the sweeps bucket them.
+    base = small_config(
+        generator=GeneratorSpec(model="ba", n=120, k_avg=4, seed=5),
+        policies=(WalkPolicy.STANDARD, WalkPolicy.EXTENDED),
+        start=DegreeRankedStride(stride=15),
+    )
+    buckets = {}
+    for c in run_experiment(base):
+        buckets.setdefault(c.start_degree, []).append(replace(c, group=f"deg={c.start_degree}"))
+    assert len(buckets) > 2
+    assert sweep(base, "hub_degree") == {d: aggregate(buckets[d]) for d in sorted(buckets)}
+    values = [3, 6]
+    cfgs = harness._sweep_configs(base, "k_avg", values)
+    expected = {v: aggregate(run_experiment(cfg, group=f"k_avg={v}")) for v, cfg in zip(values, cfgs)}
+    assert sweep(base, "k_avg", values) == expected
+
+
+def test_cells_come_in_output_order_with_their_config_seeds():
+    # Policies and starts out of order in the config: the curves come sorted
+    # by policy name, start and repetition, and each cell keeps the seed of
+    # its config indices.
+    cfg = small_config(
+        policies=(WalkPolicy.STANDARD, WalkPolicy.LOOK_AHEAD, WalkPolicy.EXTENDED),
+        start=ExplicitStarts(nodes=(7, 2, 5)),
+    )
+    g = generate(cfg.generator).graph
+    curves = run_experiment(cfg, graph=g)
+    keys = [(c.policy.value, c.start, c.repetition) for c in curves]
+    assert keys == sorted(keys) and len(set(keys)) == 3 * 3 * 2
+    for c in curves:
+        pi, si = cfg.policies.index(c.policy), cfg.start.nodes.index(c.start)
+        assert c == harness._run_cell(g, cfg, list(cfg.start.nodes), "", (pi, si, c.repetition))
+
+
+class _Inline:
+    """An executor that runs each call when it is submitted, and records how
+    many calls were submitted and not yet read back."""
+
+    def __init__(self):
+        self.pending = self.most = 0
+
+    def submit(self, fn, item):
+        self.pending += 1
+        self.most = max(self.most, self.pending)
+        result = fn(item)
+        pool = self
+
+        class Done:
+            def result(self):
+                pool.pending -= 1
+                return result
+
+            def cancel(self):
+                pool.pending -= 1
+
+        return Done()
+
+
+def test_pools_keep_a_bounded_window_in_order():
+    pool = _Inline()
+    stream = harness._in_order(pool, lambda x: x * x, iter(range(100)), 4)
+    assert [next(stream) for _ in range(10)] == [x * x for x in range(10)]
+    assert pool.most == 4  # Executor.map would have submitted all 100
+    stream.close()  # an early stop cancels what was submitted and not read
+    assert pool.pending == 0
+
+
+def test_worker_processes_get_the_graph_once(monkeypatch, tmp_path):
+    # The Python engine runs cells in processes: each is handed the graph at
+    # most once (none under fork), not once a chunk of cells.
+    pickles = []
+    reduce = harness.Graph.__reduce__
+    monkeypatch.setattr(harness.Graph, "__reduce__", lambda g: pickles.append(g.n) or reduce(g))
+    monkeypatch.setattr(_native, "LOADER", _native.Loader(cc="false", cache_dir=tmp_path))
+    monkeypatch.setattr(_native, "_cpu_count", lambda: 2)
+    cfg = small_config(repetitions_per_start=20, thresholds=(0.2,), target_fraction=0.2)
+    serial = run_experiment(cfg, workers=1)
+    assert pickles == []
+    assert run_experiment(cfg, workers=2) == serial  # 60 cells in chunks of at most 8
+    assert len(pickles) <= 2
+
+
 def test_aggregate_seeded_er_dispersion():
     cfg = small_config(repetitions_per_start=10, start=ExplicitStarts(nodes=(0,)))
     curves = run_experiment(cfg)
