@@ -491,7 +491,7 @@ class _GroupSums:
         self.n += 1
         for name in _COUNTERS:
             self.counts[name] += getattr(c, name)
-        floats = steps if max(steps, default=0) <= _EXACT else [int(float(x)) for x in steps]
+        floats = steps if max(steps) <= _EXACT else [int(float(x)) for x in steps]
         self.floats = list(map(add, self.floats, floats))
         self.sums = list(map(add, self.sums, steps))
         self.squares = list(map(add, self.squares, map(mul, steps, steps)))
