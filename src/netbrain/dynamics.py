@@ -361,7 +361,8 @@ def run_discovery(
     granularity) at the moment each discovery threshold is first reached.
     The graph must be connected (run on the LCC). A misuse guard aborts
     after 10 * n consecutive walks that add nothing, if a step cap is set or
-    the graph is disconnected; without a cap (or with one of 2**62 or more,
+    the graph is disconnected, and its message names the cap when the graph
+    is connected; without a cap (or with one of 2**62 or more,
     which no walk reaches), every node of a connected graph is reachable
     along a shortest path, so progress is certain and the count starts over.
 
@@ -381,13 +382,15 @@ def run_discovery(
         targets=[math.ceil(t * n - 1e-9) for t in grid],
     )
     while walker.discover(10 * n):
-        if walker.cap == _NO_CAP and is_connected(g):
+        connected = is_connected(g)
+        if walker.cap == _NO_CAP and connected:
             walker.stalled = 0
             continue
         raise DiscoveryStallError(
             f"no progress in {walker.stalled} consecutive walks "
             f"(policy={walker.policy.value}, brain={brain}, known={walker.count}/{n}); "
-            "is the graph connected?"
+            + (f"the graph is connected, so the step cap of {walker.cap} keeps the rest out of reach"
+               if connected else "is the graph connected?")
         )
     curve = LearningCurve(thresholds=grid, crossings=tuple(zip(grid, walker.crossed)))
     return curve, BrainState(brain, bytes(walker.known), **_walk_counts(walker))

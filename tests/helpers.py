@@ -145,6 +145,16 @@ def star_graph(n: int) -> Graph:
     return build_graph(n, [(0, i) for i in range(1, n)])
 
 
+def trap_graph(k: int) -> Graph:
+    """Brain 0 with k leaves and a neighbour a with k leaves of its own;
+    a path a-b-c hangs off a. Under extended walks c is learned only on a
+    walk 0 -> a -> b, with chance 1/(k+1)^2, so long idle runs happen on a
+    connected graph."""
+    a, b, c = k + 1, 2 * k + 2, 2 * k + 3
+    edges = [(0, i) for i in range(1, k + 2)] + [(a, a + i) for i in range(1, k + 1)]
+    return build_graph(2 * k + 4, edges + [(a, b), (b, c)])
+
+
 def complete_graph(n: int) -> Graph:
     return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 

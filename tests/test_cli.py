@@ -410,6 +410,29 @@ def test_repetitions_are_bounded_when_the_config_is_read(tmp_path, capsys, monke
     assert "2,000,000,000 crossings, above the bound of 10,000,000" in err[0]
 
 
+def test_a_stall_under_a_cap_on_a_connected_graph_names_the_cap(tmp_path, capsys, monkeypatch):
+    # No walk of at most 40 steps from node 12 reaches the last node of this
+    # connected graph; the message must blame the cap, not connectivity.
+    cfg = write_config(
+        tmp_path,
+        generator={"model": "ws", "n": 150, "k_avg": 4.0, "p_rewire": 0.1, "seed": 2},
+        policies=["extended"],
+        start={"kind": "betweenness_percentile", "min_percentile": 0.9},
+        repetitions_per_start=3,
+        step_cap=40,
+    )
+    errors = []
+    for engine in ("native", "python"):
+        if engine == "python":
+            monkeypatch.setattr(_native, "LOADER", _native.Loader(cc="false", cache_dir=tmp_path))
+        assert run_cli("run", "--config", cfg, "--out", tmp_path / engine) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == (
+        "error: no progress in 1500 consecutive walks (policy=extended, brain=12, known=149/150); "
+        "the graph is connected, so the step cap of 40 keeps the rest out of reach\n"
+    )
+
+
 # --- bad values -------------------------------------------------------------------
 
 ER_FLAGS = ["run", "--model", "er", "--n", 60, "--k", 5, "--reps", 1]

@@ -33,6 +33,7 @@ from helpers import (
     path_graph,
     set_build_graph_reported,
     star_graph,
+    trap_graph,
     wos_scale_degree_sequence,
 )
 from netbrain import (
@@ -47,6 +48,7 @@ from netbrain import (
     degree_ranked_nodes,
     generate,
     ingest_edge_list,
+    largest_connected_component,
     run_discovery,
     select_starts,
     write_edge_list,
@@ -71,16 +73,6 @@ class Reference(random.Random):
         return super().random()
 
 
-def trap_graph(k: int):
-    """Brain 0 with k leaves and a neighbour a with k leaves of its own;
-    a path a-b-c hangs off a. Under extended walks c is learned only on a
-    walk 0 -> a -> b, with chance 1/(k+1)^2, so long idle runs happen on a
-    connected graph."""
-    a, b, c = k + 1, 2 * k + 2, 2 * k + 3
-    edges = [(0, i) for i in range(1, k + 2)] + [(a, a + i) for i in range(1, k + 1)]
-    return build_graph(2 * k + 4, edges + [(a, b), (b, c)])
-
-
 GRAPHS = {
     "er": generate(GeneratorSpec(model="er", n=60, k_avg=4, seed=1)).graph,
     # Picks at a hub of a hundred nodes also test the low bits of each draw.
@@ -90,7 +82,15 @@ GRAPHS = {
     "c5": cycle_graph(5),
     "one-node": build_graph(1, []),
     "trap": trap_graph(30),
+    # Most neighbours blocked or primed by the time a walk scans them.
+    "dense": generate(GeneratorSpec(model="er", n=40, k_avg=30, seed=4)).graph,
+    # The criterion-9 recipe at n = 2,000: hubs of several hundred neighbours.
+    "cm": largest_connected_component(gen_cm(wos_scale_degree_sequence(2000, seed=5), seed=6))[0],
 }
+# Under any cap most walks from the CM graph's top hubs (degree 730) end at
+# the hub, and a case that stalls there spends about a second of the Python
+# engine on its 10 n idle walks (27 s for every cap): it runs uncapped only.
+GRAPH_CAPS = {"cm": (None,)}
 
 
 def discover(g, brain, policy, rng, **kwargs):
@@ -131,7 +131,7 @@ def test_kernel_arrays_are_checked_before_the_call():
 def test_kernel_matches_python_engine(name, policy):
     assert _native.LOADER.kernel("netbrain_discover") is not None
     g = GRAPHS[name]
-    for cap, target, seed in itertools.product(CAPS, TARGETS, SEEDS):
+    for cap, target, seed in itertools.product(GRAPH_CAPS.get(name, CAPS), TARGETS, SEEDS):
         brain = degree_ranked_nodes(g)[seed % g.n]  # the top hubs
         kwargs = dict(step_cap=cap, target_fraction=target)
         reference = Reference(seed)
@@ -181,6 +181,20 @@ def test_capped_disconnected_input_stalls_under_both_engines(policy):
             run_discovery(g, 0, policy, rng, step_cap=7)
         messages.append((str(exc.value), rng.getstate()))
     assert messages[0] == messages[1]
+    assert messages[0][0].endswith("known=4/8); is the graph connected?")
+
+
+@pytest.mark.parametrize("engine", [Reference, random.Random], ids=["python", "native"])
+def test_capped_stall_on_a_connected_graph_names_the_cap(engine):
+    # A degree-sum cap below the brain's degree ends every extended walk
+    # after one move, so the chain behind node 1 stays out of reach.
+    g = build_graph(13, [(0, i) for i in range(1, 11)] + [(1, 11), (11, 12)])
+    with pytest.raises(DiscoveryStallError) as exc:
+        run_discovery(g, 0, WalkPolicy.EXTENDED, engine(3), step_cap=5)
+    assert str(exc.value) == (
+        "no progress in 130 consecutive walks (policy=extended, brain=0, known=11/13); "
+        "the graph is connected, so the step cap of 5 keeps the rest out of reach"
+    )
 
 
 @pytest.mark.parametrize("cap", [2**62, 2**63, 2**64 + 3], ids=["2^62", "2^63", "2^64+3"])
@@ -703,3 +717,70 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
     loaded = ctypes.CDLL(str(lib))
     for name in _native._ENTRY_POINTS:  # every entry point the loader binds
         assert hasattr(loaded, name)
+
+
+# A subprocess that loads the library built at argv[1] in place of the
+# loader's own and calls every entry point: discoveries of every policy on
+# every small connected graph from every brain, on the trap graph and on a
+# star from its centre under look_ahead, where `touched` fills up; then each
+# of the other six kernels once.
+SANITIZED_CALLS = """
+import random, sys
+from pathlib import Path
+import numpy as np
+from helpers import connected_graphs_up_to_iso, star_graph, trap_graph
+from netbrain import WalkPolicy, _native, run_discovery
+from netbrain.errors import DiscoveryStallError
+
+loader = _native.LOADER
+loader._library = lambda: Path(sys.argv[1])
+assert _native.available()
+graphs = [g for n in range(1, 7) for g in connected_graphs_up_to_iso(n)]
+for i, g in enumerate(graphs + [trap_graph(30)]):
+    for brain in range(min(g.n, 6)):
+        for policy in WalkPolicy:
+            for cap in (None, 1, 3):
+                try:
+                    run_discovery(g, brain, policy, random.Random(i), step_cap=cap)
+                except DiscoveryStallError:
+                    pass
+for n in (2, 3, 10, 100):
+    run_discovery(star_graph(n), 0, WalkPolicy.LOOK_AHEAD, random.Random(n))
+g = trap_graph(5)
+assert _native.betweenness(g) is not None
+assert _native.shuffle(random.Random(1), np.arange(50, dtype=np.int64))
+edge_list = Path(sys.argv[2])
+edge_list.write_text("# edges\\n1 2\\r\\n2 3\\n\\n3 1")
+assert _native.parse_edges(edge_list).tolist() == [[1, 2], [2, 3], [3, 1]]
+assert _native.build_csr(4, np.array([[0, 1], [1, 0], [2, 2], [1, 3]])) is not None
+assert _native.components(g) is not None
+assert _native.format_edges(g) is not None
+"""
+
+
+def test_kernels_run_clean_under_address_and_undefined_sanitizers(tmp_path):
+    try:
+        found = subprocess.run(["gcc", "-print-file-name=libasan.so"], capture_output=True, text=True)
+        libasan = found.stdout.strip()
+    except OSError:  # no gcc
+        libasan = ""
+    if not os.path.isabs(libasan) or not os.path.isfile(libasan):
+        pytest.skip("gcc names no libasan.so")
+    lib = tmp_path / "walk-sanitized.so"
+    subprocess.run(
+        ["gcc", *_native.CFLAGS, "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
+         "-o", str(lib), str(_native.SOURCE)],
+        check=True, capture_output=True, timeout=300,
+    )
+    tests = os.path.dirname(os.path.abspath(__file__))
+    env = dict(
+        os.environ,
+        LD_PRELOAD=libasan,
+        ASAN_OPTIONS="detect_leaks=0",
+        PYTHONPATH=os.pathsep.join([str(_native.SOURCE.parents[1]), tests]),
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", SANITIZED_CALLS, str(lib), str(tmp_path / "edges.txt")],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stderr[:4000]
