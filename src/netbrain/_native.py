@@ -38,10 +38,10 @@ import tempfile
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from functools import partial
-from itertools import islice
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -177,6 +177,29 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def _in_order(fn: Callable, items: Iterable, threads: int) -> Iterator:
+    """`fn` of each item in the order of `items`: here, or on `threads`
+    threads with at most two calls a thread submitted and not yet yielded
+    (`Executor.map` submits them all at once). Closing the stream cancels
+    the calls not yet started, so the pool's shutdown waits only for those
+    running. It runs the cells of `harness._stream` and the blocks of `betweenness`."""
+    if threads <= 1:
+        yield from map(fn, items)
+        return
+    window: deque = deque()
+    with ThreadPoolExecutor(threads) as pool:
+        try:
+            for item in items:
+                window.append(pool.submit(fn, item))
+                if len(window) >= 2 * threads:
+                    yield window.popleft().result()
+            while window:
+                yield window.popleft().result()
+        finally:
+            for future in window:
+                future.cancel()
+
+
 def _block_rows(n: int) -> int:
     """Sources per betweenness block: their rows of n doubles fill about
     `_BLOCK_BYTES`."""
@@ -192,7 +215,7 @@ def betweenness(g: Graph) -> list[float] | None:
     Blocks of sources run in threads, one per CPU the process may use, and
     the rows of each block are added in block order, so that every node's
     score sums its per-source scores in ascending source order whatever the
-    thread count. At most two blocks per thread are in flight."""
+    thread count. At most two blocks per thread are in flight (`_in_order`)."""
     kernel = LOADER.kernel("netbrain_betweenness")
     if kernel is None:
         return None
@@ -200,7 +223,6 @@ def betweenness(g: Graph) -> list[float] | None:
     if n == 0:
         return []
     rows = _block_rows(n)
-    starts = iter(range(0, n, rows))
     threads = min(_cpu_count(), -(-n // rows))
     centrality = np.zeros(n)
 
@@ -214,15 +236,10 @@ def betweenness(g: Graph) -> list[float] | None:
         )
         return None if overflow else delta
 
-    with ThreadPoolExecutor(threads) as pool:
-        pending = deque(pool.submit(block, s0) for s0 in islice(starts, 2 * threads))
-        while pending:
-            delta = pending.popleft().result()
+    with closing(_in_order(block, range(0, n, rows), threads)) as deltas:
+        for delta in deltas:
             if delta is None:
-                for future in pending:
-                    future.cancel()
-                return None
-            pending.extend(pool.submit(block, s0) for s0 in islice(starts, 1))
+                return None  # closing cancels the blocks not yet started
             for row in delta:
                 centrality += row
     # Each unordered pair was counted from both endpoints.

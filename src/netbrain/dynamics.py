@@ -365,6 +365,8 @@ def run_discovery(
     is connected; without a cap (or with one of 2**62 or more,
     which no walk reaches), every node of a connected graph is reachable
     along a shortest path, so progress is certain and the count starts over.
+    When the cap ends every walk after its first move, and the brain and its
+    neighbours are fewer than the run must know, it raises before any walk.
 
     `target_fraction` stops the run once that fraction is known; the default
     of 1.0 runs to full coverage. Thresholds above the target are then never
@@ -381,6 +383,15 @@ def run_discovery(
         stop_count=math.ceil(target_fraction * n - 1e-9),
         targets=[math.ceil(t * n - 1e-9) for t in grid],
     )
+    degree = g.degree(brain)
+    # The fewest steps after one move: steps start at 0 or the brain's degree, and a move adds 1 or more.
+    first_move = 1 if walker.policy is _STANDARD else degree + 1
+    if degree and walker.cap <= first_move and degree + 1 < walker.stop_count:
+        raise DiscoveryStallError(
+            f"no progress past the brain and its {degree} neighbours "
+            f"(policy={walker.policy.value}, brain={brain}, target={walker.stop_count}/{n}); "
+            f"the step cap of {walker.cap} ends every walk after its first move"
+        )
     while walker.discover(10 * n):
         connected = is_connected(g)
         if walker.cap == _NO_CAP and connected:

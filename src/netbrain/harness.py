@@ -7,11 +7,9 @@ import math
 import random
 import struct
 import sys
-from collections import deque
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import islice, product
+from itertools import product
 from operator import add, mul
 from statistics import fmean
 from typing import Callable, Iterable, Iterator, Sequence, Union
@@ -41,10 +39,6 @@ PERCENTILE_START_CAP = 100  # starts drawn above a betweenness percentile
 # returns still keeps every curve, about 90 bytes a crossing, so near 0.9 GB
 # at this bound.
 _MAX_CROSSINGS = 10_000_000
-# The most cells a process-pool task runs: a pool stops only once its
-# running tasks end, so an interrupted run waits for at most this many
-# cells a worker (Python engine, er n=200: about 3 ms a cell).
-_CHUNK_CELLS = 8
 
 _MASK64 = (1 << 64) - 1
 
@@ -297,10 +291,11 @@ def _worker_count(workers: int) -> int:
 
 
 def _pool_size(workers: int, ncells: int) -> int:
-    """The workers that a run of `ncells` cells starts when `workers` are
+    """The threads that a run of `ncells` cells starts when `workers` are
     asked for: no more than its cells, nor than the CPUs the process may
-    use, since the results are the same at any count."""
-    return min(workers, ncells, _native._cpu_count())
+    use, since the results are the same at any count; and 1, a serial run,
+    without the native kernel, whose Python walks hold the GIL."""
+    return min(workers, ncells, _native._cpu_count()) if _native.available() else 1
 
 
 def run_experiment(
@@ -314,12 +309,11 @@ def run_experiment(
     Child seeds are derived statelessly from (master_seed, cell indices), so
     cells are independent and the result is the same at any parallelism.
     The curves come sorted by policy name, start node and repetition, the
-    order of `curves.csv`. The pool of `workers` never exceeds the cell count
-    or the CPUs the process may use (`_pool_size`). With the native kernel
-    the cells run in threads that share the graph; with the Python engine,
-    in worker processes. A run whose curves would keep more than
-    `_MAX_CROSSINGS` crossings (cells times thresholds) raises `ConfigError`
-    before any walk.
+    order of `curves.csv`. With the native kernel the cells run in up to
+    `workers` threads that share the graph, no more than the cells or CPUs
+    (`_pool_size`); with the Python engine, whose walks hold the GIL, one
+    after another. A run whose curves would keep more than `_MAX_CROSSINGS`
+    crossings (cells times thresholds) raises `ConfigError` before any walk.
     """
     return list(_stream(cfg, graph, group, workers))
 
@@ -330,65 +324,20 @@ def _stream(
     """The curves of `run_experiment`, in its order, each as its cell
     finishes. The graph, the starts and every check come now, before any
     walk; the cells run as the iterator is read. A pool keeps at most two
-    tasks a worker in flight, so memory does not grow with the cells."""
+    cells a thread in flight, so memory does not grow with the cells."""
     if graph is None:
         graph, _ = resolve_graph(cfg)
     starts = select_starts(graph, cfg.start, random.Random(derive_seed(cfg.master_seed, "starts")))
     ncells = len(cfg.policies) * len(starts) * cfg.repetitions_per_start
     _check_crossings(ncells, len(cfg.thresholds))
-    nworkers = _pool_size(_worker_count(workers), ncells)  # a pool starts every worker up front
+    nworkers = _pool_size(_worker_count(workers), ncells)  # a pool starts every thread up front
     # The output order; each cell keeps the config indices that seed it.
     cells = product(
         sorted(range(len(cfg.policies)), key=lambda pi: cfg.policies[pi].value),
         sorted(range(len(starts)), key=starts.__getitem__),
         range(cfg.repetitions_per_start),
     )
-    return _run_cells(partial(_run_cell, graph, cfg, starts, group), cells, ncells, nworkers)
-
-
-def _run_cells(run_cell: Callable, cells: Iterator, ncells: int, nworkers: int) -> Iterator[TaggedCurve]:
-    """`run_cell` of each cell, in order: here, or on a pool of `nworkers`."""
-    if nworkers <= 1:
-        yield from map(run_cell, cells)
-    elif _native.available():  # the kernel releases the GIL, so threads share the graph
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            yield from _in_order(pool, run_cell, cells, 2 * nworkers)
-    else:  # Python walks hold the GIL: processes, each handed the graph once, run chunks of cells
-        size = max(1, min(_CHUNK_CELLS, ncells // (4 * nworkers)))
-        chunks = iter(lambda: tuple(islice(cells, size)), ())
-        with ProcessPoolExecutor(max_workers=nworkers, initializer=_set_cell_runner, initargs=(run_cell,)) as pool:
-            for chunk in _in_order(pool, _run_chunk, chunks, 2 * nworkers):
-                yield from chunk
-
-
-def _in_order(pool: Executor, fn: Callable, items: Iterable, depth: int) -> Iterator:
-    """`fn` of each item, run on `pool` and yielded in the order of `items`,
-    with at most `depth` calls submitted and not yet yielded (`Executor.map`
-    submits them all at once). Calls not yet started are cancelled when the
-    caller stops early."""
-    window: deque = deque()
-    try:
-        for item in items:
-            window.append(pool.submit(fn, item))
-            if len(window) >= depth:
-                yield window.popleft().result()
-        while window:
-            yield window.popleft().result()
-    finally:
-        for future in window:
-            future.cancel()
-
-
-_cell_runner: Callable | None = None  # a pool worker process's `_run_cell`, with its graph
-
-
-def _set_cell_runner(run_cell: Callable) -> None:
-    global _cell_runner
-    _cell_runner = run_cell
-
-
-def _run_chunk(cells: tuple) -> list[TaggedCurve]:
-    return [_cell_runner(cell) for cell in cells]
+    return _native._in_order(partial(_run_cell, graph, cfg, starts, group), cells, nworkers)
 
 
 def aggregate(curves: Sequence[TaggedCurve]) -> list[AggregateCurve]:

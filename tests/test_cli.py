@@ -365,11 +365,18 @@ def test_both_manifests_time_every_output_written_before_them(tmp_path, monkeypa
         assert started + manifest["wall_time_s"] > max(written), command
 
 
-@pytest.mark.parametrize("cpus, workers, expected", [(3, 1, 1), (3, 5000, 3), (8, 5000, 4)])
-def test_manifests_name_the_workers_in_effect(tmp_path, monkeypatch, cpus, workers, expected):
+@pytest.mark.parametrize("cpus, workers, expected, engine", [
+    pytest.param(3, 1, 1, "native", id="3-1-1"),
+    pytest.param(3, 5000, 3, "native", id="3-5000-3"),
+    pytest.param(8, 5000, 4, "native", id="8-5000-4"),
+    pytest.param(8, 5000, 1, "python", id="python-8-5000-1"),  # Python walks hold the GIL: no pool
+])
+def test_manifests_name_the_workers_in_effect(tmp_path, monkeypatch, cpus, workers, expected, engine):
     # Each run has 4 cells (2 starts x 2 repetitions); a k_avg sweep runs one
     # per value and a hub_degree sweep one in all.
     monkeypatch.setattr(_native, "_cpu_count", lambda: cpus)
+    if engine == "python":
+        monkeypatch.setattr(_native, "LOADER", _native.Loader(cc="false", cache_dir=tmp_path / "cache"))
     configs = {
         "run": write_config(tmp_path, "run.json"),
         "sweep": write_config(tmp_path, "sweep.json", sweep={"axis": "k_avg", "values": [4, 6]}),
@@ -377,9 +384,15 @@ def test_manifests_name_the_workers_in_effect(tmp_path, monkeypatch, cpus, worke
     }
     for name, cfg in configs.items():
         command = "run" if name == "run" else "sweep"
-        out = tmp_path / name
+        out, serial = tmp_path / name, tmp_path / f"{name}-serial"
         assert run_cli(command, "--config", cfg, "--out", out, "--workers", workers) == 0
-        assert json.loads((out / "manifest.json").read_text())["workers"] == expected, name
+        assert run_cli(command, "--config", cfg, "--out", serial, "--workers", 1) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["engine"], manifest["workers"]) == (engine, expected), name
+        csvs = sorted(p.name for p in out.glob("*.csv"))
+        assert csvs == sorted(p.name for p in serial.glob("*.csv")) and csvs, name
+        for csv in csvs:
+            assert (out / csv).read_bytes() == (serial / csv).read_bytes(), (name, csv)
 
 
 def test_oversize_run_exits_2_before_any_walk(tmp_path, capsys, monkeypatch):

@@ -399,28 +399,26 @@ class _PoolStarted(Exception):
 def test_pool_never_has_more_workers_than_cells(monkeypatch, tmp_path):
     started = []
 
-    def recorder(kind):
-        def start(max_workers, **kwargs):
-            started.append((kind, max_workers))
-            raise _PoolStarted
+    def start(max_workers):
+        started.append(max_workers)
+        raise _PoolStarted
 
-        return start
-
-    monkeypatch.setattr(harness, "ThreadPoolExecutor", recorder("threads"))
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", recorder("processes"))
+    monkeypatch.setattr(_native, "ThreadPoolExecutor", start)
     monkeypatch.setattr(_native, "_cpu_count", lambda: 3)
     two_cells = small_config(repetitions_per_start=1, start=ExplicitStarts(nodes=(0, 1)))
     four_cells = small_config(repetitions_per_start=2, start=ExplicitStarts(nodes=(0, 1)))
     one_cell = small_config(repetitions_per_start=1, start=ExplicitStarts(nodes=(0,)))
-    for _ in engines(monkeypatch, tmp_path):
+    for engine in engines(monkeypatch, tmp_path):
         for cfg in (two_cells, four_cells):
-            with pytest.raises(_PoolStarted):
-                run_experiment(cfg, workers=5000)
+            if engine == "native":
+                with pytest.raises(_PoolStarted):
+                    run_experiment(cfg, workers=5000)
+            else:  # Python walks hold the GIL: the cells run in this process
+                assert run_experiment(cfg, workers=5000) == run_experiment(cfg, workers=1)
         # One cell runs in this process, whatever the worker count.
         assert len(run_experiment(one_cell, workers=5000)) == 1
-    # The kernel's cells share the graph in threads; Python walks need
-    # processes. Either pool has no more workers than cells or CPUs.
-    assert started == [("threads", 2), ("threads", 3), ("processes", 2), ("processes", 3)]
+    # The kernel's cells share the graph in threads, no more than cells or CPUs.
+    assert started == [2, 3]
 
 
 def test_a_cell_error_reaches_the_caller_from_either_pool(monkeypatch, tmp_path):
@@ -639,51 +637,56 @@ def test_cells_come_in_output_order_with_their_config_seeds():
 
 
 class _Inline:
-    """An executor that runs each call when it is submitted, and records how
-    many calls were submitted and not yet read back."""
+    """A thread pool stand-in that runs each call when its result is read, and
+    records the calls run and those submitted and neither read nor cancelled:
+    at most, and when the pool shuts down."""
 
     def __init__(self):
         self.pending = self.most = 0
+        self.ran = []
+        self.at_shutdown = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.at_shutdown = self.pending
 
     def submit(self, fn, item):
         self.pending += 1
         self.most = max(self.most, self.pending)
-        result = fn(item)
         pool = self
 
-        class Done:
+        class Future:
             def result(self):
                 pool.pending -= 1
-                return result
+                pool.ran.append(item)
+                return fn(item)
 
             def cancel(self):
                 pool.pending -= 1
 
-        return Done()
+        return Future()
 
 
-def test_pools_keep_a_bounded_window_in_order():
-    pool = _Inline()
-    stream = harness._in_order(pool, lambda x: x * x, iter(range(100)), 4)
+def test_pools_keep_a_bounded_window_in_order(monkeypatch):
+    pools = []
+
+    def start(threads):
+        pools.append(_Inline())
+        return pools[-1]
+
+    monkeypatch.setattr(_native, "ThreadPoolExecutor", start)
+    stream = _native._in_order(lambda x: x * x, iter(range(100)), 2)
     assert [next(stream) for _ in range(10)] == [x * x for x in range(10)]
-    assert pool.most == 4  # Executor.map would have submitted all 100
-    stream.close()  # an early stop cancels what was submitted and not read
-    assert pool.pending == 0
-
-
-def test_worker_processes_get_the_graph_once(monkeypatch, tmp_path):
-    # The Python engine runs cells in processes: each is handed the graph at
-    # most once (none under fork), not once a chunk of cells.
-    pickles = []
-    reduce = harness.Graph.__reduce__
-    monkeypatch.setattr(harness.Graph, "__reduce__", lambda g: pickles.append(g.n) or reduce(g))
-    monkeypatch.setattr(_native, "LOADER", _native.Loader(cc="false", cache_dir=tmp_path))
-    monkeypatch.setattr(_native, "_cpu_count", lambda: 2)
-    cfg = small_config(repetitions_per_start=20, thresholds=(0.2,), target_fraction=0.2)
-    serial = run_experiment(cfg, workers=1)
-    assert pickles == []
-    assert run_experiment(cfg, workers=2) == serial  # 60 cells in chunks of at most 8
-    assert len(pickles) <= 2
+    (pool,) = pools
+    assert pool.most == 4  # two calls a thread; Executor.map would have submitted all 100
+    stream.close()  # an early stop cancels what was submitted and not read...
+    assert pool.at_shutdown == 0  # ...before the pool's shutdown, which would run it
+    assert pool.ran == list(range(10))
+    # One thread runs the calls here, one at a time, with no pool.
+    assert list(_native._in_order(lambda x: x * x, iter(range(5)), 1)) == [0, 1, 4, 9, 16]
+    assert len(pools) == 1
 
 
 def test_aggregate_seeded_er_dispersion():

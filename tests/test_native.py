@@ -19,6 +19,7 @@ import random
 import subprocess
 import sys
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -87,10 +88,11 @@ GRAPHS = {
     # The criterion-9 recipe at n = 2,000: hubs of several hundred neighbours.
     "cm": largest_connected_component(gen_cm(wos_scale_degree_sequence(2000, seed=5), seed=6))[0],
 }
-# Under any cap most walks from the CM graph's top hubs (degree 730) end at
-# the hub, and a case that stalls there spends about a second of the Python
-# engine on its 10 n idle walks (27 s for every cap): it runs uncapped only.
-GRAPH_CAPS = {"cm": (None,)}
+# From the CM graph's top hubs (degree 730) a cap of 1, or under extended
+# and look_ahead one of 50, ends every walk after its first move, so those
+# cases stall before any walk. Cap 7 is left out: its standard walks would
+# add about 5 s of the Python engine.
+GRAPH_CAPS = {"cm": (None, 1, 50)}
 
 
 def discover(g, brain, policy, rng, **kwargs):
@@ -186,15 +188,41 @@ def test_capped_disconnected_input_stalls_under_both_engines(policy):
 
 @pytest.mark.parametrize("engine", [Reference, random.Random], ids=["python", "native"])
 def test_capped_stall_on_a_connected_graph_names_the_cap(engine):
-    # A degree-sum cap below the brain's degree ends every extended walk
-    # after one move, so the chain behind node 1 stays out of reach.
+    # A degree-sum cap of the brain's degree + 2 ends every extended walk
+    # after one move, onto node 1 at best, so the chain behind it stays out
+    # of reach; only the walks tell, as a first move onto node 1 could go on.
     g = build_graph(13, [(0, i) for i in range(1, 11)] + [(1, 11), (11, 12)])
     with pytest.raises(DiscoveryStallError) as exc:
-        run_discovery(g, 0, WalkPolicy.EXTENDED, engine(3), step_cap=5)
+        run_discovery(g, 0, WalkPolicy.EXTENDED, engine(3), step_cap=12)
     assert str(exc.value) == (
         "no progress in 130 consecutive walks (policy=extended, brain=0, known=11/13); "
-        "the graph is connected, so the step cap of 5 keeps the rest out of reach"
+        "the graph is connected, so the step cap of 12 keeps the rest out of reach"
     )
+
+
+@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
+def test_a_cap_that_ends_every_walk_at_its_first_move_stalls_before_any_walk(policy):
+    # From node 0 of this connected graph one move reaches only its 10
+    # neighbours; a cap of 1, or of the brain's degree + 1 under the report
+    # policies, ends every walk there, and the error comes before any draw.
+    g = build_graph(13, [(0, i) for i in range(1, 11)] + [(1, 11), (11, 12)])
+    cap = 1 if policy is WalkPolicy.STANDARD else 11
+    messages = []
+    for rng in (Reference(3), random.Random(3)):
+        with pytest.raises(DiscoveryStallError) as exc:
+            run_discovery(g, 0, policy, rng, step_cap=cap)
+        assert rng.getstate() == random.Random(3).getstate()
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1] == (
+        f"no progress past the brain and its 10 neighbours (policy={policy.value}, brain=0, target=13/13); "
+        f"the step cap of {cap} ends every walk after its first move"
+    )
+    # The brain and its neighbours are enough for a lower target.
+    run_discovery(g, 0, policy, random.Random(3), step_cap=cap, target_fraction=11 / 13, thresholds=[0.5])
+    # A cap one higher lets a walk go on from node 1: only the walks show
+    # that node 12 stays out of reach.
+    with pytest.raises(DiscoveryStallError, match="no progress in 130 consecutive walks"):
+        run_discovery(g, 0, policy, random.Random(3), step_cap=cap + 1)
 
 
 @pytest.mark.parametrize("cap", [2**62, 2**63, 2**64 + 3], ids=["2^62", "2^63", "2^64+3"])
@@ -381,6 +409,28 @@ def test_overflow_in_a_later_block_falls_back_to_python(threads, monkeypatch):
     values = betweenness(g)
     assert calls == {"native": [None], "python": 1}
     assert values == python(g)
+
+
+@pytest.mark.parametrize("threads", THREADS)
+def test_overflow_leaves_at_most_a_window_of_blocks_run(threads, monkeypatch):
+    # Block 1 of 16 reports an overflow: the blocks after it that run are at
+    # most those already in flight, two a thread.
+    g = BETWEENNESS_GRAPHS["blocks"]
+    rows = _native._block_rows(g.n)
+    loader, kernel = _native.LOADER, _native.LOADER.kernel("netbrain_betweenness")
+    started = []
+
+    def overflow_at_block_1(indptr, indices, n, s0, *args):
+        started.append(s0 // rows)
+        return 1 if s0 // rows == 1 else kernel(indptr, indices, n, s0, *args)
+
+    wrapped = SimpleNamespace(
+        kernel=lambda name: overflow_at_block_1 if name == "netbrain_betweenness" else loader.kernel(name)
+    )
+    monkeypatch.setattr(_native, "LOADER", wrapped)
+    monkeypatch.setattr(_native, "_cpu_count", lambda: threads)
+    assert _native.betweenness(g) is None
+    assert 1 in started and max(started) <= 2 * threads < -(-g.n // rows)
 
 
 # --- set-up: the configuration model's shuffle ---------------------------------
@@ -658,6 +708,18 @@ def test_import_compiles_nothing(tmp_path):
     env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path), PYTHONPATH=str(_native.SOURCE.parents[1]))
     subprocess.run([sys.executable, "-c", "import netbrain, netbrain.cli"], env=env, check=True, timeout=60)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_import_loads_no_process_pool():
+    # Cells and betweenness blocks run in threads only; multiprocessing would
+    # add to every run's memory.
+    code = "import sys, netbrain, netbrain.cli; print([m for m in sys.modules if m.startswith(%r)])"
+    env = dict(os.environ, PYTHONPATH=str(_native.SOURCE.parents[1]))
+    for prefix in ("multiprocessing", "concurrent.futures.process"):
+        done = subprocess.run(
+            [sys.executable, "-c", code % prefix], env=env, capture_output=True, text=True, check=True, timeout=60
+        )
+        assert done.stdout == "[]\n", prefix
 
 
 def test_threads_build_once_and_match_serial_runs(tmp_path, monkeypatch):
