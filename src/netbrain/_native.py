@@ -74,13 +74,13 @@ _ENTRY_POINTS = {
         _i32, _i32, _i64,  # order, dist, sigma: one per node
         _i32, _i32,  # pred: one per arc; npred: one per node
     ),
-    "netbrain_shuffle": (_i64, ctypes.c_int64, _u32),  # x, len, mt
+    "netbrain_shuffle": (_i32, ctypes.c_int64, _u32),  # x, len, mt
     "netbrain_parse_edges": (
         ctypes.c_char_p, ctypes.c_int64,  # buf, len
         _i64, ctypes.c_int64, _i64,  # labels, cap, nedges
     ),
     "netbrain_build_csr": (
-        _i64, ctypes.c_int64, ctypes.c_int32,  # edges, k, n
+        _i32, ctypes.c_int64, ctypes.c_int32,  # edges, k, n
         _i32, _i32, _i32, _i32, _i64,  # indptr, indices, bucket, next, counts
     ),
     "netbrain_components": (_i32, _i32, ctypes.c_int32, _i32, _i32),  # indptr, indices, n, labels, queue
@@ -282,10 +282,11 @@ def discover(walker, stall_limit: int) -> bool | None:
 
 
 def shuffle(rng, x: np.ndarray) -> bool:
-    """`rng.shuffle(x)` on the int64 array `x` by `netbrain_shuffle`: the same
-    permutation, and the generator's state goes back into `rng`. False, with
-    `x` and `rng` untouched, when the library did not load or `x` holds
-    2**32 items or more, as the kernel draws at most 32 bits per index."""
+    """`rng.shuffle(x)` on the C-contiguous int32 array `x` by
+    `netbrain_shuffle`: the same permutation, and the generator's state goes
+    back into `rng`. False, with `x` and `rng` untouched, when the library
+    did not load or `x` holds 2**32 items or more, as the kernel draws at
+    most 32 bits per index."""
     kernel = LOADER.kernel("netbrain_shuffle")
     if kernel is None or len(x) >= 2**32:
         return False
@@ -318,13 +319,15 @@ def build_csr(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, i
     """The int32 `indptr` and `indices` of the simple graph on `n` nodes with
     the (k, 2) integer `edges`, all in [0, n), by `netbrain_build_csr`, and
     the self-loops and repeated pairs it dropped: what the numpy build of
-    `graph.build_graph_reported` gives. None when the library did not load
-    or the 2k arcs reach 2**31, which its int32 scratch cannot index."""
+    `graph.build_graph_reported` gives. C-contiguous int32 `edges` are read
+    as they are; any other array is cast to them. None when the library did
+    not load or the 2k arcs reach 2**31, which its int32 scratch cannot
+    index."""
     kernel = LOADER.kernel("netbrain_build_csr")
     k = len(edges)
     if kernel is None or 2 * k >= 2**31:
         return None
-    edges = np.ascontiguousarray(edges, dtype=np.int64)
+    edges = np.ascontiguousarray(edges, dtype=np.int32)
     indptr = np.empty(n + 1, dtype=np.int32)
     indices = np.empty(2 * k, dtype=np.int32)
     counts = np.empty(3, dtype=np.int64)
@@ -348,13 +351,14 @@ def components(g: Graph) -> np.ndarray | None:
     return labels
 
 
-def format_edges(g: Graph) -> str | None:
-    """The "u v" lines of the edges of `g`, u < v, ascending, by
-    `netbrain_format_edges`; None when the library did not load."""
+def format_edges(g: Graph) -> memoryview | None:
+    """The ASCII bytes of the "u v" lines of the edges of `g`, u < v,
+    ascending, by `netbrain_format_edges`: a view of the kernel's buffer,
+    not a copy. None when the library did not load."""
     kernel = LOADER.kernel("netbrain_format_edges")
     if kernel is None:
         return None
     buf = np.empty(22 * g.m, dtype=np.uint8)  # at most 22 bytes a line
     length = np.empty(1, dtype=np.int64)
     kernel(g.indptr, g.indices, g.n, buf, length)
-    return buf[: length[0]].tobytes().decode("ascii")
+    return buf[: length[0]].data

@@ -338,7 +338,7 @@ int netbrain_betweenness(
  * x[j], j = `_randbelow(i + 1)`, which draws `getrandbits(k)` (the top k bits
  * of one 32-bit draw), k the bit length of i + 1, until the draw is below
  * i + 1. Requires len < 2^32, so that k is at most 32. */
-int netbrain_shuffle(int64_t *x, int64_t len, uint32_t *mt)
+int netbrain_shuffle(int32_t *x, int64_t len, uint32_t *mt)
 {
     int64_t i;
 
@@ -346,7 +346,7 @@ int netbrain_shuffle(int64_t *x, int64_t len, uint32_t *mt)
         uint32_t bound = (uint32_t)(i + 1);
         int shift = __builtin_clz(bound); /* 32 - k */
         uint32_t j = genrand_uint32(mt) >> shift;
-        int64_t t;
+        int32_t t;
 
         while (j >= bound)
             j = genrand_uint32(mt) >> shift;
@@ -443,7 +443,7 @@ int netbrain_parse_edges(const uint8_t *buf, int64_t len, int64_t *labels, int64
 /* ---- set-up: the CSR build -------------------------------------------- */
 
 /* The CSR arrays of the simple graph on nodes 0..n-1 with the `k` edges
- * `edges` (pairs of int64 endpoints, all in [0, n), which the caller has
+ * `edges` (pairs of int32 endpoints, all in [0, n), which the caller has
  * checked), as `graph.build_graph_reported` builds them: each row ascending,
  * self-loops and repeated pairs dropped. Two counting passes place the arcs
  * without a comparison sort: the sources go into buckets by target, and
@@ -457,7 +457,7 @@ int netbrain_parse_edges(const uint8_t *buf, int64_t len, int64_t *labels, int64
  * next             scratch of n ints
  * counts           output: the arcs kept, the self-loops, the repeated pairs
  */
-int netbrain_build_csr(const int64_t *edges, int64_t k, int32_t n, int32_t *indptr,
+int netbrain_build_csr(const int32_t *edges, int64_t k, int32_t n, int32_t *indptr,
                        int32_t *indices, int32_t *bucket, int32_t *next, int64_t *counts)
 {
     int64_t i, loops = 0;
@@ -466,7 +466,7 @@ int netbrain_build_csr(const int64_t *edges, int64_t k, int32_t n, int32_t *indp
     for (v = 0; v <= n; v++)
         indptr[v] = 0;
     for (i = 0; i < k; i++) {
-        int32_t a = (int32_t)edges[2 * i], b = (int32_t)edges[2 * i + 1];
+        int32_t a = edges[2 * i], b = edges[2 * i + 1];
 
         if (a == b) {
             loops++;
@@ -480,7 +480,7 @@ int netbrain_build_csr(const int64_t *edges, int64_t k, int32_t n, int32_t *indp
         next[v] = indptr[v];
     }
     for (i = 0; i < k; i++) {
-        int32_t a = (int32_t)edges[2 * i], b = (int32_t)edges[2 * i + 1];
+        int32_t a = edges[2 * i], b = edges[2 * i + 1];
 
         if (a != b) {
             bucket[next[b]++] = a;

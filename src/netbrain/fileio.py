@@ -5,12 +5,13 @@ from __future__ import annotations
 import json
 import os
 import threading
+from collections.abc import ItemsView, Mapping
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterator, Sequence, TextIO
+from typing import IO, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -41,12 +42,54 @@ class IngestReport:
     lcc_edges: int
 
 
-def ingest_edge_list(path: str | Path) -> tuple[Graph, dict[int, int], IngestReport]:
+class LabelMap(Mapping):
+    """The original labels of an ingested graph's nodes, each mapped to its
+    dense id: a read-only view of `labels`, the ascending array of the kept
+    labels, where label `labels[i]` is node i. It equals the dict
+    `{labels[i]: i}` and iterates in the same ascending order."""
+
+    __slots__ = ("labels",)
+
+    def __init__(self, labels: np.ndarray):
+        labels.flags.writeable = False
+        self.labels = labels
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.labels.tolist())
+
+    def __getitem__(self, label) -> int:
+        try:
+            i = int(self.labels.searchsorted(label))
+            if i < len(self.labels) and self.labels[i] == label:
+                return i
+        except (TypeError, ValueError, OverflowError):  # not comparable with the labels
+            pass
+        raise KeyError(label)
+
+    def items(self) -> ItemsView:
+        return _LabelItems(self)
+
+    def __repr__(self) -> str:
+        return f"LabelMap({dict(self.items())})"
+
+
+class _LabelItems(ItemsView):
+    """The (label, id) pairs of a `LabelMap`, read from its array at once."""
+
+    def __iter__(self):
+        return zip(self._mapping.labels.tolist(), range(len(self._mapping)))
+
+
+def ingest_edge_list(path: str | Path) -> tuple[Graph, LabelMap, IngestReport]:
     """Read an undirected edge list and return its LCC as a dense graph.
 
-    One edge per line, two whitespace-separated non-negative integer labels;
-    lines starting with '#' are ignored. Labels need not be dense; the
-    returned map sends original labels of retained nodes to their dense ids.
+    One edge per line, two whitespace-separated non-negative integer labels
+    in the ASCII digits 0-9; lines starting with '#' are ignored. Labels
+    need not be dense; the returned `LabelMap` sends original labels of
+    retained nodes to their dense ids.
     Plain ASCII files are parsed natively when `_native.parse_edges` can;
     any other file, or any file without the library, by the line loop
     `_parse_lines`, which gives the same result and every error.
@@ -55,37 +98,47 @@ def ingest_edge_list(path: str | Path) -> tuple[Graph, dict[int, int], IngestRep
     pairs = _native.parse_edges(path)
     if pairs is None:
         pairs = _parse_lines(path)
-    if not len(pairs):
+    raw_edges = len(pairs)
+    if not raw_edges:
         raise ParseError(f"{path}: no edges found")
     labels, dense = _rank_labels(pairs)
+    del pairs  # the int64 labels go before the CSR build, which reads the int32 ranks
     g, drops = build_graph_reported(len(labels), dense)
+    del dense
     lcc, kept = largest_connected_component(g)
-    label_map = dict(zip(labels[kept].tolist(), range(lcc.n)))
     report = IngestReport(
         raw_nodes=len(labels),
-        raw_edges=len(pairs),
+        raw_edges=raw_edges,
         self_loops_dropped=drops.self_loops,
         duplicates_dropped=drops.duplicates,
         lcc_nodes=lcc.n,
         lcc_edges=lcc.m,
     )
-    return lcc, label_map, report
+    return lcc, LabelMap(labels[kept]), report
 
 
 def _rank_labels(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The sorted distinct labels of the non-negative `pairs`, and the pairs
-    as their ranks.
+    as their int32 ranks.
 
     Labels below the pair array's size are ranked by a presence table over
-    0..size-1 and its running count, which costs no sort and never allocates
-    more than the pairs already take; larger labels by `np.unique`."""
-    if pairs.max() < pairs.size:
-        present = np.zeros(pairs.size, dtype=bool)
+    0..max and its running count, which costs no sort and never allocates
+    more than the pairs already take; when they are already 0..max, each is
+    its own rank, and the ranks are the pairs cast. Larger labels are ranked
+    by `np.unique`."""
+    top = pairs.max()
+    if top < pairs.size:
+        present = np.zeros(top + 1, dtype=bool)
         present[pairs] = True
-        return np.flatnonzero(present), np.cumsum(present)[pairs] - 1
-    # numpy versions differ in the shape of `dense`.
+        if present.all():
+            return np.arange(top + 1), pairs.astype(np.int32)
+        ranks = np.cumsum(present, dtype=np.int32)
+        ranks -= 1
+        return np.flatnonzero(present), ranks[pairs]
+    # numpy versions differ in the shape of `dense`; more than 2**31 labels
+    # wrap in the cast, and the graph build then refuses their count.
     labels, dense = np.unique(pairs, return_inverse=True)
-    return labels, dense.reshape(-1, 2)
+    return labels, dense.reshape(-1, 2).astype(np.int32)
 
 
 def _parse_lines(path: Path) -> np.ndarray:
@@ -101,13 +154,14 @@ def _parse_lines(path: Path) -> np.ndarray:
                 parts = text.split()
                 if len(parts) != 2:
                     raise ParseError(f"{path}:{lineno}: expected two node labels, got {text!r}")
-                try:
-                    u, v = int(parts[0]), int(parts[1])
-                except ValueError:
-                    raise ParseError(f"{path}:{lineno}: node labels must be integers, got {text!r}")
-                if u < 0 or v < 0:
-                    raise ParseError(f"{path}:{lineno}: node labels must be non-negative")
-                raw_edges.append((u, v))
+                u, v = parts
+                # `int` alone would also read "+1", "1_0" and non-ASCII digits.
+                if not (u.isdigit() and v.isdigit() and u.isascii() and v.isascii()):
+                    raise ParseError(
+                        f"{path}:{lineno}: node labels must be non-negative integers "
+                        f"in the digits 0-9, got {text!r}"
+                    )
+                raw_edges.append((int(u), int(v)))
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     try:
@@ -117,19 +171,22 @@ def _parse_lines(path: Path) -> np.ndarray:
 
 
 def write_edge_list(g: Graph, path: str | Path, header: Sequence[str] = ()) -> None:
-    """Write edges as 'u v' lines (u < v, ascending), with optional # header lines.
+    """Write edges as 'u v' lines (u < v, ascending), with optional # header
+    lines in UTF-8, which `ingest_edge_list` reads.
 
     The lines come from `_native.format_edges`, or from `_format_edges`
-    without the library; both give the same text."""
-    edges = _native.format_edges(g)
-    if edges is None:
-        edges = _format_edges(g)
-    _write_text(path, "".join(f"# {line}\n" for line in header) + edges)
+    without the library; both give the same bytes, written as they are."""
+    lines = _native.format_edges(g)
+    if lines is None:
+        lines = _format_edges(g)
+    with _writing(path, "wb") as fh:
+        fh.write("".join(f"# {line}\n" for line in header).encode("utf-8"))
+        fh.write(lines)
 
 
-def _format_edges(g: Graph) -> str:
-    """The edge lines of `write_edge_list` in Python, each id formatted once:
-    the reference that `_native.format_edges` reproduces."""
+def _format_edges(g: Graph) -> bytes:
+    """The ASCII edge lines of `write_edge_list` in Python, each id formatted
+    once: the reference that `_native.format_edges` reproduces."""
     names = [str(v) for v in range(g.n)]
     source, target = _upper_arcs(g)
     ends = [names[v] for v in target.tolist()]
@@ -139,7 +196,7 @@ def _format_edges(g: Graph) -> str:
     for u, start, stop in zip(nodes.tolist(), [0, *bounds], bounds):
         row = names[u] + " "
         text.append(row + ("\n" + row).join(ends[start:stop]) + "\n")  # node u's block
-    return "".join(text)
+    return "".join(text).encode("ascii")
 
 
 # --- experiment config files (JSON) -----------------------------------------
@@ -313,13 +370,13 @@ def _write_text(path: str | Path, text: str) -> None:
 
 
 @contextmanager
-def _writing(path: str | Path) -> Iterator[TextIO]:
-    """Every file netbrain writes, whole or not at all: written under a
-    temporary name beside `path`, and renamed to it when the block ends
-    without an error."""
+def _writing(path: str | Path, mode: str = "w") -> Iterator[IO]:
+    """Every file netbrain writes, whole or not at all: opened in `mode`
+    under a temporary name beside `path`, and renamed to it when the block
+    ends without an error."""
     tmp = Path(f"{path}.{os.getpid()}-{threading.get_ident()}.tmp")
     try:
-        with tmp.open("w") as fh:
+        with tmp.open(mode) as fh:
             yield fh
         os.replace(tmp, path)
     finally:

@@ -110,11 +110,11 @@ def _gnp_pairs(n: int, p: float, rng: random.Random) -> Iterator[tuple[int, int]
 # its clamp-aware count, or for a cm half its degree sum. er, ba, ws and sbm
 # keep each drawn edge as a tuple in a list, about 128 bytes per edge before
 # build_graph packs them into arrays, so this is over half a gigabyte. cm and
-# waxman draw into arrays: cm two int64 stubs an edge, and waxman at most
+# waxman draw into arrays: cm two int32 stubs an edge, and waxman at most
 # about twice its expected edges as candidates, at 24 bytes each.
 _MAX_EDGES = 5_000_000
-# The most nodes a model may have: set-up takes about 29 bytes a node whatever the edges (er at n=4,000,000,
-# k_avg=0.01: 149 MB peak RSS for a 4-node LCC, 35 MB of it the import; 2-CPU Xeon).
+# The most nodes a model may have: set-up takes about 25 bytes a node whatever the edges (er at n=4,000,000,
+# k_avg=0.01: 132 MB peak RSS for a 4-node LCC, 34 MB of it the import; 2-CPU Xeon).
 _MAX_NODES = 5_000_000
 
 
@@ -173,7 +173,7 @@ def _check_cm(degree_sequence: Sequence[int]) -> None:
         raise ParameterError("degrees must be non-negative")
     if max(degree_sequence) >= n:
         raise ParameterError("max degree must be smaller than the sequence length")
-    if total // 2 > _MAX_EDGES:  # gen_cm holds two int64 stubs an edge
+    if total // 2 > _MAX_EDGES:  # gen_cm holds two int32 stubs an edge
         raise ParameterError(
             f"a degree sequence summing to {total:,} asks for {total // 2:,} edges, "
             f"above the bound of {_MAX_EDGES:,}; lower the degrees"
@@ -294,11 +294,11 @@ def gen_cm(degree_sequence: Sequence[int], seed: int) -> Graph:
     _check_cm(degree_sequence)
     n = len(degree_sequence)
     rng = random.Random(seed)
-    stubs = np.repeat(np.arange(n, dtype=np.int64), degree_sequence)
+    stubs = np.repeat(np.arange(n, dtype=np.int32), degree_sequence)
     if not _native.shuffle(rng, stubs):
         shuffled = stubs.tolist()
         rng.shuffle(shuffled)
-        stubs = np.array(shuffled, dtype=np.int64)
+        stubs = np.array(shuffled, dtype=np.int32)
     g, drops = build_graph_reported(n, stubs.reshape(-1, 2))
     if drops.self_loops or drops.duplicates:
         logger.info(

@@ -129,16 +129,14 @@ def build_graph_reported(
                     raise ConstructionError(f"edge ({u}, {v}) has an endpoint outside [0, {n})")
             raise ValueError("edges must be pairs of integers")
         edges = flat.reshape(-1, 2)
-    u, v = edges[:, 0], edges[:, 1]
-    outside = (u < 0) | (u >= n) | (v < 0) | (v >= n)
-    if outside.any():
-        i = int(outside.argmax())
+    if edges.size and (edges.min() < 0 or edges.max() >= n):
+        u, v = edges[:, 0], edges[:, 1]
+        i = int(((u < 0) | (u >= n) | (v < 0) | (v >= n)).argmax())
         raise ConstructionError(
             f"edge ({int(u[i])}, {int(v[i])}) has an endpoint outside [0, {n})"
         )
-    # Every endpoint is in [0, n), so the cast keeps each value, and the
-    # numpy keys below cannot overflow a narrow input type.
-    edges = np.ascontiguousarray(edges, dtype=np.int64)
+    # Every endpoint is in [0, n), n < 2**31, so the one cast keeps each value.
+    edges = np.ascontiguousarray(edges, dtype=np.int32)
     built = _native.build_csr(n, edges)
     if built is None:
         built = _build_csr_numpy(n, edges)
@@ -147,13 +145,14 @@ def build_graph_reported(
 
 
 def _build_csr_numpy(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """The CSR arrays of the int64 (k, 2) `edges`, all in [0, n), by numpy
+    """The CSR arrays of the int32 (k, 2) `edges`, all in [0, n), by numpy
     sorts, and the self-loops and repeated pairs dropped: the reference that
     `_native.build_csr` reproduces, and the build without the library."""
     u, v = edges[:, 0], edges[:, 1]
     loop = u == v
     u, v = u[~loop], v[~loop]
-    keys = np.sort(np.minimum(u, v) * n + np.maximum(u, v))  # one per unordered pair
+    # One int64 key per unordered pair: lo * n + hi overflows int32.
+    keys = np.sort(np.minimum(u, v).astype(np.int64) * n + np.maximum(u, v))
     keys = keys[_first_of_runs(keys)]
     if 2 * keys.size >= _INT32:
         raise ConstructionError(f"{keys.size} edges give 2 * m >= 2**31 arcs, too many for int32")
@@ -219,8 +218,10 @@ def largest_connected_component(g: Graph) -> tuple[Graph, np.ndarray]:
     # A component holds all its nodes' neighbours, and the relabelling keeps
     # node order, so each relabelled row is already sorted and simple.
     degrees = np.diff(g.indptr)
-    new_id = np.cumsum(inside) - 1
-    new_indptr = np.concatenate(([0], np.cumsum(degrees[inside])))
+    new_id = np.cumsum(inside, dtype=np.int32)
+    new_id -= 1
+    new_indptr = np.zeros(kept.size + 1, dtype=np.int32)
+    np.cumsum(degrees[inside], dtype=np.int32, out=new_indptr[1:])
     new_indices = new_id[g.indices[np.repeat(inside, degrees)]]
     return Graph(kept.size, new_indptr, new_indices), kept
 

@@ -157,6 +157,16 @@ def test_ingest_reports_and_writes_outputs(tmp_path, capsys):
     assert g.n == 3 and g.m == 2
 
 
+@pytest.mark.parametrize("label", ["+1", "1_0", "\u0663"], ids=["plus", "underscore", "arabic-indic"])
+def test_ingest_refuses_labels_beyond_ascii_digits_in_one_error_line(tmp_path, capsys, label):
+    src = tmp_path / "raw.txt"
+    src.write_text(f"0 1\n{label} 2\n", encoding="utf-8")
+    assert run_cli("ingest", src, "--out", tmp_path / "ingested") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {src}:2: node labels must be non-negative integers")
+    assert not (tmp_path / "ingested").exists()
+
+
 # --- run ----------------------------------------------------------------------
 
 

@@ -1,11 +1,12 @@
 import json
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from helpers import ALL_SPECS, edges, path_graph
+from helpers import ALL_SPECS, edges, path_graph, wos_scale_degree_sequence
 from netbrain import (
     ConfigError,
     DegreeRankedStride,
@@ -28,7 +29,7 @@ from netbrain import (
     write_curves_csv,
     write_edge_list,
 )
-from netbrain import fileio, generators, harness, sweep
+from netbrain import _native, fileio, generators, harness, sweep
 from netbrain.fileio import AGGREGATE_HEADER, CURVE_HEADER, _rank_labels
 from netbrain.generators import MODELS
 
@@ -62,6 +63,38 @@ def test_ingest_remaps_sparse_labels(tmp_path):
     assert g.n == 3
     assert label_map == {5: 0, 12: 1, 900: 2}
     assert g.degree(label_map[900]) == 2
+
+
+def test_label_map_is_a_read_only_view_equal_to_the_dict(tmp_path):
+    f = tmp_path / "g.txt"
+    f.write_text("5 900\n900 12\n12 5\n40 41\n")
+    _, label_map, _ = ingest_edge_list(f)
+    expected = {5: 0, 12: 1, 900: 2}
+    assert label_map == expected and expected == label_map and label_map != {5: 0}
+    assert list(label_map.items()) == list(expected.items())
+    assert list(label_map) == [5, 12, 900] and list(label_map.values()) == [0, 1, 2]
+    assert label_map[900] == 2 and label_map.get(12.0) == 1 and 41 not in label_map
+    for missing in (40, 901, -1, 2**70, 1.5, "5", None):
+        assert missing not in label_map
+        with pytest.raises(KeyError):
+            label_map[missing]
+    assert label_map.labels.tolist() == [5, 12, 900]
+    with pytest.raises(ValueError):
+        label_map.labels[0] = 6
+    with pytest.raises(TypeError):
+        label_map[7] = 3
+
+
+@pytest.mark.parametrize("label", ["+1", "1_0", "\u0663", "-0", "\uff11"])
+@pytest.mark.parametrize("engine", ["native", "python"])
+def test_labels_must_be_ascii_digits(label, engine, tmp_path, monkeypatch):
+    # `int` reads each of these labels; neither engine may.
+    if engine == "python":
+        monkeypatch.setattr(_native, "LOADER", _native.Loader(cc="false", cache_dir=tmp_path))
+    f = tmp_path / "g.txt"
+    f.write_text(f"0 1\n{label} 2\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=r"g\.txt:2: node labels must be non-negative integers in the digits 0-9"):
+        ingest_edge_list(f)
 
 
 @pytest.mark.parametrize("top", [10**6, 2**63, 1000], ids=["int64", "beyond-int64", "below-pair-count"])
@@ -139,6 +172,52 @@ def test_ingest_rejects_malformed_line(tmp_path):
     f.write_text("")
     with pytest.raises(ParseError, match="no edges"):
         ingest_edge_list(f)
+
+
+def test_cm_round_trip_memory_is_bounded_and_its_edge_arrays_are_int32(tmp_path, monkeypatch):
+    # The criterion-9 stand-in (94,850 edges) through generate(cm),
+    # write_edge_list and ingest_edge_list. Measured tracemalloc peaks of the
+    # three steps: 2,604, 2,830 and 2,491 KiB, where int64 stubs and ranks,
+    # text copies of the lines and a dict of the labels took 3,431, 4,673
+    # and 5,543 KiB. The bounds add 10%.
+    spec = GeneratorSpec(model="cm", degree_sequence=tuple(wos_scale_degree_sequence(11_000, 5)), seed=6)
+    path = tmp_path / "edges.txt"
+    write_edge_list(generate(spec).graph, path)  # imports and caches outside the measurement
+    ingest_edge_list(path)
+    peaks = []
+    tracemalloc.start()
+    try:
+        g = generate(spec).graph
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        write_edge_list(g, path, header=["wos stand-in"])
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        del g
+        tracemalloc.reset_peak()
+        ingest_edge_list(path)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert all(peak < limit * 1.1 * 1024 for peak, limit in zip(peaks, (2604, 2830, 2491))), peaks
+
+    seen = []
+
+    def spy(module, name, array):
+        real = getattr(module, name)
+
+        def call(*args):
+            result = real(*args)
+            seen.append((name, array(args, result).dtype))
+            return result
+
+        monkeypatch.setattr(module, name, call)
+
+    spy(_native, "shuffle", lambda args, _: args[1])  # the stubs
+    spy(_native, "build_csr", lambda args, _: args[1])
+    spy(fileio, "_rank_labels", lambda _, result: result[1])
+    write_edge_list(generate(spec).graph, path)
+    ingest_edge_list(path)
+    assert seen == [("shuffle", np.int32), ("build_csr", np.int32), ("_rank_labels", np.int32), ("build_csr", np.int32)]
 
 
 def test_roundtrip_preserves_degree_sequence(tmp_path):

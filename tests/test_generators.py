@@ -316,7 +316,7 @@ def test_models_refuse_expected_edges_above_the_bound(model):
 @pytest.mark.parametrize("model", ["er", "ba", "ws", "waxman", "sbm"])
 def test_models_refuse_nodes_above_the_bound(model, monkeypatch):
     # A tiny k_avg keeps the edges under their bound, while set-up costs about
-    # 29 bytes a node: only the checks run.
+    # 25 bytes a node: only the checks run.
     monkeypatch.setattr(generators, "build_graph", lambda *args: pytest.fail("a graph was built"))
     params = dict(k_avg=2 if model == "ws" else 0.01, mu=0.0, blocks=10, p_rewire=0.1, alpha=0.5)
     if model != "waxman":  # which weighs every pair, and so is refused at the bound too
