@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import os
 import threading
-from collections.abc import ItemsView, Mapping
+from collections.abc import ItemsView, Mapping, ValuesView
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
 from itertools import groupby
@@ -72,6 +72,9 @@ class LabelMap(Mapping):
     def items(self) -> ItemsView:
         return _LabelItems(self)
 
+    def values(self) -> ValuesView:
+        return _LabelValues(self)
+
     def __repr__(self) -> str:
         return f"LabelMap({dict(self.items())})"
 
@@ -81,6 +84,16 @@ class _LabelItems(ItemsView):
 
     def __iter__(self):
         return zip(self._mapping.labels.tolist(), range(len(self._mapping)))
+
+
+class _LabelValues(ValuesView):
+    """The ids of a `LabelMap`, 0..n-1 in label order, with no lookups."""
+
+    def __iter__(self):
+        return iter(range(len(self._mapping)))
+
+    def __contains__(self, value) -> bool:
+        return value in range(len(self._mapping))
 
 
 def ingest_edge_list(path: str | Path) -> tuple[Graph, LabelMap, IngestReport]:
@@ -123,15 +136,12 @@ def _rank_labels(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Labels below the pair array's size are ranked by a presence table over
     0..max and its running count, which costs no sort and never allocates
-    more than the pairs already take; when they are already 0..max, each is
-    its own rank, and the ranks are the pairs cast. Larger labels are ranked
-    by `np.unique`."""
+    more than the pairs already take. Larger labels are ranked by
+    `np.unique`."""
     top = pairs.max()
     if top < pairs.size:
         present = np.zeros(top + 1, dtype=bool)
         present[pairs] = True
-        if present.all():
-            return np.arange(top + 1), pairs.astype(np.int32)
         ranks = np.cumsum(present, dtype=np.int32)
         ranks -= 1
         return np.flatnonzero(present), ranks[pairs]

@@ -73,6 +73,7 @@ def test_label_map_is_a_read_only_view_equal_to_the_dict(tmp_path):
     assert label_map == expected and expected == label_map and label_map != {5: 0}
     assert list(label_map.items()) == list(expected.items())
     assert list(label_map) == [5, 12, 900] and list(label_map.values()) == [0, 1, 2]
+    assert 2 in label_map.values() and 3 not in label_map.values()
     assert label_map[900] == 2 and label_map.get(12.0) == 1 and 41 not in label_map
     for missing in (40, 901, -1, 2**70, 1.5, "5", None):
         assert missing not in label_map
@@ -177,9 +178,10 @@ def test_ingest_rejects_malformed_line(tmp_path):
 def test_cm_round_trip_memory_is_bounded_and_its_edge_arrays_are_int32(tmp_path, monkeypatch):
     # The criterion-9 stand-in (94,850 edges) through generate(cm),
     # write_edge_list and ingest_edge_list. Measured tracemalloc peaks of the
-    # three steps: 2,604, 2,830 and 2,410 KiB, where int64 stubs and ranks,
+    # three steps: 2,604, 2,830 and 2,409 KiB, where int64 stubs and ranks,
     # text copies of the lines and a dict of the labels took 3,431, 4,673
-    # and 5,543 KiB. The bounds add 10%.
+    # and 5,543 KiB. Each bound lies midway between the two, so any of those
+    # copies coming back fails while numpy's temporaries may still vary.
     spec = GeneratorSpec(model="cm", degree_sequence=tuple(wos_scale_degree_sequence(11_000, 5)), seed=6)
     path = tmp_path / "edges.txt"
     write_edge_list(generate(spec).graph, path)  # imports and caches outside the measurement
@@ -198,7 +200,7 @@ def test_cm_round_trip_memory_is_bounded_and_its_edge_arrays_are_int32(tmp_path,
         peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
-    assert all(peak < limit * 1.1 * 1024 for peak, limit in zip(peaks, (2604, 2830, 2410))), peaks
+    assert all(peak < limit * 1024 for peak, limit in zip(peaks, (3018, 3752, 3976))), peaks
 
     seen = []
 
