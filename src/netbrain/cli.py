@@ -65,9 +65,13 @@ def _generator_from_flags(args: argparse.Namespace) -> dict:
         if not path:
             raise NetbrainError(f"{args.model} requires --degrees-file")
         try:
-            d["degree_sequence"] = [int(x) for x in Path(path).read_text(encoding="utf-8").split()]
-        except (ValueError, UnicodeDecodeError) as exc:
+            tokens = Path(path).read_text(encoding="utf-8").split()
+        except UnicodeDecodeError as exc:
             raise ParseError(f"--degrees-file {path}: expected one integer per line ({exc})") from None
+        bad = next((t for t in tokens if not (t.isdigit() and t.isascii())), None)
+        if bad is not None:
+            raise ParseError(f"--degrees-file {path}: expected one integer per line in the digits 0-9, got {bad!r}")
+        d["degree_sequence"] = [int(x) for x in tokens]
     return d
 
 

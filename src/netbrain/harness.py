@@ -11,7 +11,6 @@ from dataclasses import dataclass, replace
 from functools import partial
 from itertools import product
 from operator import add, mul
-from statistics import fmean
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from . import _native
@@ -346,49 +345,24 @@ def aggregate(curves: Sequence[TaggedCurve]) -> list[AggregateCurve]:
     All curves must share one threshold grid. Duplicated inputs count as
     extra samples, in `n_samples` and in the group's counter sums.
     """
-    if not curves:
-        return []
-    grid = curves[0].curve.thresholds
-    groups: dict[tuple[str, WalkPolicy], list[TaggedCurve]] = {}
-    for c in curves:
-        if c.curve.thresholds != grid:
-            raise AggregationError("curves mix different threshold grids")
-        groups.setdefault((c.group, c.policy), []).append(c)
-    out = []
-    for (label, policy), members in sorted(groups.items(), key=lambda kv: (kv[0][0], kv[0][1].value)):
-        columns = list(zip(*(tuple(s for _, s in c.curve.crossings) for c in members)))
-        if len(columns) != len(grid):
-            raise AggregationError("curves did not cross every threshold in the grid")
-        means = tuple(fmean(col) for col in columns)
-        sds = tuple(_pstdev(col) for col in columns)
-        out.append(
-            AggregateCurve(
-                group=label,
-                policy=policy,
-                thresholds=grid,
-                mean_steps=means,
-                sd_steps=sds,
-                n_samples=len(members),
-                **_walk_counts(*members),
-            )
-        )
-    return out
+    return _Sink().drain(curves).aggregates()
 
 
 _EXACT = 2**53  # every integer up to it is a float
 
 
 class _Sink:
-    """The one consumer of a run's finished curves: `write` (the curves.csv
-    rows of `netbrain run`), when given, takes each curve as it arrives, and
-    `aggregates` gives `aggregate`'s records of every curve added, bit for
-    bit, from exact integer sums, so that memory does not grow with the cells.
+    """The one consumer of finished curves, for `aggregate`, `sweep` and
+    `netbrain run`: `write` (the curves.csv rows of `netbrain run`), when
+    given, takes each curve as it arrives, and `aggregates` gives the records
+    of every curve added from exact integer sums, so that memory does not
+    grow with the cells.
 
     Curves are summed by (group, policy), where `group`, when given, replaces
     each curve's own tag. Per threshold the sums are n, Σ int(float(x)), Σx
-    and Σx² of the steps x: `fmean` adds the floats of its column exactly
-    and rounds once, which is float(Σ int(float(x))) / n, and `_sd` takes n,
-    Σx and Σx². The counters are summed by name.
+    and Σx² of the steps x. The mean is `statistics.fmean` of the column,
+    which adds its floats exactly and rounds once: float(Σ int(float(x))) / n.
+    `_sd` takes n, Σx and Σx². The counters are summed by name.
     """
 
     def __init__(self, write: Callable[[TaggedCurve], object] | None = None, group: str | None = None):
@@ -440,7 +414,7 @@ class _GroupSums:
         self.n += 1
         for name in _COUNTERS:
             self.counts[name] += getattr(c, name)
-        floats = steps if max(steps) <= _EXACT else [int(float(x)) for x in steps]
+        floats = steps if max(steps, default=0) <= _EXACT else [int(float(x)) for x in steps]
         self.floats = list(map(add, self.floats, floats))
         self.sums = list(map(add, self.sums, steps))
         self.squares = list(map(add, self.squares, map(mul, steps, steps)))
@@ -459,12 +433,6 @@ class _GroupSums:
 
 
 _SQRT_BITS = 2 * sys.float_info.mant_dig + 3  # bits of the scaled variance whose root is taken
-
-
-def _pstdev(col: Sequence[int]) -> float:
-    """`statistics.pstdev` of integers, as CPython 3.11 and later compute it,
-    without its exact fractions (see `_sd`)."""
-    return _sd(len(col), sum(col), sum(map(mul, col, col)))
 
 
 def _sd(n: int, s: int, squares: int) -> float:

@@ -474,6 +474,9 @@ ER_FLAGS = ["run", "--model", "er", "--n", 60, "--k", 5, "--reps", 1]
         ),
         (ER_FLAGS + ["--step-cap", 0], "step_cap"),
         (["generate", "cm", "--degrees-file", "{tmp}/degrees.txt"], "degrees.txt"),
+        (["generate", "cm", "--degrees-file", "{tmp}/degrees-underscore.txt"], "degrees-underscore.txt"),
+        (["generate", "cm", "--degrees-file", "{tmp}/degrees-plus.txt"], "degrees-plus.txt"),
+        (["generate", "cm", "--degrees-file", "{tmp}/degrees-arabic.txt"], "degrees-arabic.txt"),
         (["ingest", "{tmp}/latin1.txt"], "latin1.txt"),
         (["ingest", "{tmp}"], "{tmp}"),
         (["run", "--config", "{tmp}/cfg.json"], "generator.n"),
@@ -503,7 +506,8 @@ ER_FLAGS = ["run", "--model", "er", "--n", 60, "--k", 5, "--reps", 1]
         (["run", "--config", "{tmp}/policies-repeated.json"], "policies must be distinct, got extended, extended"),
     ],
     ids=[
-        "start", "policies", "thresholds", "thresholds-empty", "policies-list", "step-cap", "degrees-file", "non-utf8", "directory",
+        "start", "policies", "thresholds", "thresholds-empty", "policies-list", "step-cap", "degrees-file",
+        "degrees-underscore", "degrees-plus", "degrees-arabic", "non-utf8", "directory",
         "config-type", "policies-int", "policies-str", "start-kind-list", "edge-list-int",
         "edge-list-and-model", "stride-0", "reps-0", "percentile", "sweep-values",
         "config-and-reps", "config-and-policies", "config-and-model", "workers-0", "workers-negative",
@@ -516,6 +520,9 @@ def test_bad_values_exit_2_with_one_error_line(tmp_path, capsys, monkeypatch, ar
     # Every check that needs no graph runs before a graph is built.
     monkeypatch.setattr(netbrain.harness, "generate", lambda spec: pytest.fail("a graph was built"))
     (tmp_path / "degrees.txt").write_text("3\n3\nx\n")
+    # Tokens that int() reads, as 10, 1 and 3, but that are not ASCII digits.
+    for name, token in (("underscore", "1_0"), ("plus", "+1"), ("arabic", "\u0663")):
+        (tmp_path / f"degrees-{name}.txt").write_text(f"3\n{token}\n2\n", encoding="utf-8")
     (tmp_path / "latin1.txt").write_bytes("0 1\n# caf\u00e9\n".encode("latin-1"))
     (tmp_path / "p3.txt").write_text("0 1\n1 2\n")
     write_config(tmp_path, generator={"model": "er", "n": "80", "k_avg": 5.0, "seed": 3})
@@ -590,7 +597,9 @@ def test_interrupt_between_cells_leaves_no_curves_file(tmp_path, capsys, monkeyp
 
 
 def test_run_outputs_equal_aggregate_of_the_curves(tmp_path):
-    # The sink's aggregate.csv, cells and totals against the public reference.
+    # `aggregate` and `netbrain run` share one summing path, so this checks
+    # only the CLI's wiring: the files, cells and totals it writes from the
+    # curves that the library returns. test_harness.py checks the sums.
     cfg_path = write_config(tmp_path, policies=["look_ahead", "standard"], thresholds=[0.25, 0.5, 1.0],
                             start={"kind": "top_hubs", "count": 3}, repetitions_per_start=4)
     assert run_cli("run", "--config", cfg_path, "--out", tmp_path / "run") == 0

@@ -492,6 +492,9 @@ def test_aggregate_single_curve_has_zero_sd():
     assert aggs[0].mean_steps == (10.0, 30.0)
     assert aggs[0].sd_steps == (0.0, 0.0)
     assert aggs[0].n_samples == 1
+    # A hand-built curve on an empty grid gives a record with empty tuples.
+    (empty,) = aggregate([_curve_with({})])
+    assert (empty.thresholds, empty.mean_steps, empty.sd_steps, empty.n_samples) == ((), (), (), 1)
 
 
 def test_aggregate_identical_curves_have_zero_sd():
@@ -520,6 +523,43 @@ def _is_correctly_rounded_sqrt(root: float, value: Fraction) -> bool:
     return below * below <= value <= above * above
 
 
+def _nearest_root(value: Fraction) -> float:
+    """The float nearest the square root of `value`, stepped to from
+    `math.sqrt`'s guess one float at a time."""
+    root = math.sqrt(value)
+    while not _is_correctly_rounded_sqrt(root, value):
+        root = math.nextafter(root, math.inf if Fraction(root) ** 2 < value else -math.inf)
+    return root
+
+
+def _exact_variance(column) -> Fraction:
+    n = len(column)
+    return Fraction(n * sum(x * x for x in column) - sum(column) ** 2, n * n)
+
+
+def _reference_aggregates(curves):
+    """`aggregate`'s records, from `statistics.fmean` and the exact root of
+    each column's variance: a second derivation, not the sink's sums."""
+    groups = {}
+    for c in curves:
+        groups.setdefault((c.group, c.policy.value), []).append(c)
+    out = []
+    for _, members in sorted(groups.items()):
+        columns = list(zip(*(tuple(s for _, s in c.curve.crossings) for c in members)))
+        out.append(
+            harness.AggregateCurve(
+                group=members[0].group,
+                policy=members[0].policy,
+                thresholds=members[0].curve.thresholds,
+                mean_steps=tuple(statistics.fmean(col) for col in columns),
+                sd_steps=tuple(_nearest_root(_exact_variance(col)) for col in columns),
+                n_samples=len(members),
+                **{f.name: sum(getattr(m, f.name) for m in members) for f in fields(WalkCounts)},
+            )
+        )
+    return out
+
+
 def _pstdev_columns():
     rng = random.Random(2018)
     columns = [[7], [2**60 + 3], [5] * 9, [2**53 + 1] * 4, [0, 1], [2**53, 2**53 + 1, 2**53 + 2]]
@@ -532,13 +572,12 @@ def _pstdev_columns():
 
 @pytest.mark.parametrize("column", _pstdev_columns())
 def test_pstdev_is_the_correctly_rounded_root_of_the_exact_variance(column):
-    n = len(column)
-    variance = Fraction(n * sum(x * x for x in column) - sum(column) ** 2, n * n)
-    sd = harness._pstdev(column)
-    assert type(sd) is float and _is_correctly_rounded_sqrt(sd, variance)
+    (agg,) = aggregate([_curve_with({1.0: x}, repetition=i) for i, x in enumerate(column)])
+    (sd,) = agg.sd_steps
+    assert type(sd) is float and _is_correctly_rounded_sqrt(sd, _exact_variance(column))
     if sys.version_info >= (3, 11):  # before 3.11, pstdev rounds the variance first
         assert sd == statistics.pstdev(column)
-    assert aggregate([_curve_with({1.0: x}, repetition=i) for i, x in enumerate(column)])[0].sd_steps == (sd,)
+    assert agg.mean_steps == (statistics.fmean(column),)
 
 
 def test_aggregate_sums_every_counter_per_group():
@@ -559,20 +598,43 @@ def test_aggregate_rejects_mixed_grids():
         aggregate([a, b])
 
 
-def test_aggregate_rejects_uncrossed_thresholds():
-    # A library run with a target below the top threshold never crosses it.
+def _uncrossed():
+    """A library run with a target below the top threshold never crosses it."""
     curve, _ = run_discovery(
         path_graph(5), 0, WalkPolicy.STANDARD, random.Random(0), thresholds=(0.4, 1.0), target_fraction=0.4
     )
     assert curve.crossings == ((0.4, 1),)
-    tagged = TaggedCurve("", WalkPolicy.STANDARD, start=0, start_degree=1, repetition=0, curve=curve)
+    return TaggedCurve("", WalkPolicy.STANDARD, start=0, start_degree=1, repetition=0, curve=curve)
+
+
+def test_aggregate_rejects_uncrossed_thresholds():
     with pytest.raises(AggregationError, match="did not cross every threshold"):
-        aggregate([tagged])
+        aggregate([_uncrossed()])
+
+
+def test_aggregate_reports_the_first_fault_in_curve_order():
+    # A list with both a grid other than the first curve's and an uncrossed
+    # threshold: the curves are checked one by one as they are summed.
+    other_grid = _curve_with({1.0: 10})
+    with pytest.raises(AggregationError, match="did not cross every threshold"):
+        aggregate([_uncrossed(), other_grid])
+    with pytest.raises(AggregationError, match="mix different threshold grids"):
+        aggregate([other_grid, _uncrossed()])
+
+
+def test_aggregate_refuses_more_crossings_than_the_grid():
+    # Extra crossings are refused even beside a curve that has the grid's count.
+    from netbrain import LearningCurve
+
+    extra = replace(_curve_with({1.0: 10}), curve=LearningCurve((1.0,), ((0.5, 4), (1.0, 10))))
+    with pytest.raises(AggregationError, match="did not cross every threshold"):
+        aggregate([_curve_with({1.0: 10}), extra])
 
 
 def test_sink_aggregates_equal_aggregate():
-    # Exact sums give aggregate's bits: means above 2**53 too, where a plain
-    # integer sum would not (its column's fmean is ...661.0, not ...663.0).
+    # `aggregate`, `_Sink` and its `group=` relabel against fmean and the
+    # exact root: means above 2**53 too, where a plain integer sum would not
+    # give fmean's bits (its column's fmean is ...661.0, not ...663.0).
     columns = [[2**53 + 1, 2**53 + 1, 1], [7, 7, 7], [2**60 + 3, 5, 2**53]]
     curves = [
         _curve_with({0.5: a, 1.0: b}, policy=policy, group=group, repetition=i,
@@ -582,27 +644,25 @@ def test_sink_aggregates_equal_aggregate():
         for i, (a, b) in enumerate(zip(*columns[:2]))
     ]
     curves += [_curve_with({0.5: x, 1.0: x}, group="y", repetition=i) for i, x in enumerate(columns[2])]
-    expected = aggregate(curves)
+    expected = _reference_aggregates(curves)
     assert expected[0].mean_steps[0] == statistics.fmean(columns[0]) != float(sum(columns[0])) / 3
+    assert aggregate(curves) == expected
     assert harness._Sink().drain(curves).aggregates() == expected
     relabelled = harness._Sink(group="z").drain(curves[:6]).aggregates()
-    assert relabelled == aggregate([replace(c, group="z") for c in curves[:6]])
+    assert relabelled == _reference_aggregates([replace(c, group="z") for c in curves[:6]])
 
 
 def test_sink_refuses_what_aggregate_refuses():
     with pytest.raises(AggregationError, match="mix different threshold grids"):
         harness._Sink().drain([_curve_with({1.0: 10}), _curve_with({0.5: 5, 1.0: 10}, repetition=1)])
-    curve, _ = run_discovery(
-        path_graph(5), 0, WalkPolicy.STANDARD, random.Random(0), thresholds=(0.4, 1.0), target_fraction=0.4
-    )
-    tagged = TaggedCurve("", WalkPolicy.STANDARD, start=0, start_degree=1, repetition=0, curve=curve)
     with pytest.raises(AggregationError, match="did not cross every threshold"):
-        harness._Sink().add(tagged)
+        harness._Sink().add(_uncrossed())
 
 
 def test_sweeps_sum_what_aggregate_gives():
-    # A value sweep and a hub_degree sweep, against aggregate over the lists
-    # that run_experiment returns, bucketed as the sweeps bucket them.
+    # A value sweep and a hub_degree sweep, against fmean and the exact root
+    # over the lists that run_experiment returns, bucketed as the sweeps
+    # bucket them.
     base = small_config(
         generator=GeneratorSpec(model="ba", n=120, k_avg=4, seed=5),
         policies=(WalkPolicy.STANDARD, WalkPolicy.EXTENDED),
@@ -612,10 +672,10 @@ def test_sweeps_sum_what_aggregate_gives():
     for c in run_experiment(base):
         buckets.setdefault(c.start_degree, []).append(replace(c, group=f"deg={c.start_degree}"))
     assert len(buckets) > 2
-    assert sweep(base, "hub_degree") == {d: aggregate(buckets[d]) for d in sorted(buckets)}
+    assert sweep(base, "hub_degree") == {d: _reference_aggregates(buckets[d]) for d in sorted(buckets)}
     values = [3, 6]
     cfgs = harness._sweep_configs(base, "k_avg", values)
-    expected = {v: aggregate(run_experiment(cfg, group=f"k_avg={v}")) for v, cfg in zip(values, cfgs)}
+    expected = {v: _reference_aggregates(run_experiment(cfg, group=f"k_avg={v}")) for v, cfg in zip(values, cfgs)}
     assert sweep(base, "k_avg", values) == expected
 
 
