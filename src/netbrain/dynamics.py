@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cached_property
 from itertools import compress
-from operator import ne
+from operator import lt, ne
 from typing import Iterable, Sequence
 
 from . import _native
@@ -121,17 +121,21 @@ def default_thresholds() -> tuple[float, ...]:
 
 
 def validate_thresholds(thresholds: Sequence[float]) -> tuple[float, ...]:
-    ts = tuple(thresholds)
+    """A non-empty list or tuple of numbers, strictly increasing in (0, 1], as a tuple of floats."""
+    ts = _typed(thresholds, [float], "thresholds")
     if not ts:
         raise ConfigError("threshold grid must not be empty")
-    if any(not 0.0 < t <= 1.0 for t in ts):
+    # Strictly increasing (so no NaN either), the ends bound the rest: one pass where all pass.
+    rising = all(map(lt, ts, ts[1:]))
+    if not (rising and 0.0 < ts[0] and ts[-1] <= 1.0) and any(not 0.0 < t <= 1.0 for t in ts):
         raise ConfigError("thresholds must lie in (0, 1]")
-    if any(b <= a for a, b in zip(ts, ts[1:])):
+    if not rising:
         raise ConfigError("thresholds must be strictly increasing")
     return tuple(map(float, ts))  # compared first: float() overflows on a huge int
 
 
 def validate_target_fraction(target_fraction: float) -> float:
+    target_fraction = _typed(target_fraction, float, "target_fraction")
     if not 0.0 < target_fraction <= 1.0:
         raise ConfigError(f"target_fraction must be in (0, 1], got {target_fraction}")
     return float(target_fraction)  # compared first: float() overflows on a huge int
@@ -239,6 +243,7 @@ class _Walker:
         record = self._record
         standard = self.policy is _STANDARD
         look_ahead = self.policy is _LOOK_AHEAD
+        eligible = 1 if look_ahead else 2  # a neighbour is eligible below it: PRIMED, or BLOCKED
         brain = cur = self.brain
         state = bytearray(self.g.n)
         state[brain] = 3  # CURRENT
@@ -255,10 +260,7 @@ class _Walker:
             rnd = self.rng.random
             while True:
                 nbrs = adj[cur]
-                if look_ahead:
-                    elig = [w for w in nbrs if not state[w]]
-                else:
-                    elig = [w for w in nbrs if state[w] < 2]  # not BLOCKED
+                elig = [w for w in nbrs if state[w] < eligible]
                 k = len(elig)
                 if not k:
                     reason = _DEAD_END

@@ -37,17 +37,20 @@ class DiscoveryStallError(NetbrainError, RuntimeError):
     """Raised when a discovery run stops making progress (misuse guard)."""
 
 
-# field type -> (the classes that pass, a bool never; its names in messages)
-_KINDS = {int: (numbers.Integral, "an integer", "integers"), float: (numbers.Real, "a number", "numbers"),
-          str: (str, "a string", "strings")}
+# field type -> (the classes that pass, a bool never; the exact types that pass at once; its names in messages)
+_KINDS = {int: (numbers.Integral, {int}, "an integer", "integers"), str: (str, {str}, "a string", "strings"),
+          float: (numbers.Real, {int, float}, "a number", "numbers")}
 
 
 def _typed(value, kind, key: str):
     """`value` if it has the field type `kind`, else FieldTypeError naming `key`. `kind` is int,
     float (an integer passes too), str, or a list of one, such as [int], which takes a list or
-    tuple and gives a tuple. Integers, numpy's too, come back as Python ints, numbers as given."""
+    tuple and gives a tuple. Integers, numpy's too, come back as Python ints, numbers as given.
+    Exact types skip the isinstance checks, which cost about 0.5 us a list item."""
+    if type(kind) is type and type(value) in _KINDS[kind][1]:
+        return value
     item = kind[0] if isinstance(kind, list) else kind
-    classes, name, names = _KINDS[item]
+    classes, exact, name, names = _KINDS[item]
     has = lambda x: isinstance(x, classes) and not isinstance(x, bool)
     if item is kind:
         if has(value):
@@ -59,7 +62,7 @@ def _typed(value, kind, key: str):
         if item is int and bool not in map(type, value):
             with suppress(TypeError):
                 return tuple(map(index, value))  # at C speed: 11,000 degrees in about 1 ms
-        bad = [x for x in value if not has(x)]
+        bad = [] if exact.issuperset(map(type, value)) else [x for x in value if not has(x)]
         if not bad:
             return tuple(value)
         message = f"must be a sequence of {names}, got {bad[0]!r} in it"

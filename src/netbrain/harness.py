@@ -7,6 +7,7 @@ import math
 import random
 import struct
 import sys
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import product
@@ -196,10 +197,8 @@ class ExperimentConfig:
         _check_crossings(len(self.policies) * self.repetitions_per_start, len(self.thresholds))
 
 
-# The type of each ExperimentConfig field but `generator` (a spec or any string), `start` and `step_cap`.
-_CONFIG_TYPES = dict(
-    policies=[str], repetitions_per_start=int, thresholds=[float], master_seed=int, target_fraction=float
-)
+# The type of each ExperimentConfig field that neither a `validate_*` function nor its own check types.
+_CONFIG_TYPES = dict(policies=[str], repetitions_per_start=int, master_seed=int)
 
 
 @dataclass(frozen=True)
@@ -358,16 +357,14 @@ class _Sink:
     of every curve added from exact integer sums, so that memory does not
     grow with the cells.
 
-    Curves are summed by (group, policy), where `group`, when given, replaces
-    each curve's own tag. Per threshold the sums are n, Σ int(float(x)), Σx
-    and Σx² of the steps x. The mean is `statistics.fmean` of the column,
-    which adds its floats exactly and rounds once: float(Σ int(float(x))) / n.
+    Curves are summed by their own (group, policy). Per threshold the sums are n,
+    Σ int(float(x)), Σx and Σx² of the steps x. The mean is `statistics.fmean` of the
+    column, which adds its floats exactly and rounds once: float(Σ int(float(x))) / n.
     `_sd` takes n, Σx and Σx². The counters are summed by name.
     """
 
-    def __init__(self, write: Callable[[TaggedCurve], object] | None = None, group: str | None = None):
+    def __init__(self, write: Callable[[TaggedCurve], object] | None = None):
         self._write = write
-        self._group = group
         self._grid: tuple[float, ...] | None = None
         self._sums: dict[tuple[str, WalkPolicy], _GroupSums] = {}
         self.cells = 0
@@ -383,7 +380,7 @@ class _Sink:
             raise AggregationError("curves did not cross every threshold in the grid")
         if self._write is not None:
             self._write(c)
-        key = (c.group if self._group is None else self._group, c.policy)
+        key = (c.group, c.policy)
         sums = self._sums.get(key)
         if sums is None:
             sums = self._sums[key] = _GroupSums(len(grid))
@@ -476,12 +473,9 @@ def sweep(
     """
     cfgs = _sweep_configs(base, axis, values)
     if axis == "hub_degree":
-        sinks: dict[int, _Sink] = {}
+        sinks: dict[int, _Sink] = defaultdict(_Sink)
         for c in _stream(base, workers=workers):
-            degree = c.start_degree
-            if degree not in sinks:
-                sinks[degree] = _Sink(group=f"deg={degree}")
-            sinks[degree].add(c)
+            sinks[c.start_degree].add(replace(c, group=f"deg={c.start_degree}"))
         return {d: sinks[d].aggregates() for d in sorted(sinks)}
     return {
         value: _Sink().drain(_stream(cfg, group=f"{axis}={value}", workers=workers)).aggregates()

@@ -632,9 +632,10 @@ def test_aggregate_refuses_more_crossings_than_the_grid():
 
 
 def test_sink_aggregates_equal_aggregate():
-    # `aggregate`, `_Sink` and its `group=` relabel against fmean and the
-    # exact root: means above 2**53 too, where a plain integer sum would not
-    # give fmean's bits (its column's fmean is ...661.0, not ...663.0).
+    # `aggregate`, `_Sink` and a relabel by `replace`, as the hub_degree sweep
+    # tags its curves, against fmean and the exact root: means above 2**53
+    # too, where a plain integer sum would not give fmean's bits (its
+    # column's fmean is ...661.0, not ...663.0).
     columns = [[2**53 + 1, 2**53 + 1, 1], [7, 7, 7], [2**60 + 3, 5, 2**53]]
     curves = [
         _curve_with({0.5: a, 1.0: b}, policy=policy, group=group, repetition=i,
@@ -648,8 +649,8 @@ def test_sink_aggregates_equal_aggregate():
     assert expected[0].mean_steps[0] == statistics.fmean(columns[0]) != float(sum(columns[0])) / 3
     assert aggregate(curves) == expected
     assert harness._Sink().drain(curves).aggregates() == expected
-    relabelled = harness._Sink(group="z").drain(curves[:6]).aggregates()
-    assert relabelled == _reference_aggregates([replace(c, group="z") for c in curves[:6]])
+    relabelled = [replace(c, group="z") for c in curves[:6]]
+    assert harness._Sink().drain(relabelled).aggregates() == _reference_aggregates(relabelled)
 
 
 def test_sink_refuses_what_aggregate_refuses():
