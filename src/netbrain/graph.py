@@ -12,7 +12,7 @@ from typing import Iterable
 import numpy as np
 
 from . import _native
-from .errors import ConstructionError
+from .errors import ConstructionError, _typed
 
 
 _INT32 = 2**31  # Graph's arrays are int32: node ids and arc offsets stay below this
@@ -103,8 +103,10 @@ def build_graph_reported(
     Endpoints outside [0, n) raise :class:`ConstructionError` naming the first
     offending edge, and so does a graph whose arcs (2 * m) or nodes do not
     fit the int32 arrays of :class:`Graph`. Anything but integer pairs
-    (floats, strings, triples) raises ValueError; nothing is cast.
+    (floats, strings, triples) raises ValueError; nothing is cast. `n` must
+    be an integer (FieldTypeError), and a numpy one becomes a Python int.
     """
+    n = _typed(n, int, "n")
     if not 0 <= n < _INT32:
         raise ConstructionError(f"node count must be in [0, 2**31), got {n}")
     if isinstance(edges, np.ndarray):

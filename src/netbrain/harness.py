@@ -40,20 +40,34 @@ PERCENTILE_START_CAP = 100  # starts drawn above a betweenness percentile
 # at this bound.
 _MAX_CROSSINGS = 10_000_000
 
-_MASK64 = (1 << 64) - 1
+# The bytes that derive_seed hashes: the master seed, then each part after the tag of its kind.
+_SEED, _INT_PART, _FLOAT_PART = (struct.Struct(f).pack for f in ("<Q", "<cq", "<cd"))
+
+
+def validate_master_seed(master_seed: int) -> int:
+    """An integer in [0, 2**64), as a Python int: `derive_seed` packs it as 64 bits, so a wider
+    seed would alias one inside the range."""
+    seed = _typed(master_seed, int, "master_seed")
+    if not 0 <= seed < 1 << 64:
+        raise ConfigError(f"master_seed must be an integer in [0, 2**64), got {seed!r}")
+    return seed
 
 
 def derive_seed(master_seed: int, *parts: int | float | str) -> int:
-    """Stateless child-seed derivation; cells never share rng state."""
-    h = hashlib.blake2b(digest_size=8)
-    h.update(struct.pack("<Q", master_seed & _MASK64))
+    """Stateless child-seed derivation; cells never share rng state. Each part is a string, a
+    float or an integer in [-2**63, 2**63)."""
+    h = hashlib.blake2b(_SEED(validate_master_seed(master_seed)), digest_size=8)
     for part in parts:
         if isinstance(part, str):
             h.update(b"s" + part.encode())
         elif isinstance(part, float):
-            h.update(b"f" + struct.pack("<d", part))
-        else:
-            h.update(b"i" + struct.pack("<q", part))
+            h.update(_FLOAT_PART(b"f", part))
+        else:  # an integer; an exact int skips the call, as derive_seed runs once a cell
+            part = part if type(part) is int else _typed(part, int, "derive_seed part")
+            try:
+                h.update(_INT_PART(b"i", part))
+            except struct.error:  # outside int64
+                raise ConfigError(f"derive_seed part must be in [-2**63, 2**63), got {part}") from None
     return int.from_bytes(h.digest(), "little")
 
 
@@ -183,9 +197,7 @@ class ExperimentConfig:
         if self.repetitions_per_start < 1:
             raise ConfigError("repetitions_per_start must be >= 1")
         object.__setattr__(self, "step_cap", validate_step_cap(self.step_cap))
-        # derive_seed packs it as 64 bits; a wider seed would alias one inside the range.
-        if not 0 <= self.master_seed <= _MASK64:
-            raise ConfigError(f"master_seed must be an integer in [0, 2**64), got {self.master_seed!r}")
+        object.__setattr__(self, "master_seed", validate_master_seed(self.master_seed))
         object.__setattr__(self, "thresholds", validate_thresholds(self.thresholds))
         object.__setattr__(self, "target_fraction", validate_target_fraction(self.target_fraction))
         if self.thresholds[-1] > self.target_fraction + 1e-12:
@@ -198,7 +210,7 @@ class ExperimentConfig:
 
 
 # The type of each ExperimentConfig field that neither a `validate_*` function nor its own check types.
-_CONFIG_TYPES = dict(policies=[str], repetitions_per_start=int, master_seed=int)
+_CONFIG_TYPES = dict(policies=[str], repetitions_per_start=int)
 
 
 @dataclass(frozen=True)
@@ -282,7 +294,8 @@ def _run_cell(
 
 
 def _worker_count(workers: int) -> int:
-    """`workers`, which must be at least 1."""
+    """`workers`, which must be an integer of at least 1, as a Python int."""
+    workers = _typed(workers, int, "workers")
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
     return workers
@@ -377,7 +390,7 @@ class _Sink:
             raise AggregationError("curves mix different threshold grids")
         steps = [s for _, s in c.curve.crossings]
         if len(steps) != len(grid):
-            raise AggregationError("curves did not cross every threshold in the grid")
+            raise AggregationError("curves must cross each threshold of the grid once")
         if self._write is not None:
             self._write(c)
         key = (c.group, c.policy)

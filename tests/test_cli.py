@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import itertools
 import random
 import json
@@ -404,6 +405,58 @@ def test_manifests_name_the_workers_in_effect(tmp_path, monkeypatch, cpus, worke
         for csv in csvs:
             assert (out / csv).read_bytes() == (serial / csv).read_bytes(), (name, csv)
 
+
+
+# sha256 of each output of `run` and of a k_avg and a hub_degree sweep, on
+# three policies from three hubs, recorded before the run rules were given one
+# owner each; the manifest without its time fields, engine, workers and version.
+OUTPUT_DIGESTS = {
+    "hub_degree/aggregate_combined.csv": "ca436d71d42fd5d3c900eccf0d4d09459f14c94769088ce433b5b31992c71da6",
+    "hub_degree/aggregate_hub_degree_8.csv": "04c222ead66aa0c42d1958aa2a81c27f544d561bdb5b8101561ba445d66c1ad6",
+    "hub_degree/aggregate_hub_degree_9.csv": "6428c40c0695dd352b09bdf38d3ddcc9fd7373744cb02c4aa8cdfe8c22a2063f",
+    "hub_degree/manifest.json": "0835af1bf1b4c12abfc6fb53a99e64aa46af04ea303ca952d7de05ec4038a3e7",
+    "k_avg/aggregate_combined.csv": "496c276fea257e8f30185787a6301b9f0a9a29153a7072648fc2bc68d9e3249e",
+    "k_avg/aggregate_k_avg_4.csv": "daa24887e4cca4d50b028da664451fa58cace011d7a807bcd9d09ee9ae19c76c",
+    "k_avg/aggregate_k_avg_6.csv": "272215595127c75567ca517aadf0bd0c78e2c518083c8147fb65b2bec8d31a9d",
+    "k_avg/manifest.json": "5eb9f1dc3616affd355638b9ec1eeaf474d7209803230e73001e263deb3f7b04",
+    "run/aggregate.csv": "d86ae7428b91522c2d162dc0a61b5e527c75aee860b3cb61e1f1ecb8c18278f5",
+    "run/curves.csv": "69a7bb21adf471c851dd71a7bbce3f203d9a9f854c6894da8be068e83b86b756",
+    "run/manifest.json": "d36335f7abf4b059793c39d13d5425b8138a344a2271561a6b4495d30e014ae8",
+}
+
+
+def _output_digests(tmp_path, command, cfg, workers):
+    out = tmp_path / f"{command}-{cfg.stem}-{workers}"
+    assert run_cli(command, "--config", cfg, "--out", out, "--workers", workers) == 0
+    digests = {}
+    for path in sorted(out.iterdir()):
+        data = path.read_bytes()
+        if path.name == "manifest.json":
+            manifest = json.loads(data)
+            for key in ("wall_time_s", "created", "engine", "workers", "netbrain_version"):
+                del manifest[key]
+            data = json.dumps(manifest, sort_keys=True).encode()
+        digests[f"{cfg.stem}/{path.name}"] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("engine", ["native", "python"])
+def test_run_and_sweep_outputs_are_pinned(tmp_path, monkeypatch, engine, workers):
+    if engine == "python":
+        monkeypatch.setattr(_native, "LOADER", _native.Loader(cc="false", cache_dir=tmp_path / "cache"))
+    shared = dict(policies=["standard", "extended", "look_ahead"], start={"kind": "top_hubs", "count": 3},
+                  repetitions_per_start=3, thresholds=[0.25, 0.5, 0.75, 1.0])
+    configs = {
+        "run": write_config(tmp_path, "run.json", **shared),
+        "sweep": write_config(tmp_path, "k_avg.json", sweep={"axis": "k_avg", "values": [4, 6]}, **shared),
+        "hub": write_config(tmp_path, "hub_degree.json", sweep={"axis": "hub_degree"}, **shared),
+    }
+    digests = {}
+    for name, cfg in configs.items():
+        digests |= _output_digests(tmp_path, "run" if name == "run" else "sweep", cfg, workers)
+    assert _native.available() == (engine == "native")
+    assert digests == OUTPUT_DIGESTS
 
 def test_oversize_run_exits_2_before_any_walk(tmp_path, capsys, monkeypatch):
     # Two starts x two repetitions x two thresholds keep 8 crossings.

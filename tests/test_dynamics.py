@@ -2,6 +2,7 @@ import itertools
 import random
 import statistics
 
+import numpy as np
 import pytest
 
 from helpers import (
@@ -24,6 +25,7 @@ from netbrain import (
     run_discovery,
     run_walk,
 )
+from netbrain.errors import FieldTypeError
 
 POLICIES = [WalkPolicy.STANDARD, WalkPolicy.EXTENDED, WalkPolicy.LOOK_AHEAD]
 
@@ -190,6 +192,54 @@ def test_discovery_rejects_bad_arguments(kwargs, error, match):
     with pytest.raises(error, match=match):
         run_discovery(**kwargs)
 
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        (dict(thresholds=[True]), "thresholds must be a sequence of numbers, got True in it"),
+        (dict(thresholds=["a"]), "thresholds must be a sequence of numbers, got 'a' in it"),
+        (dict(thresholds=0.5), "thresholds must be a sequence of numbers, got 0.5"),
+        (dict(target_fraction=True), "target_fraction must be a number, got True"),
+        (dict(target_fraction="1"), "target_fraction must be a number, got '1'"),
+        (dict(brain=True), "brain must be an integer, got True"),
+        (dict(brain=1.0), "brain must be an integer, got 1.0"),
+        (dict(brain="1"), "brain must be an integer, got '1'"),
+    ],
+    ids=["threshold-bool", "threshold-str", "thresholds-number", "target-bool", "target-str",
+         "brain-bool", "brain-float", "brain-str"],
+)
+def test_discovery_refuses_arguments_of_the_wrong_type(kwargs, match):
+    # Each is refused by its one rule, as a config refuses it, before any walk.
+    kwargs = dict(g=path_graph(4), brain=0, policy=WalkPolicy.STANDARD, rng=random.Random(0)) | kwargs
+    with pytest.raises(FieldTypeError, match=match):
+        run_discovery(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        (dict(brain=True), "brain must be an integer, got True"),
+        (dict(brain=1.0), "brain must be an integer, got 1.0"),
+        (dict(known=[True]), "known must be a sequence of integers, got True in it"),
+        (dict(known={0, 1.0}), "known must be a sequence of integers, got 1.0 in it"),
+        (dict(known=["1"]), "known must be a sequence of integers, got '1' in it"),
+    ],
+    ids=["brain-bool", "brain-float", "known-bool", "known-float", "known-str"],
+)
+def test_walk_refuses_arguments_of_the_wrong_type(kwargs, match):
+    kwargs = dict(g=path_graph(4), brain=0, policy=WalkPolicy.STANDARD, rng=random.Random(0)) | kwargs
+    with pytest.raises(FieldTypeError, match=match):
+        run_walk(**kwargs)
+
+
+def test_numpy_brain_and_known_nodes_come_back_as_python_ints():
+    g = path_graph(4)
+    _, brain = run_discovery(g, np.int64(1), WalkPolicy.STANDARD, random.Random(0))
+    assert type(brain.brain) is int and brain.brain == 1
+    out = run_walk(g, np.int64(1), WalkPolicy.STANDARD, random.Random(0), known=np.array([0, 1]))
+    assert {type(v) for v in out.visited_path} == {int}
+    assert out.visited_path[0] == 1 and 0 not in out.newly_known
 
 def test_walk_step_cap_uses_policy_metric():
     g = cycle_graph(50)

@@ -23,6 +23,7 @@ from netbrain import (
     largest_connected_component,
 )
 from netbrain import _native, graph
+from netbrain.errors import FieldTypeError
 from netbrain.generators import gen_er
 from netbrain.graph import build_graph_reported, is_connected
 
@@ -128,6 +129,14 @@ def test_build_refuses_anything_but_integer_pairs(pairs):
             build_graph(3, given)
     assert edges(build_graph(3, [(np.int32(0), np.int64(1)), (np.uint8(2), 1)])) == [(0, 1), (1, 2)]
 
+
+
+@pytest.mark.parametrize("n", [True, 2.0, "3", None], ids=["bool", "float", "str", "none"])
+def test_build_refuses_a_node_count_of_the_wrong_type(n):
+    with pytest.raises(FieldTypeError, match=f"^n must be an integer, got {n!r}$"):
+        build_graph(n, [])
+    g = build_graph(np.int64(3), [(0, 1)])
+    assert type(g.n) is int and g.n == 3
 
 def test_build_refuses_graphs_beyond_int32(monkeypatch, tmp_path):
     with pytest.raises(ConstructionError, match="node count"):

@@ -37,6 +37,7 @@ from netbrain import (
     sweep,
 )
 from netbrain import _native, harness
+from netbrain.errors import FieldTypeError
 from netbrain.harness import TaggedCurve
 
 
@@ -63,6 +64,46 @@ def test_derive_seed_is_stable_and_sensitive():
     assert a != derive_seed(2, 2, 3)
     assert derive_seed(1, "x") != derive_seed(1, "y")
 
+
+
+
+@pytest.mark.parametrize(
+    "overrides, match",
+    [
+        (dict(start=TopHubs(0), thresholds=["a"]), "hub count must be >= 1"),
+        (dict(repetitions_per_start=0, master_seed="x"), "repetitions_per_start must be >= 1"),
+        (dict(master_seed=-1, thresholds=["a"]), "master_seed must be an integer in"),
+        (dict(thresholds=[2.0], target_fraction="x"), r"thresholds must lie in \(0, 1\]"),
+    ],
+    ids=["start-first", "repetitions-first", "seed-first", "thresholds-first"],
+)
+def test_a_config_with_two_faults_reports_the_first_field_checked(overrides, match):
+    # A field's type is checked with its range, by its one rule, in the order
+    # start, policies, repetitions, step_cap, master_seed, thresholds, target_fraction.
+    with pytest.raises(ConfigError, match=match):
+        small_config(**overrides)
+
+@pytest.mark.parametrize(
+    "args, error, match",
+    [
+        ((-1,), ConfigError, r"master_seed must be an integer in \[0, 2\*\*64\), got -1"),
+        ((2**64,), ConfigError, r"master_seed must be an integer in \[0, 2\*\*64\)"),
+        ((True,), FieldTypeError, "master_seed must be an integer, got True"),
+        ((1.5,), FieldTypeError, "master_seed must be an integer, got 1.5"),
+        ((1, True), FieldTypeError, "derive_seed part must be an integer, got True"),
+        ((1, 2**63), ConfigError, r"derive_seed part must be in \[-2\*\*63, 2\*\*63\), got 9223372036854775808$"),
+        ((1, -(2**63) - 1), ConfigError, r"derive_seed part must be in \[-2\*\*63, 2\*\*63\), got -9223372036854775809$"),
+        ((1, [1]), FieldTypeError, r"derive_seed part must be an integer, got \[1\]"),
+    ],
+    ids=["seed-negative", "seed-2**64", "seed-bool", "seed-float", "part-bool", "part-2**63", "part-below-int64",
+         "part-list"],
+)
+def test_derive_seed_refuses_what_a_config_refuses(args, error, match):
+    # The master seed by ExperimentConfig's one rule: -1 no longer aliases 2**64 - 1.
+    with pytest.raises(error, match=match):
+        derive_seed(*args)
+    numpy_ints = (np.uint64(2**64 - 1), np.int64(-(2**63)), 0.5, "x")
+    assert derive_seed(*numpy_ints) == derive_seed(2**64 - 1, -(2**63), 0.5, "x")
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5, True, 5.0, "5"])
 def test_master_seed_outside_64_bits_refused(seed):
@@ -392,6 +433,15 @@ def test_workers_below_one_are_refused():
             run_experiment(cfg, workers=workers)
 
 
+
+@pytest.mark.parametrize("workers", [True, 2.5, "2", None], ids=["bool", "float", "str", "none"])
+def test_workers_of_the_wrong_type_are_refused(workers, monkeypatch):
+    monkeypatch.setattr(harness, "run_discovery", lambda *a, **k: pytest.fail("a walk ran"))
+    with pytest.raises(FieldTypeError, match=f"workers must be an integer, got {workers!r}"):
+        run_experiment(small_config(), workers=workers)
+    monkeypatch.undo()
+    assert run_experiment(small_config(), workers=np.int64(2)) == run_experiment(small_config())
+
 class _PoolStarted(Exception):
     pass
 
@@ -608,7 +658,7 @@ def _uncrossed():
 
 
 def test_aggregate_rejects_uncrossed_thresholds():
-    with pytest.raises(AggregationError, match="did not cross every threshold"):
+    with pytest.raises(AggregationError, match="must cross each threshold of the grid once"):
         aggregate([_uncrossed()])
 
 
@@ -616,7 +666,7 @@ def test_aggregate_reports_the_first_fault_in_curve_order():
     # A list with both a grid other than the first curve's and an uncrossed
     # threshold: the curves are checked one by one as they are summed.
     other_grid = _curve_with({1.0: 10})
-    with pytest.raises(AggregationError, match="did not cross every threshold"):
+    with pytest.raises(AggregationError, match="must cross each threshold of the grid once"):
         aggregate([_uncrossed(), other_grid])
     with pytest.raises(AggregationError, match="mix different threshold grids"):
         aggregate([other_grid, _uncrossed()])
@@ -627,7 +677,7 @@ def test_aggregate_refuses_more_crossings_than_the_grid():
     from netbrain import LearningCurve
 
     extra = replace(_curve_with({1.0: 10}), curve=LearningCurve((1.0,), ((0.5, 4), (1.0, 10))))
-    with pytest.raises(AggregationError, match="did not cross every threshold"):
+    with pytest.raises(AggregationError, match="must cross each threshold of the grid once"):
         aggregate([_curve_with({1.0: 10}), extra])
 
 
@@ -656,7 +706,7 @@ def test_sink_aggregates_equal_aggregate():
 def test_sink_refuses_what_aggregate_refuses():
     with pytest.raises(AggregationError, match="mix different threshold grids"):
         harness._Sink().drain([_curve_with({1.0: 10}), _curve_with({0.5: 5, 1.0: 10}, repetition=1)])
-    with pytest.raises(AggregationError, match="did not cross every threshold"):
+    with pytest.raises(AggregationError, match="must cross each threshold of the grid once"):
         harness._Sink().add(_uncrossed())
 
 
