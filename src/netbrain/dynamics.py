@@ -125,7 +125,7 @@ def validate_thresholds(thresholds: Sequence[float]) -> tuple[float, ...]:
     ts = _typed(thresholds, [float], "thresholds")
     if not ts:
         raise ConfigError("threshold grid must not be empty")
-    # Strictly increasing (so no NaN either), the ends bound the rest: one pass where all pass.
+    # One pass for a good grid: a strictly increasing grid lies between its ends, and a NaN fails a comparison.
     rising = all(map(lt, ts, ts[1:]))
     if not (rising and 0.0 < ts[0] and ts[-1] <= 1.0) and any(not 0.0 < t <= 1.0 for t in ts):
         raise ConfigError("thresholds must lie in (0, 1]")

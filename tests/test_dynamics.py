@@ -163,6 +163,9 @@ def test_walk_respects_prior_brain_knowledge():
         (WalkPolicy.STANDARD, [-1], ValueError, "known node -1 outside"),
         (WalkPolicy.STANDARD, [4], ValueError, "known node 4 outside"),
         (WalkPolicy.EXTENDED, [1, 9], ValueError, "known node 9 outside"),
+        (WalkPolicy.STANDARD, [True], FieldTypeError, "known must be a sequence of integers, got True in it"),
+        (WalkPolicy.STANDARD, {0, 1.0}, FieldTypeError, "known must be a sequence of integers, got 1.0 in it"),
+        (WalkPolicy.STANDARD, ["1"], FieldTypeError, "known must be a sequence of integers, got '1' in it"),
     ],
 )
 def test_walk_rejects_bad_arguments(policy, known, error, match):
@@ -181,10 +184,20 @@ def test_walk_rejects_bad_arguments(policy, known, error, match):
         (dict(target_fraction=1.5), ConfigError, "target_fraction"),
         (dict(brain=-1), ValueError, r"brain -1 outside \[0, 4\)"),
         (dict(brain=4), ValueError, r"brain 4 outside \[0, 4\)"),
+        (dict(thresholds=[True]), FieldTypeError, "thresholds must be a sequence of numbers, got True in it"),
+        (dict(thresholds=["a"]), FieldTypeError, "thresholds must be a sequence of numbers, got 'a' in it"),
+        (dict(thresholds=0.5), FieldTypeError, "thresholds must be a sequence of numbers, got 0.5"),
+        (dict(target_fraction=True), FieldTypeError, "target_fraction must be a number, got True"),
+        (dict(target_fraction="1"), FieldTypeError, "target_fraction must be a number, got '1'"),
+        (dict(brain=True), FieldTypeError, "brain must be an integer, got True"),
+        (dict(brain=1.0), FieldTypeError, "brain must be an integer, got 1.0"),
+        (dict(brain="1"), FieldTypeError, "brain must be an integer, got '1'"),
     ],
     ids=[
         "no-thresholds", "threshold-above-1", "threshold-0", "thresholds-repeat",
         "target-0", "target-above-1", "brain-negative", "brain-n",
+        "threshold-bool", "threshold-str", "thresholds-number", "target-bool", "target-str",
+        "brain-bool", "brain-float", "brain-str",
     ],
 )
 def test_discovery_rejects_bad_arguments(kwargs, error, match):
@@ -192,45 +205,6 @@ def test_discovery_rejects_bad_arguments(kwargs, error, match):
     with pytest.raises(error, match=match):
         run_discovery(**kwargs)
 
-
-
-@pytest.mark.parametrize(
-    "kwargs, match",
-    [
-        (dict(thresholds=[True]), "thresholds must be a sequence of numbers, got True in it"),
-        (dict(thresholds=["a"]), "thresholds must be a sequence of numbers, got 'a' in it"),
-        (dict(thresholds=0.5), "thresholds must be a sequence of numbers, got 0.5"),
-        (dict(target_fraction=True), "target_fraction must be a number, got True"),
-        (dict(target_fraction="1"), "target_fraction must be a number, got '1'"),
-        (dict(brain=True), "brain must be an integer, got True"),
-        (dict(brain=1.0), "brain must be an integer, got 1.0"),
-        (dict(brain="1"), "brain must be an integer, got '1'"),
-    ],
-    ids=["threshold-bool", "threshold-str", "thresholds-number", "target-bool", "target-str",
-         "brain-bool", "brain-float", "brain-str"],
-)
-def test_discovery_refuses_arguments_of_the_wrong_type(kwargs, match):
-    # Each is refused by its one rule, as a config refuses it, before any walk.
-    kwargs = dict(g=path_graph(4), brain=0, policy=WalkPolicy.STANDARD, rng=random.Random(0)) | kwargs
-    with pytest.raises(FieldTypeError, match=match):
-        run_discovery(**kwargs)
-
-
-@pytest.mark.parametrize(
-    "kwargs, match",
-    [
-        (dict(brain=True), "brain must be an integer, got True"),
-        (dict(brain=1.0), "brain must be an integer, got 1.0"),
-        (dict(known=[True]), "known must be a sequence of integers, got True in it"),
-        (dict(known={0, 1.0}), "known must be a sequence of integers, got 1.0 in it"),
-        (dict(known=["1"]), "known must be a sequence of integers, got '1' in it"),
-    ],
-    ids=["brain-bool", "brain-float", "known-bool", "known-float", "known-str"],
-)
-def test_walk_refuses_arguments_of_the_wrong_type(kwargs, match):
-    kwargs = dict(g=path_graph(4), brain=0, policy=WalkPolicy.STANDARD, rng=random.Random(0)) | kwargs
-    with pytest.raises(FieldTypeError, match=match):
-        run_walk(**kwargs)
 
 
 def test_numpy_brain_and_known_nodes_come_back_as_python_ints():

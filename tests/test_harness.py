@@ -65,6 +65,34 @@ def test_derive_seed_is_stable_and_sensitive():
     assert derive_seed(1, "x") != derive_seed(1, "y")
 
 
+@pytest.mark.parametrize(
+    "part, error, match",
+    [
+        (True, FieldTypeError, "derive_seed part must be an integer, got True"),
+        (2**63, ConfigError, r"part must be in \[-2\*\*63, 2\*\*63\), got 9223372036854775808$"),
+        (-(2**63) - 1, ConfigError, r"part must be in \[-2\*\*63, 2\*\*63\), got -9223372036854775809$"),
+        ([1], FieldTypeError, r"derive_seed part must be an integer, got \[1\]"),
+    ],
+    ids=["bool", "2**63", "below-int64", "list"],
+)
+def test_derive_seed_refuses_bool_and_wide_integer_parts(part, error, match):
+    with pytest.raises(error, match=match):
+        derive_seed(1, part)
+    numpy_ints = (np.uint64(2**64 - 1), np.int64(-(2**63)), 0.5, "x")
+    assert derive_seed(*numpy_ints) == derive_seed(2**64 - 1, -(2**63), 0.5, "x")
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5, True, 5.0, "5"])
+def test_master_seed_outside_64_bits_refused(seed):
+    # derive_seed packs 64 bits: 2**64 + 5 would alias 5.
+    rule = r"in \[0, 2\*\*64\)" if type(seed) is int else f"got {seed!r}"
+    with pytest.raises(ConfigError, match=rf"master_seed must be an integer,? {rule}"):
+        small_config(master_seed=seed)
+    with pytest.raises(ConfigError, match=rf"master_seed must be an integer,? {rule}"):
+        derive_seed(seed)  # the same rule: -1 no longer aliases 2**64 - 1
+    small_config(master_seed=0)
+    small_config(master_seed=2**64 - 1)
+    assert small_config(master_seed=np.uint64(2**64 - 1)).master_seed == 2**64 - 1
 
 
 @pytest.mark.parametrize(
@@ -82,38 +110,6 @@ def test_a_config_with_two_faults_reports_the_first_field_checked(overrides, mat
     # start, policies, repetitions, step_cap, master_seed, thresholds, target_fraction.
     with pytest.raises(ConfigError, match=match):
         small_config(**overrides)
-
-@pytest.mark.parametrize(
-    "args, error, match",
-    [
-        ((-1,), ConfigError, r"master_seed must be an integer in \[0, 2\*\*64\), got -1"),
-        ((2**64,), ConfigError, r"master_seed must be an integer in \[0, 2\*\*64\)"),
-        ((True,), FieldTypeError, "master_seed must be an integer, got True"),
-        ((1.5,), FieldTypeError, "master_seed must be an integer, got 1.5"),
-        ((1, True), FieldTypeError, "derive_seed part must be an integer, got True"),
-        ((1, 2**63), ConfigError, r"derive_seed part must be in \[-2\*\*63, 2\*\*63\), got 9223372036854775808$"),
-        ((1, -(2**63) - 1), ConfigError, r"derive_seed part must be in \[-2\*\*63, 2\*\*63\), got -9223372036854775809$"),
-        ((1, [1]), FieldTypeError, r"derive_seed part must be an integer, got \[1\]"),
-    ],
-    ids=["seed-negative", "seed-2**64", "seed-bool", "seed-float", "part-bool", "part-2**63", "part-below-int64",
-         "part-list"],
-)
-def test_derive_seed_refuses_what_a_config_refuses(args, error, match):
-    # The master seed by ExperimentConfig's one rule: -1 no longer aliases 2**64 - 1.
-    with pytest.raises(error, match=match):
-        derive_seed(*args)
-    numpy_ints = (np.uint64(2**64 - 1), np.int64(-(2**63)), 0.5, "x")
-    assert derive_seed(*numpy_ints) == derive_seed(2**64 - 1, -(2**63), 0.5, "x")
-
-@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5, True, 5.0, "5"])
-def test_master_seed_outside_64_bits_refused(seed):
-    # derive_seed packs 64 bits: 2**64 + 5 would alias 5.
-    rule = r"in \[0, 2\*\*64\)" if type(seed) is int else f"got {seed!r}"
-    with pytest.raises(ConfigError, match=rf"master_seed must be an integer,? {rule}"):
-        small_config(master_seed=seed)
-    small_config(master_seed=0)
-    small_config(master_seed=2**64 - 1)
-    assert small_config(master_seed=np.uint64(2**64 - 1)).master_seed == 2**64 - 1
 
 
 # --- select_starts -----------------------------------------------------------
