@@ -71,7 +71,7 @@ _ENTRY_POINTS = {
     "netbrain_betweenness": (
         _i32, _i32, ctypes.c_int32,  # indptr, indices, n
         ctypes.c_int32, ctypes.c_int32, _f64,  # s0, s1, rows
-        _i32, _i32, _i64,  # order, dist, sigma: one per node
+        _i32, _i32, _i64,  # order: n + 1; dist, sigma: one per node
         _i32, _i32,  # pred: one per arc; npred: one per node
     ),
     "netbrain_shuffle": (_i32, ctypes.c_int64, _u32),  # x, len, mt
@@ -231,7 +231,7 @@ def betweenness(g: Graph) -> list[float] | None:
         delta = np.empty((s1 - s0, n))
         overflow = kernel(
             g.indptr, g.indices, n, s0, s1, delta,
-            np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int64),
+            np.empty(n + 1, dtype=np.int32), np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int64),
             np.empty(len(g.indices), dtype=np.int32), np.empty(n, dtype=np.int32),
         )
         return None if overflow else delta

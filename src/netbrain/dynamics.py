@@ -29,7 +29,7 @@ from operator import lt, ne
 from typing import Iterable, Sequence
 
 from . import _native
-from .errors import ConfigError, DiscoveryStallError, _typed
+from .errors import ConfigError, DiscoveryStallError, FieldTypeError, _typed
 from .graph import Graph, is_connected
 
 
@@ -204,13 +204,16 @@ class _Walker:
         self.brain = brain
         # A member skips the Enum call (~0.7 us a walk over millions of short walks).
         self.policy = policy if isinstance(policy, WalkPolicy) else WalkPolicy(policy)
+        if not isinstance(rng, random.Random):
+            raise FieldTypeError(f"rng must be a random.Random, got {rng!r}")
         self.rng = rng
         self.cap = _NO_CAP if step_cap is None else min(validate_step_cap(step_cap), _NO_CAP)
         self.stop_count = g.n if stop_count is None else stop_count
         self.known = bytearray(g.n)
         self.count = 0
         if known is not None:
-            for v in _typed(tuple(known), [int], "known"):
+            # Any iterable of nodes; anything else meets the sequence rule and its message.
+            for v in _typed(tuple(known) if isinstance(known, Iterable) else known, [int], "known"):
                 if not 0 <= v < g.n:
                     raise ValueError(f"known node {v} outside [0, {g.n})")
                 self.known[v] = 1

@@ -292,6 +292,12 @@ def gen_cm(degree_sequence: Sequence[int], seed: int) -> Graph:
     of erased pairings is logged.
     """
     _check_cm(degree_sequence)
+    return _cm_graph(degree_sequence, seed)
+
+
+def _cm_graph(degree_sequence: Sequence[int], seed: int) -> Graph:
+    """`gen_cm` of a sequence that `_check_cm` has passed: `generate` builds
+    from a `GeneratorSpec`, which checked its own when it was made."""
     n = len(degree_sequence)
     rng = random.Random(seed)
     stubs = np.repeat(np.arange(n, dtype=np.int32), degree_sequence)
@@ -535,7 +541,7 @@ _MODELS = {
     "cm": _Model(
         ("degree_sequence",),
         _check_cm,
-        gen_cm,
+        _cm_graph,
         lambda s: (len(s.degree_sequence), sum(s.degree_sequence) / len(s.degree_sequence)),
     ),
     "ws": _Model(

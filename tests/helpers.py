@@ -14,7 +14,7 @@ from itertools import accumulate, combinations, permutations
 
 import numpy as np
 
-from netbrain import ConstructionError, GeneratorSpec, Graph, ParameterError, WalkPolicy, build_graph
+from netbrain import ConstructionError, GeneratorSpec, Graph, ParameterError, WalkPolicy, _native, build_graph
 from netbrain.graph import DropCounts, _upper_arcs, is_connected
 
 # One spec per network model, with non-default model parameters.
@@ -157,6 +157,39 @@ def trap_graph(k: int) -> Graph:
 
 def complete_graph(n: int) -> Graph:
     return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def diamond_chain(k: int) -> Graph:
+    """k diamonds in a row: 2**k shortest paths between the two ends."""
+    edges = []
+    for i in range(k):
+        a, top, bottom, b = 3 * i, 3 * i + 1, 3 * i + 2, 3 * i + 3
+        edges += [(a, top), (a, bottom), (top, b), (bottom, b)]
+    return build_graph(3 * k + 1, edges)
+
+
+def fanned_diamond_chain(fan: int, clique: int = 0) -> Graph:
+    """`diamond_chain(53)`, whose end has exactly 2**53 shortest paths from
+    node 0, fanned out to `fan` middle nodes that all join one node, which so
+    has `fan` predecessors of 2**53 paths each; and, apart from them, a
+    complete graph on `clique` nodes, which raises the mean degree."""
+    chain = diamond_chain(53)
+    end, join = chain.n - 1, chain.n + fan
+    fanned = [(end, end + 1 + i) for i in range(fan)] + [(end + 1 + i, join) for i in range(fan)]
+    base = join + 1
+    rest = [(base + i, base + j) for i in range(clique) for j in range(i + 1, clique)]
+    return build_graph(base + clique, edges(chain) + fanned + rest)
+
+
+def betweenness_block(g: Graph, s0: int, s1: int) -> int:
+    """What `netbrain_betweenness` returns for the sources s0 to s1 - 1 of
+    `g`, on fresh buffers of the sizes its comment asks for."""
+    n = g.n
+    return _native.LOADER.kernel("netbrain_betweenness")(
+        g.indptr, g.indices, n, s0, s1, np.empty((s1 - s0, n)),
+        np.empty(n + 1, dtype=np.int32), np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int64),
+        np.empty(len(g.indices), dtype=np.int32), np.empty(n, dtype=np.int32),
+    )
 
 
 def harmonic(n: int) -> float:

@@ -166,11 +166,18 @@ def test_walk_respects_prior_brain_knowledge():
         (WalkPolicy.STANDARD, [True], FieldTypeError, "known must be a sequence of integers, got True in it"),
         (WalkPolicy.STANDARD, {0, 1.0}, FieldTypeError, "known must be a sequence of integers, got 1.0 in it"),
         (WalkPolicy.STANDARD, ["1"], FieldTypeError, "known must be a sequence of integers, got '1' in it"),
+        (WalkPolicy.STANDARD, 5, FieldTypeError, "^known must be a sequence of integers, got 5$"),
     ],
 )
 def test_walk_rejects_bad_arguments(policy, known, error, match):
     with pytest.raises(error, match=match):
         run_walk(path_graph(4), 0, policy, random.Random(0), known=known)
+
+
+@pytest.mark.parametrize("rng", [5, None, np.random.default_rng(0)], ids=["int", "none", "numpy"])
+def test_walk_refuses_an_rng_that_is_not_a_random(rng):
+    with pytest.raises(FieldTypeError, match="^rng must be a random.Random, got "):
+        run_walk(path_graph(3), 0, WalkPolicy.EXTENDED, rng)
 
 
 @pytest.mark.parametrize(
@@ -192,12 +199,14 @@ def test_walk_rejects_bad_arguments(policy, known, error, match):
         (dict(brain=True), FieldTypeError, "brain must be an integer, got True"),
         (dict(brain=1.0), FieldTypeError, "brain must be an integer, got 1.0"),
         (dict(brain="1"), FieldTypeError, "brain must be an integer, got '1'"),
+        (dict(rng=5), FieldTypeError, "^rng must be a random.Random, got 5$"),
+        (dict(rng=random), FieldTypeError, "^rng must be a random.Random, got <module 'random'"),
     ],
     ids=[
         "no-thresholds", "threshold-above-1", "threshold-0", "thresholds-repeat",
         "target-0", "target-above-1", "brain-negative", "brain-n",
         "threshold-bool", "threshold-str", "thresholds-number", "target-bool", "target-str",
-        "brain-bool", "brain-float", "brain-str",
+        "brain-bool", "brain-float", "brain-str", "rng-int", "rng-module",
     ],
 )
 def test_discovery_rejects_bad_arguments(kwargs, error, match):

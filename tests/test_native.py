@@ -16,6 +16,7 @@ import json
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -26,11 +27,14 @@ import pytest
 
 from helpers import (
     CRITERION_8_CONFIG,
+    betweenness_block,
     bfs_components,
     brute_force_betweenness,
     connected_graphs_up_to_iso,
     cycle_graph,
+    diamond_chain,
     edges,
+    fanned_diamond_chain,
     path_graph,
     set_build_graph_reported,
     star_graph,
@@ -289,17 +293,20 @@ def hypercube_graph(d: int):
     return build_graph(2**d, [(v, v ^ (1 << i)) for v in range(2**d) for i in range(d) if v < v ^ (1 << i)])
 
 
-def diamond_chain(k: int):
-    """k diamonds in a row: 2**k shortest paths between the two ends."""
-    edges = []
-    for i in range(k):
-        a, top, bottom, b = 3 * i, 3 * i + 1, 3 * i + 2, 3 * i + 3
-        edges += [(a, top), (a, bottom), (top, b), (bottom, b)]
-    return build_graph(3 * k + 1, edges)
+# The kernel's forward pass takes its branchless loop below this mean degree
+# and its loop that skips arcs back into the search at or above it.
+SPARSE_DEGREE = int(re.search(r"#define SPARSE_DEGREE (\d+)", _native.SOURCE.read_text())[1])
+
+
+def sparse_loop(g) -> bool:
+    return len(g.indices) < SPARSE_DEGREE * g.n
 
 
 # Graphs with many shortest paths of equal length, where every node has
 # several predecessors and the order of the additions into `delta` shows.
+# "dense-er" and "cm-hubs" (mean degrees 19.9 and 15.4, hubs of up to 190
+# neighbours) run the loop that skips arcs; the rest, of mean degree 6.1 at
+# most, run the branchless one.
 BETWEENNESS_GRAPHS = {
     "er": generate(GeneratorSpec(model="er", n=300, k_avg=6, seed=4)).graph,
     "ba": generate(GeneratorSpec(model="ba", n=400, k_avg=4, seed=5)).graph,
@@ -321,6 +328,8 @@ BETWEENNESS_GRAPHS = {
         (u, v) for u in range(12, 20) for v in range(u + 1, 20) if (u + v) % 3
     ] + [(25, 26), (26, 27), (27, 25), (30, 31)]),
     "2^53-paths": diamond_chain(53),  # the largest count the kernel keeps
+    "dense-er": generate(GeneratorSpec(model="er", n=300, k_avg=20, seed=11)).graph,
+    "cm-hubs": largest_connected_component(gen_cm(wos_scale_degree_sequence(500, seed=2), seed=2))[0],
 }
 THREADS = (1, 2, 3)
 
@@ -330,6 +339,11 @@ def native_betweenness(g):
     values = _native.betweenness(g)
     assert values is not None  # no path count above 2**53
     return values
+
+
+def test_each_forward_loop_runs_on_some_betweenness_graph():
+    loops = {name: sparse_loop(g) for name, g in BETWEENNESS_GRAPHS.items() if g.n}
+    assert not loops["dense-er"] and not loops["cm-hubs"] and loops["waxman"] and loops["ba"]
 
 
 def test_block_graph_spans_several_blocks_with_a_partial_last_block():
@@ -399,6 +413,17 @@ def test_betweenness_falls_back_to_python_above_2_to_the_53_paths(monkeypatch):
     calls["python"] = 0
     assert betweenness(g) == python(g)
     assert calls["python"] == 0 and calls["native"][0] is not None
+
+
+@pytest.mark.parametrize("clique", [0, 120], ids=["sparse", "dense"])
+def test_a_path_count_above_2_to_the_53_is_refused_however_many_predecessors_carry_it(clique):
+    # The join node's 1,100 predecessors have 2**53 paths each: added in an
+    # int64 they would pass 2**63 at the 1,024th, so each addition saturates
+    # and the check when the node is popped returns 1. The clique, apart from
+    # the chain, lifts the mean degree into the loop that skips arcs.
+    g = fanned_diamond_chain(1100, clique)
+    assert sparse_loop(g) == (clique == 0)
+    assert betweenness_block(g, 0, _native._block_rows(g.n)) == 1
 
 
 @pytest.mark.parametrize("threads", THREADS)
@@ -792,12 +817,15 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
 # loader's own and calls every entry point: discoveries of every policy on
 # every small connected graph from every brain, on the trap graph and on a
 # star from its centre under look_ahead, where `touched` fills up; then each
-# of the other six kernels once.
+# of the other six kernels once, betweenness under both forward loops and on
+# a path count that would overflow an int64 unsaturated.
 SANITIZED_CALLS = """
 import random, sys
 from pathlib import Path
 import numpy as np
-from helpers import connected_graphs_up_to_iso, star_graph, trap_graph
+from helpers import (
+    betweenness_block, complete_graph, connected_graphs_up_to_iso, fanned_diamond_chain, star_graph, trap_graph,
+)
 from netbrain import WalkPolicy, _native, run_discovery
 from netbrain.errors import DiscoveryStallError
 
@@ -817,6 +845,10 @@ for n in (2, 3, 10, 100):
     run_discovery(star_graph(n), 0, WalkPolicy.LOOK_AHEAD, random.Random(n))
 g = trap_graph(5)
 assert _native.betweenness(g) is not None
+assert _native.betweenness(complete_graph(12)) is not None  # the loop that skips arcs
+for clique in (0, 120):  # 1,100 additions of 2**53 into one path count, under each loop
+    fanned = fanned_diamond_chain(1100, clique)
+    assert betweenness_block(fanned, 0, _native._block_rows(fanned.n)) == 1
 assert _native.shuffle(random.Random(1), np.arange(50, dtype=np.int32))
 edge_list = Path(sys.argv[2])
 edge_list.write_text("# edges\\n1 2\\r\\n2 3\\n\\n3 1")
